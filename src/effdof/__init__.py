@@ -2,8 +2,8 @@
 
 Public API re-exported from the submodules:
 
-* :mod:`effdof.estimators` -- the df estimators, Kish effective sample size,
-  and weighted summary statistics.
+* :mod:`effdof.estimators` -- the df estimators, Kish effective sample size
+  and the weight summaries beside it.
 * :mod:`effdof.applications` -- jackknife, multiple-imputation and two-sample
   wrappers around the corrected estimator.
 * :mod:`effdof.montecarlo` -- the reproducible chi-square simulation harness.
@@ -28,23 +28,18 @@ from .estimators import (
     DfEstimate,
     Variant,
     VarianceComponent,
-    WeightVector,
     boardman_df,
     corrected_df,
     design_effect,
     kish_neff,
     relvariance,
     satterthwaite_df,
-    satterthwaite_df_harmonic,
-    weighted_mean,
-    weighted_variance,
 )
 from .montecarlo import (
     GridResult,
     SimCell,
     SimConfig,
     WeightMode,
-    run_cell,
     run_grid,
     run_grid_detailed,
     sample_component_variance,
@@ -67,7 +62,6 @@ __all__ = [
     "Variant",
     "VarianceComponent",
     "WeightMode",
-    "WeightVector",
     "boardman_df",
     "corrected_df",
     "design_effect",
@@ -77,14 +71,10 @@ __all__ = [
     "mi_total_df",
     "mi_total_variance",
     "relvariance",
-    "run_cell",
     "run_grid",
     "run_grid_detailed",
     "sample_component_variance",
     "satterthwaite_df",
-    "satterthwaite_df_harmonic",
-    "weighted_mean",
-    "weighted_variance",
     "welch_corrected_df",
     "welch_satterthwaite_df",
 ]

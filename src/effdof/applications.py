@@ -8,6 +8,7 @@ uncorrected baseline), so the core formulas live in one place.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -25,6 +26,16 @@ __all__ = [
     "welch_corrected_df",
     "welch_satterthwaite_df",
 ]
+
+
+def _check_real(name: str, x, *, positive: bool = False) -> None:
+    """Raise a ValueError naming ``name`` unless ``x`` is a finite real number
+    that is > 0 (``positive``) or >= 0."""
+    if not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    if not math.isfinite(x) or x < 0 or (positive and x == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -110,12 +121,9 @@ class MiVariance:
     num_imputations: int
 
     def __post_init__(self):
-        if self.sampling_variance < 0 or not math.isfinite(self.sampling_variance):
-            raise ValueError("sampling_variance must be finite and >= 0")
-        if self.sampling_dof <= 0 or not math.isfinite(self.sampling_dof):
-            raise ValueError("sampling_dof must be finite and > 0")
-        if self.imputation_variance < 0 or not math.isfinite(self.imputation_variance):
-            raise ValueError("imputation_variance must be finite and >= 0")
+        _check_real("sampling_variance", self.sampling_variance)
+        _check_real("sampling_dof", self.sampling_dof, positive=True)
+        _check_real("imputation_variance", self.imputation_variance)
         if not isinstance(self.num_imputations, int) or isinstance(self.num_imputations, bool):
             raise ValueError("num_imputations must be an integer")
         if self.num_imputations < 2:
@@ -171,9 +179,8 @@ class TwoSampleSummary:
         for name, n in (("n1", self.n1), ("n2", self.n2)):
             if not isinstance(n, int) or isinstance(n, bool) or n < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
-        for name, s in (("s1_sq", self.s1_sq), ("s2_sq", self.s2_sq)):
-            if s < 0 or not math.isfinite(s):
-                raise ValueError(f"{name} must be finite and >= 0, got {s!r}")
+        _check_real("s1_sq", self.s1_sq)
+        _check_real("s2_sq", self.s2_sq)
         if self.s1_sq + self.s2_sq <= 0:
             raise DegenerateComponents("both sample variances are zero")
 

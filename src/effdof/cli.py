@@ -65,19 +65,16 @@ PRESETS: dict[str, dict] = {
         k_values=(2, 4, 8, 16, 32, 64),
         nu_values=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
         weight_mode=WeightMode.EQUAL,
-        unit_weights=False,
     ),
     "tables45-random": dict(
         k_values=(16, 32, 64),
         nu_values=(1.0, 5.0, 50.0, 500.0),
         weight_mode=WeightMode.RANDOM_NORMAL,
-        unit_weights=False,
     ),
     "tables45-equal": dict(
         k_values=(16, 32, 64),
         nu_values=(1.0, 5.0, 50.0, 500.0),
         weight_mode=WeightMode.EQUAL,
-        unit_weights=True,
     ),
 }
 
@@ -271,16 +268,14 @@ def config_to_mapping(cfg: SimConfig) -> dict:
 
 
 def config_from_mapping(mapping: Mapping) -> SimConfig:
-    """Rebuild a SimConfig from a manifest's ``config`` entry."""
+    """Rebuild a SimConfig from a manifest's ``config`` entry; other keys are ignored."""
     return SimConfig(
         k_values=tuple(mapping["k_values"]),
         nu_values=tuple(mapping["nu_values"]),
         seed=mapping["seed"],
         weight_mode=WeightMode(mapping["weight_mode"]),
         weight_sd=mapping["weight_sd"],
-        unit_weights=mapping["unit_weights"],
         fix_weights=mapping["fix_weights"],
-        sigma_sq=mapping["sigma_sq"],
         replicates=mapping["replicates"],
         block_size=mapping["block_size"],
     )
@@ -315,8 +310,6 @@ def _simulate_config(args) -> SimConfig:
         base["nu_values"] = tuple(args.nu)
     if args.weights is not None:
         base["weight_mode"] = WeightMode(args.weights)
-    if args.unit_weights:
-        base["unit_weights"] = True
     if "k_values" not in base or "nu_values" not in base:
         raise ValueError("simulate needs --preset or both --k and --nu")
     seed = args.seed if args.seed is not None else secrets.randbits(64)
@@ -324,7 +317,6 @@ def _simulate_config(args) -> SimConfig:
         seed=seed,
         weight_sd=args.sd,
         fix_weights=args.fix_weights,
-        sigma_sq=args.sigma2,
         replicates=args.replicates,
         block_size=args.block_size,
         **base,
@@ -418,12 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="equal weights or Normal(1, sd) random weights")
     sim.add_argument("--sd", type=float, default=0.3,
                      help="sd of random weights (default 0.3)")
-    sim.add_argument("--unit-weights", action="store_true",
-                     help="equal weights are 1 instead of 1/K")
     sim.add_argument("--fix-weights", action="store_true",
                      help="draw one random weight vector per cell instead of per replicate")
-    sim.add_argument("--sigma2", type=float, default=1.0,
-                     help="true common component variance (default 1)")
     sim.add_argument("--replicates", type=int, default=100_000,
                      help="replicates per cell (default 100000)")
     sim.add_argument("--seed", type=int,

@@ -11,7 +11,7 @@ class AllZeroWeights(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """Paired value/weight sequences have different lengths."""
+    """Paired per-component sequences have different lengths."""
 
 
 class ParseError(ValueError):

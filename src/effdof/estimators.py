@@ -16,8 +16,7 @@ moment-matching answers are implemented:
 * ``boardman_df``       -- the corrected ratio without the ``- 2`` shift.
 
 The module also provides Kish's effective sample size ``(sum w)^2 / sum w^2``
-and the weight/summary statistics it is built from (relvariance, design
-effect, weighted mean and variance).
+and the weight summaries beside it (relvariance and design effect).
 
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
@@ -39,20 +38,13 @@ __all__ = [
     "ComponentSet",
     "Variant",
     "DfEstimate",
-    "WeightVector",
     "satterthwaite_df",
     "corrected_df",
     "boardman_df",
-    "satterthwaite_df_harmonic",
     "kish_neff",
     "design_effect",
     "relvariance",
-    "weighted_mean",
-    "weighted_variance",
 ]
-
-# Relative slack below zero that weighted_variance attributes to rounding.
-_VARIANCE_ROUNDING_TOL = 1e-12
 
 
 def _as_float(name: str, x) -> float:
@@ -179,31 +171,16 @@ class DfEstimate:
             )
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative weights, at least one of them positive."""
-
-    weights: tuple[float, ...]
-
-    def __init__(self, weights: Iterable[float]):
-        ws = tuple(_as_float("weight", w) for w in weights)
-        if not ws:
-            raise ValueError("a WeightVector needs at least one weight")
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be nonnegative")
-        if all(w == 0.0 for w in ws):
-            raise AllZeroWeights("all weights are zero")
-        object.__setattr__(self, "weights", ws)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-
-def _as_weight_vector(w) -> WeightVector:
-    return w if isinstance(w, WeightVector) else WeightVector(w)
+def _checked_weights(weights: Iterable[float]) -> tuple[float, ...]:
+    """Finite nonnegative weights as floats, at least one of them positive."""
+    ws = tuple(_as_float("weight", w) for w in weights)
+    if not ws:
+        raise ValueError("a weight vector needs at least one weight")
+    if any(w < 0 for w in ws):
+        raise ValueError("weights must be nonnegative")
+    if all(w == 0.0 for w in ws):
+        raise AllZeroWeights("all weights are zero")
+    return ws
 
 
 def _single_positive(cs: ComponentSet) -> VarianceComponent | None:
@@ -279,29 +256,6 @@ def boardman_df(cs: ComponentSet) -> DfEstimate:
     return _ratio_estimate(cs, Variant.BOARDMAN, 2.0)
 
 
-def satterthwaite_df_harmonic(cs: ComponentSet) -> float:
-    """Harmonic-mean form of :func:`satterthwaite_df`, kept as a cross-check.
-
-    Writing m for the mean weighted variance, the classic estimate equals
-    ``K * H(q_k)`` with ``q_k = nu_k * (m / (w_k S_k^2))^2`` and H the harmonic
-    mean. The algebra divides by each weighted variance, so every
-    ``w_k * S_k^2`` must be strictly positive here even though
-    :func:`satterthwaite_df` tolerates zeros.
-
-    Raises:
-        DegenerateComponents: if any ``w_k * S_k^2`` is zero.
-    """
-    a = [c.weighted_variance for c in cs]
-    if any(x <= 0.0 for x in a):
-        raise DegenerateComponents(
-            "the harmonic form requires every weighted variance to be positive"
-        )
-    k = len(a)
-    mean_wv = math.fsum(a) / k
-    q = [c.dof * (mean_wv / x) ** 2 for x, c in zip(a, cs)]
-    return k * (k / math.fsum(1.0 / qk for qk in q))
-
-
 def kish_neff(weights) -> float:
     """Kish effective sample size ``(sum_k w_k)^2 / sum_k w_k^2``.
 
@@ -312,8 +266,7 @@ def kish_neff(weights) -> float:
     Raises:
         AllZeroWeights: if every weight is zero.
     """
-    wv = _as_weight_vector(weights)
-    ws = wv.weights
+    ws = _checked_weights(weights)
     if all(w == ws[0] for w in ws):
         return float(len(ws))
     total = math.fsum(ws)
@@ -329,8 +282,7 @@ def relvariance(weights) -> float:
     Raises:
         AllZeroWeights: if every weight is zero.
     """
-    wv = _as_weight_vector(weights)
-    ws = wv.weights
+    ws = _checked_weights(weights)
     if all(w == ws[0] for w in ws):
         return 0.0
     mean = math.fsum(ws) / len(ws)
@@ -344,51 +296,3 @@ def design_effect(weights) -> float:
     tolerance.
     """
     return 1.0 + relvariance(weights)
-
-
-def _check_lengths(values, ws) -> None:
-    if len(values) != len(ws):
-        raise LengthMismatch(
-            f"values ({len(values)}) and weights ({len(ws)}) must have equal lengths"
-        )
-
-
-def weighted_mean(values: Sequence[float], weights) -> float:
-    """Weighted sample mean ``sum_k w_k y_k / sum_k w_k``.
-
-    Raises:
-        LengthMismatch: if values and weights differ in length.
-        AllZeroWeights: if every weight is zero.
-    """
-    wv = _as_weight_vector(weights)
-    ys = [_as_float("value", y) for y in values]
-    _check_lengths(ys, wv.weights)
-    return math.fsum(w * y for w, y in zip(wv.weights, ys)) / math.fsum(wv.weights)
-
-
-def weighted_variance(values: Sequence[float], weights) -> float:
-    """Population-style weighted variance: weighted mean square minus squared mean.
-
-    Divides by the total weight with no small-sample correction. Tiny negative
-    results (within ``1e-12`` of the second moment) are rounding artifacts and
-    clamp to 0; anything more negative indicates a logic error upstream and
-    raises ``ArithmeticError``.
-
-    Raises:
-        LengthMismatch: if values and weights differ in length.
-        AllZeroWeights: if every weight is zero.
-    """
-    wv = _as_weight_vector(weights)
-    ys = [_as_float("value", y) for y in values]
-    _check_lengths(ys, wv.weights)
-    total = math.fsum(wv.weights)
-    mean = math.fsum(w * y for w, y in zip(wv.weights, ys)) / total
-    mean_sq = math.fsum(w * y * y for w, y in zip(wv.weights, ys)) / total
-    var = mean_sq - mean * mean
-    if var < 0.0:
-        if var >= -_VARIANCE_ROUNDING_TOL * mean_sq:
-            return 0.0
-        raise ArithmeticError(
-            f"weighted variance {var!r} is negative beyond rounding tolerance"
-        )
-    return var

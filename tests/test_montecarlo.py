@@ -11,7 +11,6 @@ from effdof import (
     WeightMode,
     corrected_df,
     kish_neff,
-    run_cell,
     run_grid,
     run_grid_detailed,
     sample_component_variance,
@@ -100,7 +99,9 @@ class TestDeterminism:
         assert run_grid(cfg) == run_grid(cfg)
 
     def test_thread_count_does_not_change_results(self):
-        cfg = make_cfg(k_values=(2, 4), nu_values=(1.0, 8.0),
+        # K=3 is not a power of two: an equal weight other than 1 on some
+        # path would move the last digits
+        cfg = make_cfg(k_values=(2, 3, 4), nu_values=(1.0, 8.0),
                        replicates=25_000, block_size=4_000)
         base = run_grid(cfg, threads=1)
         assert run_grid(cfg, threads=4) == base
@@ -120,11 +121,6 @@ class TestDeterminism:
         cell = run_grid(cfg)[0]
         assert run_grid(cfg)[0] == cell
         assert cell.sd_satt == 0.0 and cell.sd_corr == 0.0
-
-    def test_run_cell_matches_grid_substream(self):
-        cfg = make_cfg(replicates=4_000)
-        stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0,))
-        assert run_cell(2, 1.0, cfg, stream) == run_grid(cfg)[0]
 
     def test_different_seeds_differ(self):
         a = run_grid(make_cfg())[0]
@@ -157,20 +153,10 @@ class TestGrid:
 
 class TestAggregates:
     def test_kish_is_exactly_k_in_equal_mode(self):
-        for unit in (False, True):
-            cfg = make_cfg(k_values=(3, 16), nu_values=(2.0,), replicates=500,
-                           unit_weights=unit)
-            for cell in run_grid(cfg):
-                assert cell.mean_kish == float(cell.k)
-                assert cell.ratio_kish_k == 1.0
-
-    def test_equal_weight_normalization_is_cosmetic(self):
-        # 1/K versus unit weights: scale invariance keeps every statistic equal
-        a = run_grid(make_cfg(replicates=5_000, unit_weights=False))[0]
-        b = run_grid(make_cfg(replicates=5_000, unit_weights=True))[0]
-        assert a.mean_satt == pytest.approx(b.mean_satt, rel=1e-12)
-        assert a.mean_corr == pytest.approx(b.mean_corr, rel=1e-12)
-        assert a.sd_corr == pytest.approx(b.sd_corr, rel=1e-9)
+        cfg = make_cfg(k_values=(3, 16), nu_values=(2.0,), replicates=500)
+        for cell in run_grid(cfg):
+            assert cell.mean_kish == float(cell.k)
+            assert cell.ratio_kish_k == 1.0
 
     def test_classic_estimator_biased_low_in_ideal_case(self):
         cfg = make_cfg(k_values=(2, 8), nu_values=(1.0, 4.0, 32.0), replicates=4_000)
@@ -238,14 +224,18 @@ class TestConfigValidation:
             dict(nu_values=(-1.0,)),
             dict(replicates=0),
             dict(weight_sd=-0.1),
-            dict(sigma_sq=0.0),
             dict(seed=-1),
             dict(seed=2**64),
             dict(block_size=0),
+            dict(replicates=100.0),
+            dict(block_size=5000.0),
+            dict(k_values=(2.7,)),
+            dict(seed=True),
         ],
     )
     def test_invalid_configs(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             make_cfg(**kwargs)
 
     def test_weight_mode_coercion(self):

@@ -16,9 +16,8 @@ from effdof import (
     kish_neff,
     relvariance,
     satterthwaite_df,
-    satterthwaite_df_harmonic,
-    weighted_mean,
 )
+from oracles import satterthwaite_df_harmonic
 
 REL = 1e-12
 
@@ -139,16 +138,10 @@ def test_permutation_invariance_is_exact(cs, rnd):
 @settings(max_examples=200, deadline=None)
 @given(weight_vectors(min_n=2), st.randoms(use_true_random=False))
 def test_weight_summary_permutation_invariance(ws, rnd):
-    values = list(range(len(ws)))
-    paired = list(zip(values, ws))
-    rnd.shuffle(paired)
-    shuffled_values = [float(v) for v, _ in paired]
-    shuffled_weights = [w for _, w in paired]
+    shuffled_weights = list(ws)
+    rnd.shuffle(shuffled_weights)
     assert kish_neff(shuffled_weights) == kish_neff(ws)
     assert relvariance(shuffled_weights) == relvariance(ws)
-    assert weighted_mean(shuffled_values, shuffled_weights) == weighted_mean(
-        [float(v) for v in values], ws
-    )
 
 
 @settings(max_examples=200, deadline=None)
