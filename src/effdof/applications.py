@@ -13,7 +13,13 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import DegenerateComponents
-from .estimators import ComponentSet, VarianceComponent, corrected_df, satterthwaite_df
+from .estimators import (
+    ComponentSet,
+    VarianceComponent,
+    _unit_scaled,
+    corrected_df,
+    satterthwaite_df,
+)
 
 __all__ = [
     "PseudoValueSet",
@@ -73,12 +79,15 @@ def jackknife_df(pv: PseudoValueSet | Sequence[float]) -> float:
 
         3 * (sum d_k^2)^2 / sum d_k^4  -  2.
 
-    Always at least 1, since ``sum d^4 <= (sum d^2)^2``.
+    Always at least 1, since ``sum d^4 <= (sum d^2)^2``. The pseudo-values
+    are rescaled by a power of two first, so any finite magnitude gives the
+    same value.
     """
     if not isinstance(pv, PseudoValueSet):
         pv = PseudoValueSet(pv)
-    mean = math.fsum(pv.pseudo_values) / len(pv)
-    d2 = [(t - mean) ** 2 for t in pv.pseudo_values]
+    ts = _unit_scaled(pv.pseudo_values)
+    mean = math.fsum(ts) / len(ts)
+    d2 = [(t - mean) ** 2 for t in ts]
     sum_d2 = math.fsum(d2)
     sum_d4 = math.fsum(x * x for x in d2)
     if sum_d4 == 0.0:

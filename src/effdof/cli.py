@@ -8,7 +8,9 @@ jackknife   jackknife df from a file of pseudo-values
 welch       two-sample df, classic and corrected side by side
 mi          multiple-imputation total variance and df
 
-Exit codes: 0 success, 2 validation error, 3 parse error, 4 degenerate input.
+Exit codes: 0 success, 2 validation error, 3 parse error, 4 degenerate input
+or an arithmetic error (a floating-point overflow or division by zero while
+evaluating an estimator, for example from weights near 1e200).
 All simulation randomness flows from ``--seed``; without the flag a seed is
 drawn from system entropy and recorded in the run manifest. Simulation tables
 go to stdout and are byte-identical across reruns and thread counts for a
@@ -23,7 +25,6 @@ import csv
 import io
 import json
 import math
-import secrets
 import sys
 import time
 from dataclasses import asdict
@@ -312,7 +313,12 @@ def _simulate_config(args) -> SimConfig:
         base["weight_mode"] = WeightMode(args.weights)
     if "k_values" not in base or "nu_values" not in base:
         raise ValueError("simulate needs --preset or both --k and --nu")
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    if args.seed is not None:
+        seed = args.seed
+    else:
+        import secrets  # here, not at module level: it loads hmac/hashlib
+
+        seed = secrets.randbits(64)
     return SimConfig(
         seed=seed,
         weight_sd=args.sd,
@@ -468,6 +474,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except DegenerateComponents as exc:
         print(f"effdof: degenerate input: {exc}", file=sys.stderr)
+        return 4
+    except ArithmeticError as exc:
+        # float ** raises OverflowError((errno, text)): report the text only
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        print(f"effdof: arithmetic error: {detail}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"effdof: {exc}", file=sys.stderr)

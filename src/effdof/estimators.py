@@ -183,6 +183,20 @@ def _checked_weights(weights: Iterable[float]) -> tuple[float, ...]:
     return ws
 
 
+def _unit_scaled(xs: Sequence[float]) -> list[float]:
+    """``xs`` times the power of two that brings max|x| into [0.5, 1).
+
+    Multiplying by a power of two is exact, so a scale-invariant ratio of
+    sums of powers of these values equals the unscaled one wherever that
+    neither overflows nor underflows, and stays in range where it would.
+    """
+    _, exponent = math.frexp(max(map(abs, xs)))
+    # 2**1023 is the largest power of two a float holds; a subnormal max
+    # times it is still at least 2**-51, far from underflow when squared
+    factor = math.ldexp(1.0, min(-exponent, 1023))
+    return [x * factor for x in xs]
+
+
 def _single_positive(cs: ComponentSet) -> VarianceComponent | None:
     """The unique component with positive weighted variance, if there is one."""
     found = None
@@ -261,7 +275,8 @@ def kish_neff(weights) -> float:
 
     Equals the number of observations for uniform positive weights (returned
     exactly in that case) and is bounded by 1 below and by the count of
-    strictly positive weights above.
+    strictly positive weights above. Weights are rescaled by a power of two
+    first, so any finite magnitude gives the same value.
 
     Raises:
         AllZeroWeights: if every weight is zero.
@@ -269,6 +284,7 @@ def kish_neff(weights) -> float:
     ws = _checked_weights(weights)
     if all(w == ws[0] for w in ws):
         return float(len(ws))
+    ws = _unit_scaled(ws)
     total = math.fsum(ws)
     return total * total / math.fsum(w * w for w in ws)
 
@@ -285,6 +301,7 @@ def relvariance(weights) -> float:
     ws = _checked_weights(weights)
     if all(w == ws[0] for w in ws):
         return 0.0
+    ws = _unit_scaled(ws)
     mean = math.fsum(ws) / len(ws)
     return math.fsum((w / mean - 1.0) ** 2 for w in ws) / len(ws)
 

@@ -13,6 +13,10 @@ configuration, never on scheduling or thread count. The bit generator is
 Philox (counter-based, 4x64); chi-square variates come from numpy's
 ``standard_gamma`` (Marsaglia-Tsang squeeze method for shape >= 1,
 Ahrens-Dieter GS for shape < 1, which covers component df below 2).
+
+numpy is imported inside the functions that draw or reduce arrays, so
+importing this module (and with it ``effdof`` and ``effdof.cli``) does not
+load numpy; the closed-form estimators never need it.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateComponents
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "WeightMode",
@@ -61,6 +67,12 @@ def _as_int(name: str, x, low: int) -> int:
     return int(x)
 
 
+def _as_real(name: str, x) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite real number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Description of one simulation grid.
@@ -85,20 +97,21 @@ class SimConfig:
 
     def __post_init__(self):
         ks = tuple(sorted(set(_as_int("k_values entry", k, 1) for k in self.k_values)))
-        nus = tuple(sorted(set(float(v) for v in self.nu_values)))
+        nus = tuple(sorted(set(_as_real("nu_values entry", v) for v in self.nu_values)))
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
+        object.__setattr__(self, "weight_sd", _as_real("weight_sd", self.weight_sd))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
         for name, low in (("seed", 0), ("replicates", 1), ("block_size", 1)):
             object.__setattr__(self, name, _as_int(name, getattr(self, name), low))
         if not ks:
             raise ValueError("k_values must be nonempty")
-        if not nus or any(not math.isfinite(v) or v <= 0 for v in nus):
+        if not nus or any(v <= 0 for v in nus):
             raise ValueError("nu_values must be nonempty positive reals")
         if self.seed >= _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not math.isfinite(self.weight_sd) or self.weight_sd < 0:
-            raise ValueError("weight_sd must be finite and >= 0")
+        if self.weight_sd < 0:
+            raise ValueError("weight_sd must be >= 0")
 
     @property
     def grid(self) -> list[tuple[int, float]]:
@@ -161,6 +174,8 @@ def batch_df_estimates(weights, s2, nu):
     components); ``nu`` is the df shared by all components of a cell. Agrees
     with the scalar estimators row by row (covered by tests).
     """
+    import numpy as np
+
     a = np.asarray(weights, dtype=float) * np.asarray(s2, dtype=float)
     num = a.sum(axis=-1) ** 2
     sq_sum = (a * a).sum(axis=-1)
@@ -173,6 +188,8 @@ def batch_df_estimates(weights, s2, nu):
 
 def batch_kish(weights):
     """Vectorized Kish effective sample size over weight rows."""
+    import numpy as np
+
     w = np.asarray(weights, dtype=float)
     return w.sum(axis=-1) ** 2 / (w * w).sum(axis=-1)
 
@@ -194,15 +211,17 @@ class _BlockSums:
     rejections: int
 
 
-def _substream(stream: np.random.SeedSequence, index: int) -> np.random.SeedSequence:
-    # explicit spawn-key extension: pure, and independent of how many
-    # children the parent has handed out before
-    return np.random.SeedSequence(
-        entropy=stream.entropy, spawn_key=(*stream.spawn_key, index)
-    )
+def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
+    """Philox generator of substream ``index`` of grid cell ``cell``.
 
+    Substream 0 draws a cell's fixed weight row, substream ``1 + b`` its
+    block ``b``.
+    """
+    import numpy as np
 
-def _generator(stream: np.random.SeedSequence) -> np.random.Generator:
+    # explicit spawn key: pure, and independent of how many children a
+    # parent sequence has handed out before
+    stream = np.random.SeedSequence(entropy=seed, spawn_key=(cell, index))
     return np.random.Generator(np.random.Philox(stream))
 
 
@@ -224,11 +243,11 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [cfg.block_size] * full + ([rest] if rest else [])
 
 
-def _fixed_weights(k: int, cfg: SimConfig, cell_stream) -> tuple[np.ndarray | None, int]:
+def _fixed_weights(k: int, cfg: SimConfig, cell: int) -> tuple[np.ndarray | None, int]:
     """The per-cell weight row (substream 0) when fix_weights is active."""
     if cfg.weight_mode is not WeightMode.RANDOM_NORMAL or not cfg.fix_weights:
         return None, 0
-    rng = _generator(_substream(cell_stream, 0))
+    rng = _block_rng(cfg.seed, cell, 0)
     return _draw_weights(rng, k, cfg.weight_sd)
 
 
@@ -236,12 +255,12 @@ def _block_sums(
     k: int,
     nu_bar: float,
     cfg: SimConfig,
-    cell_stream: np.random.SeedSequence,
+    cell: int,
     block_index: int,
     n: int,
     fixed_row: np.ndarray | None,
 ) -> _BlockSums:
-    rng = _generator(_substream(cell_stream, 1 + block_index))
+    rng = _block_rng(cfg.seed, cell, 1 + block_index)
     rejections = 0
     if cfg.weight_mode is WeightMode.EQUAL:
         weights = 1.0
@@ -268,8 +287,12 @@ def _block_sums(
 
 
 def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell:
-    """Combine block partials into one SimCell, summing in block order so the
-    reduction is deterministic."""
+    """Combine block partials into one SimCell.
+
+    Float sums use ``math.fsum``, which is exact before its one rounding, so
+    the result depends neither on block order nor on the Python version
+    (the built-in ``sum`` of floats is compensated only from 3.12 on).
+    """
     r = sum(p.n for p in partials)
     expected = k * nu_bar
 
@@ -280,11 +303,11 @@ def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell
             var = 0.0
         return expected + d / r, math.sqrt(var)
 
-    mean_satt, sd_satt = moments(sum(p.d_satt for p in partials),
-                                 sum(p.d2_satt for p in partials))
-    mean_corr, sd_corr = moments(sum(p.d_corr for p in partials),
-                                 sum(p.d2_corr for p in partials))
-    mean_kish = sum(p.kish for p in partials) / r
+    mean_satt, sd_satt = moments(math.fsum(p.d_satt for p in partials),
+                                 math.fsum(p.d2_satt for p in partials))
+    mean_corr, sd_corr = moments(math.fsum(p.d_corr for p in partials),
+                                 math.fsum(p.d2_corr for p in partials))
+    mean_kish = math.fsum(p.kish for p in partials) / r
     return SimCell(
         k=k,
         nu_bar=nu_bar,
@@ -313,11 +336,7 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     grid = cfg.grid
-    streams = [
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
-        for i in range(len(grid))
-    ]
-    fixed = [_fixed_weights(k, cfg, s) for (k, _), s in zip(grid, streams)]
+    fixed = [_fixed_weights(k, cfg, ci) for ci, (k, _) in enumerate(grid)]
     sizes = _block_sizes(cfg)
     tasks = [
         (ci, bi, n)
@@ -328,7 +347,7 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     def work(task: tuple[int, int, int]) -> _BlockSums:
         ci, bi, n = task
         k, nu = grid[ci]
-        return _block_sums(k, nu, cfg, streams[ci], bi, n, fixed[ci][0])
+        return _block_sums(k, nu, cfg, ci, bi, n, fixed[ci][0])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, tasks))  # map keeps task order

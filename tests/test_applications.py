@@ -59,6 +59,17 @@ class TestJackknife:
         assert jackknife_df([-2.0 * x for x in t]) == pytest.approx(base, rel=1e-9)
         assert jackknife_df(t[::-1]) == base
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        # same value as (0, 1, 3); unscaled, d^4 of 1e200 overflows (NaN)
+        # and that of 1e-200 underflows to a reported degenerate input
+        assert jackknife_df([0.0, scale, 3.0 * scale]) == pytest.approx(4.0, rel=REL)
+
+    @pytest.mark.parametrize("exponent", [-664, 664])  # 2**664 ~ 1e200
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        t = [1.0, 4.0, 2.5, -3.0, 0.5]
+        assert jackknife_df([math.ldexp(x, exponent) for x in t]) == jackknife_df(t)
+
     def test_lower_bound(self):
         # sum d^4 <= (sum d^2)^2 forces the value above 3*1 - 2 = 1
         rng = np.random.default_rng(6)

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import effdof
 from effdof import run_grid
 from effdof.cli import (
     cells_csv_full_precision,
@@ -129,6 +132,14 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--input",
                                str(tmp_path / "nope.csv"))
         assert code == 3
+
+    def test_arithmetic_error_exit_code(self, capsys, tmp_path):
+        # (sum w_k S_k^2)^2 of weights near 1e200 overflows the float range
+        path = write(tmp_path, "huge.csv", "weight,variance,dof\n1e200,1,4\n1e200,2,4\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", path)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("effdof: arithmetic error: ")
 
 
 class TestJackknifeCommand:
@@ -315,7 +326,46 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
 
+_IMPORT_PROBE = """
+import json, sys
+from effdof.cli import main
+
+def loaded():
+    return sorted(m for m in ("numpy", "secrets") if m in sys.modules)
+
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    seen[argv[0]] = loaded()
+assert main(["simulate", "--k", "2", "--nu", "1", "--replicates", "10"]) == 0
+seen["simulate"] = loaded()
+print(json.dumps(seen))
+"""
+
+
 class TestModuleEntryPoint:
+    def test_only_simulate_imports_numpy(self, tmp_path):
+        # this process has numpy loaded already, so probe a fresh interpreter
+        runs = [
+            ["welch", "--n1", "10", "--n2", "12", "--s1sq", "1", "--s2sq", "2"],
+            ["mi", "--var-sampling", "1", "--nu-sampling", "100",
+             "--var-imputation", "0.2", "--m", "5"],
+            ["jackknife", "--input", write(tmp_path, "pv.txt", "0\n1\n3\n")],
+            ["estimate", "--input", write(tmp_path, "c.csv", TWO_COMPONENTS)],
+        ]
+        src = str(Path(effdof.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen == {
+            "import": [], "welch": [], "mi": [], "jackknife": [], "estimate": [],
+            "simulate": ["numpy", "secrets"],
+        }
+
     def test_python_dash_m_runs_and_is_deterministic(self):
         cmd = [sys.executable, "-m", "effdof", "simulate", "--k", "2", "--nu", "1",
                "--replicates", "500", "--seed", "11"]

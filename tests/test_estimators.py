@@ -153,6 +153,21 @@ class TestKishNeff:
         with pytest.raises(AllZeroWeights):
             kish_neff([0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200])
+    def test_extreme_magnitudes(self, scale):
+        # (1 + 2)^2 / (1 + 4) at any scale; unscaled, the squares of 1e200
+        # overflow (NaN) and those of 1e-200 underflow (ZeroDivisionError)
+        w = [scale, 2.0 * scale]
+        assert kish_neff(w) == pytest.approx(1.8, rel=REL)
+        assert design_effect(w) * kish_neff(w) == pytest.approx(2.0, rel=REL)
+
+    @pytest.mark.parametrize("exponent", [-664, 664])  # 2**664 ~ 1e200
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        w = [0.3, 1.7, 2.2, 0.9]
+        scaled = [math.ldexp(x, exponent) for x in w]
+        assert kish_neff(scaled) == kish_neff(w)
+        assert relvariance(scaled) == relvariance(w)
+
 
 class TestWeightSummaries:
     def test_relvariance_uniform_is_exactly_zero(self):

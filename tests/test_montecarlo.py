@@ -231,6 +231,11 @@ class TestConfigValidation:
             dict(block_size=5000.0),
             dict(k_values=(2.7,)),
             dict(seed=True),
+            dict(weight_sd="0.3"),
+            dict(weight_sd=True),
+            dict(weight_sd=float("nan")),
+            dict(nu_values=(True,)),
+            dict(nu_values=("1.0",)),
         ],
     )
     def test_invalid_configs(self, kwargs):
