@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .applications import (
     MiVariance,
-    PseudoValueSet,
     TwoSampleSummary,
     jackknife_df,
     leave_one_out_pseudo_values,
@@ -27,7 +26,6 @@ from .estimators import (
     ComponentSet,
     DfEstimate,
     Variant,
-    VarianceComponent,
     boardman_df,
     corrected_df,
     design_effect,
@@ -55,12 +53,10 @@ __all__ = [
     "LengthMismatch",
     "MiVariance",
     "ParseError",
-    "PseudoValueSet",
     "SimCell",
     "SimConfig",
     "TwoSampleSummary",
     "Variant",
-    "VarianceComponent",
     "WeightMode",
     "boardman_df",
     "corrected_df",

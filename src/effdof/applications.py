@@ -3,26 +3,31 @@
 Each wrapper documents the component set it induces and delegates to
 :func:`effdof.estimators.corrected_df` (or the classic estimator for the
 uncorrected baseline), so the core formulas live in one place.
+
+Inputs are plain numbers: :func:`jackknife_df` takes a sequence of
+pseudo-values (and :func:`leave_one_out_pseudo_values` returns them as a tuple
+of floats), while :class:`MiVariance` and :class:`TwoSampleSummary` hold the
+summary numbers of their setting. Every field goes through the shared checks
+in :mod:`effdof.errors`, so a string, a bool or a non-finite value raises a
+ValueError naming the field; integer fields accept any ``numbers.Integral``
+(numpy integers included) except ``bool``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import DegenerateComponents
+from .errors import DegenerateComponents, check_int, check_real
 from .estimators import (
     ComponentSet,
-    VarianceComponent,
     _unit_scaled,
     corrected_df,
     satterthwaite_df,
 )
 
 __all__ = [
-    "PseudoValueSet",
     "MiVariance",
     "TwoSampleSummary",
     "jackknife_df",
@@ -34,46 +39,25 @@ __all__ = [
 ]
 
 
-def _check_real(name: str, x, *, positive: bool = False) -> None:
-    """Raise a ValueError naming ``name`` unless ``x`` is a finite real number
-    that is > 0 (``positive``) or >= 0."""
-    if not isinstance(x, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {x!r}")
-    if not math.isfinite(x) or x < 0 or (positive and x == 0):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be finite and {bound}, got {x!r}")
+def _checked_pseudo_values(values: Iterable[float]) -> tuple[float, ...]:
+    """Finite real pseudo-values as floats: at least two, not all identical
+    (a constant statistic leaves the jackknife df as 0/0)."""
+    ts = tuple(check_real("pseudo-value", v) for v in values)
+    if len(ts) < 2:
+        raise ValueError("need at least two pseudo-values")
+    if all(t == ts[0] for t in ts):
+        raise DegenerateComponents(
+            "all pseudo-values are identical; jackknife df is undefined"
+        )
+    return ts
 
 
-@dataclass(frozen=True)
-class PseudoValueSet:
-    """Leave-one-out recomputations T_k of a statistic.
-
-    Needs at least two values, not all identical (a constant statistic leaves
-    the jackknife df as 0/0).
-    """
-
-    pseudo_values: tuple[float, ...]
-
-    def __init__(self, pseudo_values: Iterable[float]):
-        vals = tuple(float(v) for v in pseudo_values)
-        if len(vals) < 2:
-            raise ValueError("need at least two pseudo-values")
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError("pseudo-values must be finite")
-        if all(v == vals[0] for v in vals):
-            raise DegenerateComponents(
-                "all pseudo-values are identical; jackknife df is undefined"
-            )
-        object.__setattr__(self, "pseudo_values", vals)
-
-    def __len__(self) -> int:
-        return len(self.pseudo_values)
-
-
-def jackknife_df(pv: PseudoValueSet | Sequence[float]) -> float:
+def jackknife_df(pv: Iterable[float]) -> float:
     """Corrected effective df of a jackknife variance estimate.
 
-    With centered deviations d_k = T_k - mean(T), each squared deviation is a
+    ``pv`` holds the pseudo-values, the leave-one-out recomputations T_k of
+    a statistic: at least two finite real numbers, not all identical. With
+    centered deviations d_k = T_k - mean(T), each squared deviation is a
     one-df variance component (the common (K-1)/K factor cancels in the
     ratio), so the corrected estimator collapses to
 
@@ -83,9 +67,7 @@ def jackknife_df(pv: PseudoValueSet | Sequence[float]) -> float:
     are rescaled by a power of two first, so any finite magnitude gives the
     same value.
     """
-    if not isinstance(pv, PseudoValueSet):
-        pv = PseudoValueSet(pv)
-    ts = _unit_scaled(pv.pseudo_values)
+    ts = _unit_scaled(_checked_pseudo_values(pv))
     mean = math.fsum(ts) / len(ts)
     d2 = [(t - mean) ** 2 for t in ts]
     sum_d2 = math.fsum(d2)
@@ -100,16 +82,17 @@ def jackknife_df(pv: PseudoValueSet | Sequence[float]) -> float:
 def leave_one_out_pseudo_values(
     statistic: Callable[[Sequence[float]], float],
     observations: Sequence[float],
-) -> PseudoValueSet:
-    """Build the pseudo-values T_k = statistic(observations without the k-th).
+) -> tuple[float, ...]:
+    """The pseudo-values T_k = statistic(observations without the k-th), as floats.
 
     Convenience plumbing for callers holding raw observations; the df formula
-    itself only consumes the T_k.
+    itself only consumes the T_k. They get the same checks as the input of
+    :func:`jackknife_df`.
     """
     obs = list(observations)
     if len(obs) < 2:
         raise ValueError("need at least two observations to jackknife")
-    return PseudoValueSet(
+    return _checked_pseudo_values(
         statistic(obs[:k] + obs[k + 1:]) for k in range(len(obs))
     )
 
@@ -130,13 +113,12 @@ class MiVariance:
     num_imputations: int
 
     def __post_init__(self):
-        _check_real("sampling_variance", self.sampling_variance)
-        _check_real("sampling_dof", self.sampling_dof, positive=True)
-        _check_real("imputation_variance", self.imputation_variance)
-        if not isinstance(self.num_imputations, int) or isinstance(self.num_imputations, bool):
-            raise ValueError("num_imputations must be an integer")
-        if self.num_imputations < 2:
-            raise ValueError("num_imputations must be at least 2")
+        for name, positive in (("sampling_variance", False), ("sampling_dof", True),
+                               ("imputation_variance", False)):
+            value = check_real(name, getattr(self, name), 0.0, strict=positive)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "num_imputations",
+                           check_int("num_imputations", self.num_imputations, 2))
         if self.sampling_variance + self.imputation_variance <= 0:
             raise DegenerateComponents(
                 "sampling and imputation variance are both zero"
@@ -151,11 +133,9 @@ class MiVariance:
 
 
 def _mi_components(mi: MiVariance) -> ComponentSet:
-    return ComponentSet([
-        VarianceComponent(1.0, mi.sampling_variance, mi.sampling_dof),
-        VarianceComponent(mi.imputation_weight, mi.imputation_variance,
-                          mi.num_imputations - 1),
-    ])
+    return ComponentSet((1.0, mi.imputation_weight),
+                        (mi.sampling_variance, mi.imputation_variance),
+                        (mi.sampling_dof, mi.num_imputations - 1))
 
 
 def mi_total_variance(mi: MiVariance) -> float:
@@ -185,21 +165,18 @@ class TwoSampleSummary:
     s2_sq: float
 
     def __post_init__(self):
-        for name, n in (("n1", self.n1), ("n2", self.n2)):
-            if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
-        _check_real("s1_sq", self.s1_sq)
-        _check_real("s2_sq", self.s2_sq)
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 2))
+        for name in ("s1_sq", "s2_sq"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
         if self.s1_sq + self.s2_sq <= 0:
             raise DegenerateComponents("both sample variances are zero")
 
 
 def _welch_components(ts: TwoSampleSummary) -> ComponentSet:
     # weights 1/N_k on the sample variances, df N_k - 1
-    return ComponentSet([
-        VarianceComponent(1.0 / ts.n1, ts.s1_sq, ts.n1 - 1),
-        VarianceComponent(1.0 / ts.n2, ts.s2_sq, ts.n2 - 1),
-    ])
+    return ComponentSet((1.0 / ts.n1, 1.0 / ts.n2), (ts.s1_sq, ts.s2_sq),
+                        (ts.n1 - 1, ts.n2 - 1))
 
 
 def welch_corrected_df(ts: TwoSampleSummary) -> float:

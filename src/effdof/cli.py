@@ -44,7 +44,7 @@ from .applications import (
 from .errors import DegenerateComponents, ParseError
 from .estimators import (
     ComponentSet,
-    VarianceComponent,
+    _check_field,
     boardman_df,
     corrected_df,
     design_effect,
@@ -96,8 +96,12 @@ def _parse_field(cell: str, line: int, column: int) -> float:
     return value
 
 
-def parse_components_file(path: str | Path) -> list[VarianceComponent]:
-    """Read a components CSV (header ``weight,variance,dof``, one row per component)."""
+def parse_components_file(path: str | Path) -> ComponentSet:
+    """Read a components CSV (header ``weight,variance,dof``, one row per component).
+
+    Each cell goes through the library's check for its field; a rejected
+    value is a :class:`ParseError` carrying the cell's line and column.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -111,7 +115,7 @@ def parse_components_file(path: str | Path) -> list[VarianceComponent]:
             f"expected header {','.join(COMPONENTS_HEADER)!r}, got {','.join(header)!r}",
             line=1,
         )
-    components = []
+    columns = ([], [], [])
     for i, row in enumerate(rows[1:], start=2):
         if not row:  # tolerate blank lines
             continue
@@ -119,19 +123,15 @@ def parse_components_file(path: str | Path) -> list[VarianceComponent]:
             raise ParseError(
                 f"expected 3 fields, got {len(row)}", line=i, column=len(row) or 1
             )
-        weight = _parse_field(row[0], i, 1)
-        variance = _parse_field(row[1], i, 2)
-        dof = _parse_field(row[2], i, 3)
-        if weight < 0:
-            raise ParseError(f"weight must be >= 0, got {weight}", line=i, column=1)
-        if variance < 0:
-            raise ParseError(f"variance must be >= 0, got {variance}", line=i, column=2)
-        if dof <= 0:
-            raise ParseError(f"dof must be > 0, got {dof}", line=i, column=3)
-        components.append(VarianceComponent(weight, variance, dof))
-    if not components:
+        for j, (field, cell) in enumerate(zip(COMPONENTS_HEADER, row)):
+            value = _parse_field(cell, i, j + 1)
+            try:
+                columns[j].append(_check_field(field, value))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=i, column=j + 1) from None
+    if not columns[0]:
         raise ParseError("no component rows after the header", line=2)
-    return components
+    return ComponentSet(*columns)
 
 
 def parse_values_file(path: str | Path) -> list[float]:
@@ -175,9 +175,7 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: st
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _estimate_payload(components: list[VarianceComponent]) -> dict:
-    cs = ComponentSet(components)
-    weights = [c.weight for c in components]
+def _estimate_payload(cs: ComponentSet) -> dict:
     return {
         "estimators": [
             {
@@ -189,8 +187,8 @@ def _estimate_payload(components: list[VarianceComponent]) -> dict:
             for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
         ],
         "weights": {
-            "kish_neff": kish_neff(weights),
-            "design_effect": design_effect(weights),
+            "kish_neff": kish_neff(cs.weights),
+            "design_effect": design_effect(cs.weights),
         },
     }
 
@@ -297,8 +295,7 @@ def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> d
 # ---------------------------------------------------------------------------
 
 def _cmd_estimate(args) -> int:
-    components = parse_components_file(args.input)
-    payload = _estimate_payload(components)
+    payload = _estimate_payload(parse_components_file(args.input))
     sys.stdout.write(render_estimate(payload, args.format, args.precision))
     return 0
 

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks that raise them.
+
+:func:`check_real` and :func:`check_int` are the one place where a numeric
+input field is validated; the estimators, the application wrappers, the
+simulation config and the CLI parser all call them, so a field is accepted or
+rejected the same way wherever it enters.
+"""
+
+import math
+import numbers
 
 
 class DegenerateComponents(ValueError):
@@ -28,3 +37,32 @@ class ParseError(ValueError):
                 where += f", column {column}"
             where += ": "
         super().__init__(where + message)
+
+
+def check_real(name: str, x, low: float | None = None, *, strict: bool = False) -> float:
+    """``x`` as a float, or a ValueError naming ``name``.
+
+    ``x`` must be a finite real number (any ``numbers.Real`` except ``bool``;
+    strings are refused, not parsed) and, when ``low`` is given, ``>= low``
+    (``> low`` if ``strict``).
+    """
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {x!r}")
+        x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    if low is not None and (x < low or (strict and x == low)):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low:g}, got {x!r}")
+    return x
+
+
+def check_int(name: str, x, low: int) -> int:
+    """``x`` as an int, or a ValueError naming ``name``.
+
+    ``x`` must be an integer ``>= low``: any ``numbers.Integral`` (numpy
+    integers included) except ``bool``.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)

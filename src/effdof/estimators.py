@@ -18,6 +18,12 @@ moment-matching answers are implemented:
 The module also provides Kish's effective sample size ``(sum w)^2 / sum w^2``
 and the weight summaries beside it (relvariance and design effect).
 
+Inputs are plain numbers. The df estimators take a :class:`ComponentSet`,
+three float tuples ``weights``, ``variances`` and ``dofs`` checked on
+construction; the weight summaries take any sequence of weights. Every entry
+must be a finite real number (``bool`` and strings are refused), and a bad one
+raises a ValueError naming it, e.g. ``component 3: dof must be > 0, got 0.0``.
+
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
 use. Degrees of freedom are real-valued throughout; nothing requires
@@ -28,13 +34,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch
+from .errors import (AllZeroWeights, DegenerateComponents, LengthMismatch,
+                     check_real)
 
 __all__ = [
-    "VarianceComponent",
     "ComponentSet",
     "Variant",
     "DfEstimate",
@@ -47,70 +54,53 @@ __all__ = [
 ]
 
 
-def _as_float(name: str, x) -> float:
-    try:
-        value = float(x)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {x!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+def _check_field(field: str, x) -> float:
+    """One ``weight``, ``variance`` or ``dof`` entry as a float.
 
-
-@dataclass(frozen=True)
-class VarianceComponent:
-    """One (weight, variance estimate, df) triple of a complex variance estimate.
-
-    ``variance`` is the component estimate S_k^2 (or a known sigma_k^2), with
-    ``dof`` degrees of freedom behind it. Weights and variances must be
-    nonnegative; dof must be strictly positive (real-valued is fine).
+    Weights and variances must be finite and >= 0, dofs finite and > 0
+    (real-valued is fine); the ValueError names the field.
     """
-
-    weight: float
-    variance: float
-    dof: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", _as_float("weight", self.weight))
-        object.__setattr__(self, "variance", _as_float("variance", self.variance))
-        object.__setattr__(self, "dof", _as_float("dof", self.dof))
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-        if self.dof <= 0:
-            raise ValueError(f"dof must be > 0, got {self.dof}")
-
-    @property
-    def weighted_variance(self) -> float:
-        """The product w_k * S_k^2 this component contributes to the sum."""
-        return self.weight * self.variance
+    return check_real(field, x, 0.0, strict=field == "dof")
 
 
 @dataclass(frozen=True)
 class ComponentSet:
-    """Ordered collection of variance components entering one combined estimate.
+    """The (w_k, S_k^2, nu_k) triples entering one combined estimate, as three tuples.
 
-    At least one component must contribute a positive weighted variance;
-    otherwise every df estimator is degenerate and construction raises
-    :class:`DegenerateComponents`. Components with ``weight * variance == 0``
-    are permitted and simply drop out of the sums.
+    ``weights[k]``, ``variances[k]`` and ``dofs[k]`` belong to component k:
+    ``variances[k]`` is the estimate S_k^2 (or a known sigma_k^2) with
+    ``dofs[k]`` degrees of freedom behind it. Construction checks every entry
+    (see :meth:`from_arrays`) and stores the three tuples as floats.
     """
 
-    components: tuple[VarianceComponent, ...]
+    weights: tuple[float, ...]
+    variances: tuple[float, ...]
+    dofs: tuple[float, ...]
 
-    def __init__(self, components: Iterable[VarianceComponent]):
-        comps = tuple(components)
-        if not comps:
+    def __init__(self, weights: Sequence[float], variances: Sequence[float],
+                 dofs: Sequence[float]):
+        if not (len(weights) == len(variances) == len(dofs)):
+            raise LengthMismatch(
+                f"weights ({len(weights)}), variances ({len(variances)}) and "
+                f"dofs ({len(dofs)}) must have equal lengths"
+            )
+        ws, vs, ds = [], [], []
+        for k, (w, v, d) in enumerate(zip(weights, variances, dofs)):
+            try:
+                ws.append(_check_field("weight", w))
+                vs.append(_check_field("variance", v))
+                ds.append(_check_field("dof", d))
+            except ValueError as exc:
+                raise ValueError(f"component {k}: {exc}") from None
+        if not ws:
             raise ValueError("a ComponentSet needs at least one component")
-        for c in comps:
-            if not isinstance(c, VarianceComponent):
-                raise TypeError(f"expected VarianceComponent, got {type(c).__name__}")
-        if all(c.weighted_variance == 0.0 for c in comps):
+        if not any(map(operator.mul, ws, vs)):
             raise DegenerateComponents(
                 "all weighted variances are zero; df estimators are undefined"
             )
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "weights", tuple(ws))
+        object.__setattr__(self, "variances", tuple(vs))
+        object.__setattr__(self, "dofs", tuple(ds))
 
     @classmethod
     def from_arrays(
@@ -119,33 +109,39 @@ class ComponentSet:
         variances: Sequence[float],
         dofs: Sequence[float],
     ) -> "ComponentSet":
-        if not (len(weights) == len(variances) == len(dofs)):
-            raise LengthMismatch(
-                f"weights ({len(weights)}), variances ({len(variances)}) and "
-                f"dofs ({len(dofs)}) must have equal lengths"
-            )
-        return cls(
-            VarianceComponent(w, v, d) for w, v, d in zip(weights, variances, dofs)
-        )
+        """Check the three equal-length sequences in one pass and build the set.
+
+        Every weight and variance must be a finite real number >= 0 and every
+        dof a finite real number > 0 (``bool`` and strings are refused). A
+        bad entry raises a ValueError naming its 0-based index and field, for
+        example ``component 3: dof must be > 0, got 0.0``. Components with
+        ``weight * variance == 0`` are permitted and drop out of the sums,
+        but at least one must be positive, else :class:`DegenerateComponents`.
+
+        Raises:
+            LengthMismatch: if the sequences differ in length.
+        """
+        return cls(weights, variances, dofs)
 
     def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
+        return len(self.weights)
 
 
 class Variant(enum.Enum):
-    """Which df estimator produced a :class:`DfEstimate`."""
+    """Which df estimator produced a :class:`DfEstimate`, with the two constants
+    that define it: ``dof_offset`` added to each nu_k in the denominator and
+    ``shift`` subtracted from the ratio."""
 
-    SATTERTHWAITE = "satterthwaite"
-    CORRECTED = "corrected"
-    BOARDMAN = "boardman"
+    SATTERTHWAITE = ("satterthwaite", 0.0, 0.0)
+    CORRECTED = ("corrected", 2.0, 2.0)
+    BOARDMAN = ("boardman", 2.0, 0.0)
 
-    @property
-    def shift(self) -> float:
-        """Constant subtracted from the moment ratio (2 for CORRECTED, else 0)."""
-        return 2.0 if self is Variant.CORRECTED else 0.0
+    def __new__(cls, value: str, dof_offset: float, shift: float):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.dof_offset = dof_offset
+        member.shift = shift
+        return member
 
 
 @dataclass(frozen=True)
@@ -155,7 +151,7 @@ class DfEstimate:
     ``value`` equals ``numerator / denominator - variant.shift`` (exactly for
     sets with a single contributing component, to floating precision
     otherwise), where the numerator is ``(sum_k w_k S_k^2)^2`` and the
-    denominator is the variant-specific sum.
+    denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + variant.dof_offset)``.
     """
 
     variant: Variant
@@ -173,7 +169,7 @@ class DfEstimate:
 
 def _checked_weights(weights: Iterable[float]) -> tuple[float, ...]:
     """Finite nonnegative weights as floats, at least one of them positive."""
-    ws = tuple(_as_float("weight", w) for w in weights)
+    ws = tuple(check_real("weight", w) for w in weights)
     if not ws:
         raise ValueError("a weight vector needs at least one weight")
     if any(w < 0 for w in ws):
@@ -197,34 +193,33 @@ def _unit_scaled(xs: Sequence[float]) -> list[float]:
     return [x * factor for x in xs]
 
 
-def _single_positive(cs: ComponentSet) -> VarianceComponent | None:
-    """The unique component with positive weighted variance, if there is one."""
+def _single_positive(a: Sequence[float]) -> int | None:
+    """Index of the only positive entry of ``a``, if there is exactly one."""
     found = None
-    for c in cs:
-        if c.weighted_variance > 0.0:
+    for k, x in enumerate(a):
+        if x > 0.0:
             if found is not None:
                 return None
-            found = c
+            found = k
     return found
 
 
-def _ratio_estimate(cs: ComponentSet, variant: Variant, dof_offset: float) -> DfEstimate:
-    """Shared core: numerator (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + offset).
-
-    When only one component contributes, the ratio is exactly nu + offset and
-    the estimate is evaluated directly, so single-component sets round-trip
-    without floating error.
+def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
+    """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
+    minus the shift, with both constants taken from ``variant``.
     """
-    only = _single_positive(cs)
+    offset = variant.dof_offset
+    a = list(map(operator.mul, cs.weights, cs.variances))
+    only = _single_positive(a)
     if only is not None:
         # ratio is exactly nu + offset here; evaluating it directly keeps
         # single-component sets (and K=1 in particular) free of rounding
-        aa = only.weighted_variance ** 2
-        value = only.dof + (dof_offset - variant.shift)
-        return DfEstimate(variant, value, aa, aa / (only.dof + dof_offset))
-    a = [c.weighted_variance for c in cs]
+        aa = a[only] ** 2
+        dof = cs.dofs[only]
+        value = dof + (offset - variant.shift)
+        return DfEstimate(variant, value, aa, aa / (dof + offset))
     numerator = math.fsum(a) ** 2
-    denominator = math.fsum(x * x / (c.dof + dof_offset) for x, c in zip(a, cs))
+    denominator = math.fsum(x * x / (d + offset) for x, d in zip(a, cs.dofs))
     if denominator == 0.0:
         raise DegenerateComponents(
             "all weighted variances are zero; df estimators are undefined"
@@ -243,7 +238,7 @@ def satterthwaite_df(cs: ComponentSet) -> DfEstimate:
     Raises:
         DegenerateComponents: if every weighted variance is zero.
     """
-    return _ratio_estimate(cs, Variant.SATTERTHWAITE, 0.0)
+    return _ratio_estimate(cs, Variant.SATTERTHWAITE)
 
 
 def corrected_df(cs: ComponentSet) -> DfEstimate:
@@ -259,7 +254,7 @@ def corrected_df(cs: ComponentSet) -> DfEstimate:
     Raises:
         DegenerateComponents: if every weighted variance is zero.
     """
-    return _ratio_estimate(cs, Variant.CORRECTED, 2.0)
+    return _ratio_estimate(cs, Variant.CORRECTED)
 
 
 def boardman_df(cs: ComponentSet) -> DfEstimate:
@@ -267,7 +262,7 @@ def boardman_df(cs: ComponentSet) -> DfEstimate:
 
     Definitionally ``boardman_df(cs).value == corrected_df(cs).value + 2``.
     """
-    return _ratio_estimate(cs, Variant.BOARDMAN, 2.0)
+    return _ratio_estimate(cs, Variant.BOARDMAN)
 
 
 def kish_neff(weights) -> float:

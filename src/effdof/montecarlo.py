@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateComponents
+from .errors import DegenerateComponents, check_int, check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -61,18 +60,6 @@ class WeightMode(str, enum.Enum):
     RANDOM_NORMAL = "random"   # w_k ~ Normal(1, sd), redrawn while <= 0
 
 
-def _as_int(name: str, x, low: int) -> int:
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
-    return int(x)
-
-
-def _as_real(name: str, x) -> float:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite real number, got {x!r}")
-    return float(x)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Description of one simulation grid.
@@ -96,22 +83,21 @@ class SimConfig:
     block_size: int = 10_000
 
     def __post_init__(self):
-        ks = tuple(sorted(set(_as_int("k_values entry", k, 1) for k in self.k_values)))
-        nus = tuple(sorted(set(_as_real("nu_values entry", v) for v in self.nu_values)))
+        ks = tuple(sorted(set(check_int("k_values entry", k, 1) for k in self.k_values)))
+        nus = tuple(sorted(set(check_real("nu_values entry", v, 0.0, strict=True)
+                               for v in self.nu_values)))
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
-        object.__setattr__(self, "weight_sd", _as_real("weight_sd", self.weight_sd))
+        object.__setattr__(self, "weight_sd", check_real("weight_sd", self.weight_sd, 0.0))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
         for name, low in (("seed", 0), ("replicates", 1), ("block_size", 1)):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name), low))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if not ks:
             raise ValueError("k_values must be nonempty")
-        if not nus or any(v <= 0 for v in nus):
-            raise ValueError("nu_values must be nonempty positive reals")
+        if not nus:
+            raise ValueError("nu_values must be nonempty")
         if self.seed >= _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.weight_sd < 0:
-            raise ValueError("weight_sd must be >= 0")
 
     @property
     def grid(self) -> list[tuple[int, float]]:

@@ -17,12 +17,12 @@ def satterthwaite_df_harmonic(cs: ComponentSet) -> float:
     Raises:
         DegenerateComponents: if any ``w_k * S_k^2`` is zero.
     """
-    a = [c.weighted_variance for c in cs]
+    a = [w * v for w, v in zip(cs.weights, cs.variances)]
     if any(x <= 0.0 for x in a):
         raise DegenerateComponents(
             "the harmonic form requires every weighted variance to be positive"
         )
     k = len(a)
     mean_wv = math.fsum(a) / k
-    q = [c.dof * (mean_wv / x) ** 2 for x, c in zip(a, cs)]
+    q = [d * (mean_wv / x) ** 2 for x, d in zip(a, cs.dofs)]
     return k * (k / math.fsum(1.0 / qk for qk in q))

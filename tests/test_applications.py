@@ -13,7 +13,6 @@ from effdof import (
     ComponentSet,
     DegenerateComponents,
     MiVariance,
-    PseudoValueSet,
     TwoSampleSummary,
     corrected_df,
     jackknife_df,
@@ -85,13 +84,21 @@ class TestJackknife:
         with pytest.raises(ValueError):
             jackknife_df([1.0])
         with pytest.raises(DegenerateComponents):
-            PseudoValueSet([2.0, 2.0])
+            jackknife_df([2.0, 2.0])
+
+    @pytest.mark.parametrize("values", [["0", "1", "3"], [0, True, 3]])
+    def test_strings_and_bools_are_refused(self, values):
+        with pytest.raises(ValueError, match="^pseudo-value must be a real number"):
+            jackknife_df(values)
+        with pytest.raises(ValueError, match="^pseudo-value must be a real number"):
+            leave_one_out_pseudo_values(lambda xs: values[len(xs) - 1], [1, 2, 3])
 
     def test_leave_one_out_helper(self):
         # mean statistic on (0,0,2,2): pseudo-values (4/3,4/3,2/3,2/3),
         # deviations scale out, same df as the observations themselves
         pv = leave_one_out_pseudo_values(lambda xs: sum(xs) / len(xs), [0, 0, 2, 2])
-        assert len(pv) == 4
+        assert pv == (4 / 3, 4 / 3, 2 / 3, 2 / 3)
+        assert all(type(t) is float for t in pv)
         assert jackknife_df(pv) == pytest.approx(10.0, rel=REL)
 
     def test_leave_one_out_constant_statistic(self):
@@ -178,6 +185,14 @@ class TestMultipleImputation:
         with pytest.raises(ValueError, match="sampling_variance"):
             MiVariance("1", 10, 0.2, 5)
 
+    def test_numpy_integer_imputation_count(self):
+        mi = MiVariance(1.0, 100.0, 0.2, np.int64(5))
+        assert type(mi.num_imputations) is int
+        assert mi_total_df(mi) == mi_total_df(MiVariance(1.0, 100.0, 0.2, 5))
+        for m in (True, 5.0, "5"):
+            with pytest.raises(ValueError, match="num_imputations must be an integer"):
+                MiVariance(1.0, 100.0, 0.2, m)
+
 
 class TestWelch:
     def test_equal_samples_equal_variances(self):
@@ -262,3 +277,11 @@ class TestWelch:
     def test_non_numeric_field_is_named(self):
         with pytest.raises(ValueError, match="s1_sq"):
             TwoSampleSummary(10, 10, "1", 1.0)
+
+    def test_numpy_integer_sizes(self):
+        ts = TwoSampleSummary(np.int64(10), np.int32(10), 1.0, 1.0)
+        assert (type(ts.n1), type(ts.n2)) == (int, int)
+        assert welch_corrected_df(ts) == pytest.approx(20.0, rel=REL)
+        for n in (True, 10.0, "10"):
+            with pytest.raises(ValueError, match="n1 must be an integer"):
+                TwoSampleSummary(n, 10, 1.0, 1.0)

@@ -87,9 +87,9 @@ class TestEstimate:
                                "--format", "csv", "--precision", "12")
         assert code == 0
         _, rows = parse_csv(out)
-        from effdof import ComponentSet, corrected_df, satterthwaite_df
+        from effdof import corrected_df, satterthwaite_df
 
-        cs = ComponentSet(parse_components_file(path))
+        cs = parse_components_file(path)
         assert float(rows["satterthwaite"][0]) == pytest.approx(
             satterthwaite_df(cs).value, rel=1e-12
         )

@@ -15,7 +15,6 @@ from effdof import (
     DegenerateComponents,
     LengthMismatch,
     Variant,
-    VarianceComponent,
     boardman_df,
     corrected_df,
     design_effect,
@@ -217,20 +216,49 @@ class TestValidation:
          (float("nan"), 1, 1), (1, float("inf"), 1), (1, 1, float("nan"))],
     )
     def test_variance_component_invariants(self, weight, variance, dof):
-        with pytest.raises(ValueError):
-            VarianceComponent(weight, variance, dof)
+        # the bad entry sits at index 1; the message names index and field
+        field = next(name for name, x in zip(("weight", "variance", "dof"),
+                                             (weight, variance, dof)) if x != 1)
+        with pytest.raises(ValueError, match=f"^component 1: {field} must be "):
+            ComponentSet.from_arrays([1, weight, 1], [1, variance, 1], [4, dof, 4])
 
     def test_dof_may_be_fractional(self):
         cs = cset([1, 1], [1, 1], [0.5, 2.5])
         assert satterthwaite_df(cs).value > 0
 
     def test_empty_component_set(self):
-        with pytest.raises(ValueError):
-            ComponentSet([])
+        with pytest.raises(ValueError, match="at least one component"):
+            ComponentSet.from_arrays([], [], [])
 
     def test_from_arrays_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             ComponentSet.from_arrays([1, 2], [1], [4, 4])
+
+    @pytest.mark.parametrize(
+        "weights,variances,dofs,culprit",
+        [(["1", True], ["1", "2"], ["4", 4], "component 0: weight"),
+         ([1, True], [1, 1], [4, 4], "component 1: weight"),
+         ([1, 1], [1, "2"], [4, 4], "component 1: variance"),
+         ([1, 1], [1, 1], [4, False], "component 1: dof")],
+        ids=["strings", "bool-weight", "string-variance", "bool-dof"],
+    )
+    def test_strings_and_bools_are_refused(self, weights, variances, dofs, culprit):
+        with pytest.raises(ValueError, match=f"^{culprit} must be a real number"):
+            ComponentSet.from_arrays(weights, variances, dofs)
+
+    @pytest.mark.parametrize("weights", [["1", "3"], [1, True]])
+    def test_weight_summaries_refuse_strings_and_bools(self, weights):
+        for summary in (kish_neff, relvariance, design_effect):
+            with pytest.raises(ValueError, match="^weight must be a real number"):
+                summary(weights)
+
+    def test_numpy_and_fraction_entries_are_accepted(self):
+        from fractions import Fraction
+
+        cs = cset(np.array([1, 1]), [Fraction(1), np.float32(2)], [np.int64(4), 4])
+        assert cs == cset([1.0, 1.0], [1.0, 2.0], [4.0, 4.0])
+        assert all(type(x) is float for x in cs.weights + cs.variances + cs.dofs)
+        assert corrected_df(cs).value == 8.8
 
     def test_weight_vector_invariants(self):
         with pytest.raises(ValueError, match="at least one weight"):

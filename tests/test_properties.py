@@ -25,6 +25,8 @@ finite_weight = st.floats(min_value=1e-3, max_value=1e3)
 finite_variance = st.floats(min_value=1e-3, max_value=1e3)
 dof_values = st.floats(min_value=0.05, max_value=500.0)
 maybe_zero_weight = st.one_of(st.just(0.0), finite_weight)
+# 2**e * x stays a normal float for every x in [1e-3, 1e3] and |e| <= 1000
+normal_exponents = st.integers(min_value=-1000, max_value=1000)
 
 
 @st.composite
@@ -55,11 +57,7 @@ def rel_close(a, b, rel=REL):
        st.one_of(st.sampled_from([1e-6, 0.5, 3.0, 1e6]),
                  st.floats(min_value=1e-6, max_value=1e6)))
 def test_scale_invariance_in_weights(cs, c):
-    scaled = ComponentSet.from_arrays(
-        [c * comp.weight for comp in cs],
-        [comp.variance for comp in cs],
-        [comp.dof for comp in cs],
-    )
+    scaled = ComponentSet.from_arrays([c * w for w in cs.weights], cs.variances, cs.dofs)
     for estimator in (satterthwaite_df, corrected_df, boardman_df):
         assert rel_close(estimator(scaled).value, estimator(cs).value)
 
@@ -82,7 +80,7 @@ def test_single_component_fixed_point_is_exact(w, v, d):
 @settings(max_examples=300, deadline=None)
 @given(component_sets(max_k=12, allow_zero=True))
 def test_lower_bound_min_dof(cs):
-    min_dof = min(c.dof for c in cs)
+    min_dof = min(cs.dofs)
     floor = min_dof * (1 - 1e-9)
     assert satterthwaite_df(cs).value >= floor
     assert corrected_df(cs).value >= floor
@@ -91,9 +89,7 @@ def test_lower_bound_min_dof(cs):
 @settings(max_examples=200, deadline=None)
 @given(component_sets(allow_zero=True), dof_values)
 def test_equal_dof_ordering(cs, dof):
-    equal = ComponentSet.from_arrays(
-        [c.weight for c in cs], [c.variance for c in cs], [dof] * len(cs)
-    )
+    equal = ComponentSet.from_arrays(cs.weights, cs.variances, [dof] * len(cs))
     satt = satterthwaite_df(equal).value
     assert corrected_df(equal).value >= satt - REL * abs(satt)
 
@@ -127,9 +123,10 @@ def test_relvariance_sign(ws):
 @settings(max_examples=200, deadline=None)
 @given(component_sets(min_k=2, allow_zero=True), st.randoms(use_true_random=False))
 def test_permutation_invariance_is_exact(cs, rnd):
-    comps = list(cs.components)
-    rnd.shuffle(comps)
-    shuffled = ComponentSet(comps)
+    order = list(range(len(cs)))
+    rnd.shuffle(order)
+    shuffled = ComponentSet.from_arrays(*([xs[i] for i in order]
+                                          for xs in (cs.weights, cs.variances, cs.dofs)))
     assert satterthwaite_df(shuffled).value == satterthwaite_df(cs).value
     assert corrected_df(shuffled).value == corrected_df(cs).value
     assert boardman_df(shuffled).value == boardman_df(cs).value
@@ -158,6 +155,23 @@ def test_estimate_record_consistency(cs):
         shift = 2.0 if est.variant is Variant.CORRECTED else 0.0
         assert rel_close(est.value, est.numerator / est.denominator - shift, rel=1e-9)
         assert est.value > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_vectors(), normal_exponents)
+def test_weight_summaries_power_of_two_scaling_is_exact(ws, e):
+    scaled = [math.ldexp(w, e) for w in ws]
+    assert kish_neff(scaled) == kish_neff(ws)
+    assert design_effect(scaled) == design_effect(ws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), finite_weight, finite_weight.map(lambda x: -x)),
+                min_size=2, max_size=12),
+       normal_exponents)
+def test_jackknife_power_of_two_scaling_is_exact(ts, e):
+    assume(any(t != ts[0] for t in ts))
+    assert jackknife_df([math.ldexp(t, e) for t in ts]) == jackknife_df(ts)
 
 
 @settings(max_examples=200, deadline=None)
