@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -41,7 +40,7 @@ from .applications import (
     welch_corrected_df,
     welch_satterthwaite_df,
 )
-from .errors import DegenerateComponents, ParseError
+from .errors import DegenerateComponents, ParseError, check_real
 from .estimators import (
     ComponentSet,
     _check_field,
@@ -86,14 +85,11 @@ PRESETS: dict[str, dict] = {
 
 def _parse_field(cell: str, line: int, column: int) -> float:
     try:
-        value = float(cell.strip())
+        return float(cell.strip())
     except ValueError:
         raise ParseError(
             f"could not parse {cell.strip()!r} as a number", line=line, column=column
         ) from None
-    if not math.isfinite(value):
-        raise ParseError(f"value {cell.strip()!r} is not finite", line=line, column=column)
-    return value
 
 
 def parse_components_file(path: str | Path) -> ComponentSet:
@@ -144,7 +140,11 @@ def parse_values_file(path: str | Path) -> list[float]:
     for i, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
-        values.append(_parse_field(raw, i, 1))
+        value = _parse_field(raw, i, 1)
+        try:
+            values.append(check_real("pseudo-value", value))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=i, column=1) from None
     if len(values) < 2:
         raise ParseError(f"need at least 2 values, got {len(values)}", line=len(lines) or 1)
     return values

@@ -10,9 +10,11 @@ Reproducibility contract: every parallel unit draws from an independent
 substream derived from ``(seed, cell index, block index)`` via
 ``numpy.random.SeedSequence`` spawn keys, so output depends only on the
 configuration, never on scheduling or thread count. The bit generator is
-Philox (counter-based, 4x64); chi-square variates come from numpy's
-``standard_gamma`` (Marsaglia-Tsang squeeze method for shape >= 1,
-Ahrens-Dieter GS for shape < 1, which covers component df below 2).
+Philox (counter-based, 4x64). A chi-square(1) variate is a squared standard
+normal, which is exactly its distribution and about three times cheaper than a
+gamma draw of shape 1/2; other df come from numpy's ``gamma`` with the scale
+folded in (Marsaglia-Tsang squeeze method for shape >= 1, Ahrens-Dieter GS for
+shape < 1, which covers component df below 2 other than 1).
 
 numpy is imported inside the functions that draw or reduce arrays, so
 importing this module (and with it ``effdof`` and ``effdof.cli``) does not
@@ -46,7 +48,8 @@ __all__ = [
 ]
 
 RNG_DESCRIPTION = (
-    "philox4x64 counter-based generator; chi-square via numpy standard_gamma "
+    "philox4x64 counter-based generator; chi-square(1) as a squared numpy "
+    "standard_normal, other df via numpy gamma "
     "(Marsaglia-Tsang for shape >= 1, Ahrens-Dieter GS for shape < 1)"
 )
 
@@ -140,17 +143,22 @@ class GridResult:
 def sample_component_variance(nu, sigma_sq, rng: np.random.Generator, size=None):
     """Draw component variance estimates S^2 with nu * S^2 / sigma^2 ~ chi^2(nu).
 
-    Returns ``sigma_sq * X / nu`` for a chi-square(nu) variate X (a
-    gamma(nu/2, scale=2) draw), so ``E[S^2] = sigma_sq`` and
-    ``Var[S^2] = 2 sigma_sq^2 / nu``. ``size=None`` gives one float; an int or
-    shape tuple gives an array.
+    Returns ``sigma_sq * X / nu`` for a chi-square(nu) variate X, so
+    ``E[S^2] = sigma_sq`` and ``Var[S^2] = 2 sigma_sq^2 / nu``. For nu == 1,
+    X is a squared standard normal; otherwise S^2 is one gamma draw of shape
+    nu/2 and scale ``2 sigma_sq / nu``. ``size=None`` gives one float; an int
+    or shape tuple gives an array, built in place without a second array.
     """
     if not nu > 0:
         raise ValueError("nu must be > 0")
     if not sigma_sq > 0:
         raise ValueError("sigma_sq must be > 0")
-    chi_sq = 2.0 * rng.standard_gamma(nu / 2.0, size=size)
-    return sigma_sq * chi_sq / nu
+    if nu == 1:
+        x = rng.standard_normal(size)
+        x *= x
+        x *= sigma_sq
+        return x
+    return rng.gamma(nu / 2.0, 2.0 * sigma_sq / nu, size)
 
 
 def batch_df_estimates(weights, s2, nu):
@@ -158,13 +166,17 @@ def batch_df_estimates(weights, s2, nu):
 
     ``weights`` broadcasts against ``s2`` (rows = replicates, columns =
     components); ``nu`` is the df shared by all components of a cell. Agrees
-    with the scalar estimators row by row (covered by tests).
+    with the scalar estimators row by row (covered by tests). A scalar weight
+    of 1 (equal mode) is not multiplied in, and the row sum of squares needs
+    no temporary array.
     """
     import numpy as np
 
-    a = np.asarray(weights, dtype=float) * np.asarray(s2, dtype=float)
+    a = np.asarray(s2, dtype=float)
+    if not (np.ndim(weights) == 0 and weights == 1.0):
+        a = np.asarray(weights, dtype=float) * a
     num = a.sum(axis=-1) ** 2
-    sq_sum = (a * a).sum(axis=-1)
+    sq_sum = np.einsum("...k,...k->...", a, a)
     if np.any(sq_sum == 0.0):
         raise DegenerateComponents("a replicate drew all-zero weighted variances")
     satt = nu * num / sq_sum
@@ -186,15 +198,26 @@ def batch_kish(weights):
 
 @dataclass
 class _BlockSums:
-    """Partial sums of one replicate block, centered on K * nu_bar."""
+    """Partial results of one replicate block.
+
+    ``mean_*`` is the block mean of an estimator and ``m2_*`` the sum of
+    squared deviations from that mean; ``kish`` is the block's Kish sum.
+    """
 
     n: int
-    d_satt: float
-    d2_satt: float
-    d_corr: float
-    d2_corr: float
+    mean_satt: float
+    m2_satt: float
+    mean_corr: float
+    m2_corr: float
     kish: float
     rejections: int
+
+
+def _mean_m2(x: np.ndarray) -> tuple[float, float]:
+    """Mean of ``x`` and the sum of squared deviations from it (two passes)."""
+    mean = x.mean()
+    d = x - mean
+    return float(mean), float((d * d).sum())
 
 
 def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
@@ -259,40 +282,34 @@ def _block_sums(
         kish_sum = float(batch_kish(weights).sum())
     s2 = sample_component_variance(nu_bar, 1.0, rng, size=(n, k))
     satt, corr = batch_df_estimates(weights, s2, nu_bar)
-    center = k * nu_bar
-    ds, dc = satt - center, corr - center
-    return _BlockSums(
-        n=n,
-        d_satt=float(ds.sum()),
-        d2_satt=float((ds * ds).sum()),
-        d_corr=float(dc.sum()),
-        d2_corr=float((dc * dc).sum()),
-        kish=kish_sum,
-        rejections=rejections,
-    )
+    return _BlockSums(n, *_mean_m2(satt), *_mean_m2(corr), kish_sum, rejections)
 
 
 def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell:
     """Combine block partials into one SimCell.
 
-    Float sums use ``math.fsum``, which is exact before its one rounding, so
-    the result depends neither on block order nor on the Python version
-    (the built-in ``sum`` of floats is compensated only from 3.12 on).
+    Block means and M2s are pooled with the parallel formula of Chan, Golub
+    and LeVeque: M2 = sum M2_b + sum n_b (mean_b - mean)^2, each deviation
+    taken from its own mean, so no digits cancel however far the cell mean
+    lies from K * nu_bar. Float sums use ``math.fsum``, which is exact before
+    its one rounding, so the result depends neither on block order nor on the
+    Python version (the built-in ``sum`` of floats is compensated only from
+    3.12 on).
     """
     r = sum(p.n for p in partials)
     expected = k * nu_bar
 
-    def moments(d: float, d2: float) -> tuple[float, float]:
-        if r > 1:
-            var = max((d2 - d * d / r) / (r - 1), 0.0)
-        else:
-            var = 0.0
-        return expected + d / r, math.sqrt(var)
+    def moments(means: list[float], m2s: list[float]) -> tuple[float, float]:
+        mean = math.fsum(p.n * m for p, m in zip(partials, means)) / r
+        if r == 1:
+            return mean, 0.0
+        m2 = math.fsum([*m2s, *(p.n * (m - mean) ** 2 for p, m in zip(partials, means))])
+        return mean, math.sqrt(m2 / (r - 1))
 
-    mean_satt, sd_satt = moments(math.fsum(p.d_satt for p in partials),
-                                 math.fsum(p.d2_satt for p in partials))
-    mean_corr, sd_corr = moments(math.fsum(p.d_corr for p in partials),
-                                 math.fsum(p.d2_corr for p in partials))
+    mean_satt, sd_satt = moments([p.mean_satt for p in partials],
+                                 [p.m2_satt for p in partials])
+    mean_corr, sd_corr = moments([p.mean_corr for p in partials],
+                                 [p.m2_corr for p in partials])
     mean_kish = math.fsum(p.kish for p in partials) / r
     return SimCell(
         k=k,

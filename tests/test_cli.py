@@ -142,6 +142,14 @@ class TestEstimate:
         assert err.startswith("effdof: arithmetic error: ")
 
 
+    def test_non_finite_cell_gets_the_library_message(self, capsys, tmp_path):
+        path = write(tmp_path, "inf.csv", "weight,variance,dof\n1,inf,4\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", path)
+        assert code == 3
+        assert out == ""
+        assert err.rstrip().endswith("line 2, column 2: variance must be finite, got inf")
+
+
 class TestJackknifeCommand:
     def test_worked_examples(self, capsys, tmp_path):
         path = write(tmp_path, "pv.txt", "0\n0\n2\n2\n")
@@ -166,6 +174,12 @@ class TestJackknifeCommand:
         path = write(tmp_path, "nan.txt", "1\nbanana\n")
         code, _, err = run_cli(capsys, "jackknife", "--input", path)
         assert code == 3 and "line 2" in err
+
+    def test_non_finite_line(self, capsys, tmp_path):
+        path = write(tmp_path, "inf.txt", "1\n\n-inf\n")
+        code, _, err = run_cli(capsys, "jackknife", "--input", path)
+        assert code == 3
+        assert err.rstrip().endswith("line 3, column 1: pseudo-value must be finite, got -inf")
 
 
 class TestWelchCommand:

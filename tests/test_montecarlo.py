@@ -1,6 +1,7 @@
 """Simulation harness: sampler distribution, determinism, and aggregate behavior."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from effdof import (
     satterthwaite_df,
 )
 from effdof.estimators import ComponentSet
-from effdof.montecarlo import _block_sizes, batch_df_estimates, batch_kish
+from effdof.montecarlo import (
+    _assemble_cell,
+    _block_sizes,
+    _BlockSums,
+    _mean_m2,
+    batch_df_estimates,
+    batch_kish,
+)
 
 
 def make_cfg(**kwargs):
@@ -49,15 +57,37 @@ class TestSampler:
         assert transformed.mean() == pytest.approx(1.0, abs=5 * se)
 
     def test_sub_one_gamma_shape_path(self):
-        # nu=1 exercises gamma shape 0.5; check the CDF against the closed form
-        # P(chi2_1 <= x) = erf(sqrt(x/2))
+        # nu=0.5 takes numpy's gamma sampler at shape 0.25 (< 1): check
+        # E[S^2] = sigma^2 and Var[S^2] = 2 sigma^4 / nu
+        nu, sigma_sq, n = 0.5, 3.0, 400_000
         rng = np.random.Generator(np.random.Philox(3))
-        draws = sample_component_variance(1.0, 1.0, rng, size=200_000)
+        draws = sample_component_variance(nu, sigma_sq, rng, size=n)
+        var = 2 * sigma_sq**2 / nu
+        assert draws.mean() == pytest.approx(sigma_sq, abs=5 * math.sqrt(var / n))
+        # a gamma of shape a has excess kurtosis 6/a
+        excess_kurtosis = 6 / (nu / 2)
+        tol = 5 * var * math.sqrt((excess_kurtosis + 2) / n)
+        assert draws.var(ddof=1) == pytest.approx(var, abs=tol)
+
+    @pytest.mark.parametrize("sigma_sq", [1.0, 2.5])
+    def test_chi_square_one_cdf(self, sigma_sq):
+        # nu=1 is a squared standard normal; check the CDF against the closed
+        # form P(sigma^2 chi2_1 <= x) = erf(sqrt(x / (2 sigma^2)))
+        rng = np.random.Generator(np.random.Philox(3))
+        draws = sample_component_variance(1.0, sigma_sq, rng, size=200_000)
         for x in (0.5, 2.0, 4.0):
-            p = math.erf(math.sqrt(x / 2.0))
+            p = math.erf(math.sqrt(x / (2.0 * sigma_sq)))
             emp = float((draws <= x).mean())
             tol = 5 * math.sqrt(p * (1 - p) / draws.size)
             assert emp == pytest.approx(p, abs=tol)
+
+    def test_chi_square_one_is_a_squared_normal(self):
+        draws = sample_component_variance(1.0, 2.5, np.random.Generator(np.random.Philox(5)),
+                                          size=(3, 4))
+        z = np.random.Generator(np.random.Philox(5)).standard_normal((3, 4))
+        assert np.array_equal(draws, z * z * 2.5)
+        value = sample_component_variance(1.0, 2.5, np.random.Generator(np.random.Philox(5)))
+        assert isinstance(value, float) and value == draws[0, 0]
 
     def test_invalid_parameters(self):
         rng = np.random.Generator(np.random.Philox(4))
@@ -85,6 +115,13 @@ class TestBatchAgainstScalar:
         batch = batch_kish(weights)
         for i in range(40):
             assert batch[i] == pytest.approx(kish_neff(weights[i]), rel=1e-12)
+
+    def test_unit_scalar_weight_equals_a_ones_array(self):
+        rng = np.random.default_rng(14)
+        s2 = rng.uniform(0.1, 4.0, size=(40, 7))
+        for a, b in zip(batch_df_estimates(1.0, s2, 3.0),
+                        batch_df_estimates(np.ones_like(s2), s2, 3.0)):
+            assert np.array_equal(a, b)
 
     def test_all_zero_replicate_is_a_hard_error(self):
         weights = np.ones((3, 2))
@@ -152,6 +189,24 @@ class TestGrid:
 
 
 class TestAggregates:
+    def test_pooled_sd_survives_a_large_offset(self):
+        # block values sit 1e4 away from K * nu_bar = 128 with SD ~3; pooling
+        # deviations from K * nu_bar would lose about seven digits here
+        rng = np.random.default_rng(15)
+        blocks = [rng.normal(loc, 3.0, size=n)
+                  for loc, n in ((1e4, 1_000), (1e4 + 0.5, 1_000), (1e4 - 2.0, 500))]
+        partials = [_BlockSums(x.size, *_mean_m2(x), *_mean_m2(-x), 0.0, 0)
+                    for x in blocks]
+        cell = _assemble_cell(64, 2.0, partials)
+
+        exact = [Fraction(v) for x in blocks for v in x.tolist()]
+        mean = sum(exact) / len(exact)
+        sd = math.sqrt(sum((v - mean) ** 2 for v in exact) / (len(exact) - 1))
+        assert cell.mean_satt == pytest.approx(float(mean), rel=1e-15)
+        assert cell.mean_corr == pytest.approx(-float(mean), rel=1e-15)
+        assert cell.sd_satt == pytest.approx(sd, rel=1e-13)
+        assert cell.sd_corr == pytest.approx(sd, rel=1e-13)
+
     def test_kish_is_exactly_k_in_equal_mode(self):
         cfg = make_cfg(k_values=(3, 16), nu_values=(2.0,), replicates=500)
         for cell in run_grid(cfg):
