@@ -9,8 +9,9 @@ pseudo-values (and :func:`leave_one_out_pseudo_values` returns them as a tuple
 of floats), while :class:`MiVariance` and :class:`TwoSampleSummary` hold the
 summary numbers of their setting. Every field goes through the shared checks
 in :mod:`effdof.errors`, so a string, a bool or a non-finite value raises a
-ValueError naming the field; integer fields accept any ``numbers.Integral``
-(numpy integers included) except ``bool``.
+:class:`~effdof.errors.FieldError` naming the field (and, for a pseudo-value,
+its 0-based index); integer fields accept any ``numbers.Integral`` (numpy
+integers included) except ``bool``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import DegenerateComponents, check_int, check_real
+from .errors import DegenerateComponents, check_int, check_real, check_reals
 from .estimators import (
     ComponentSet,
     _unit_scaled,
@@ -42,7 +43,7 @@ __all__ = [
 def _checked_pseudo_values(values: Iterable[float]) -> tuple[float, ...]:
     """Finite real pseudo-values as floats: at least two, not all identical
     (a constant statistic leaves the jackknife df as 0/0)."""
-    ts = tuple(check_real("pseudo-value", v) for v in values)
+    ts = check_reals("pseudo-value", values)
     if len(ts) < 2:
         raise ValueError("need at least two pseudo-values")
     if all(t == ts[0] for t in ts):
@@ -71,11 +72,8 @@ def jackknife_df(pv: Iterable[float]) -> float:
     mean = math.fsum(ts) / len(ts)
     d2 = [(t - mean) ** 2 for t in ts]
     sum_d2 = math.fsum(d2)
+    # > 0: the values are not all equal, and scaled so no deviation underflows
     sum_d4 = math.fsum(x * x for x in d2)
-    if sum_d4 == 0.0:
-        raise DegenerateComponents(
-            "all pseudo-values are identical; jackknife df is undefined"
-        )
     return 3.0 * sum_d2 * sum_d2 / sum_d4 - 2.0
 
 

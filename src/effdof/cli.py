@@ -8,9 +8,11 @@ jackknife   jackknife df from a file of pseudo-values
 welch       two-sample df, classic and corrected side by side
 mi          multiple-imputation total variance and df
 
-Exit codes: 0 success, 2 validation error, 3 parse error, 4 degenerate input
-or an arithmetic error (a floating-point overflow or division by zero while
-evaluating an estimator, for example from weights near 1e200).
+Exit codes: 0 success, 2 validation error, 3 parse error (also a file that is
+not UTF-8 or not well-formed CSV, and a cell the library's
+:class:`~effdof.errors.FieldError` rejects, reported at its line and column),
+4 degenerate input or an arithmetic error (a floating-point overflow or
+division by zero while evaluating an estimator, e.g. from weights near 1e200).
 All simulation randomness flows from ``--seed``; without the flag a seed is
 drawn from system entropy and recorded in the run manifest. Simulation tables
 go to stdout and are byte-identical across reruns and thread counts for a
@@ -26,7 +28,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -40,10 +42,9 @@ from .applications import (
     welch_corrected_df,
     welch_satterthwaite_df,
 )
-from .errors import DegenerateComponents, ParseError, check_real
+from .errors import DegenerateComponents, FieldError, ParseError
 from .estimators import (
     ComponentSet,
-    _check_field,
     boardman_df,
     corrected_df,
     design_effect,
@@ -83,6 +84,19 @@ PRESETS: dict[str, dict] = {
 # parsing
 # ---------------------------------------------------------------------------
 
+def _read_text(path: str | Path) -> str:
+    """The file's text; a missing, unreadable or non-UTF-8 file is a ParseError."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode byte {data[exc.start]:#04x} as UTF-8 ({exc.reason})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+
+
 def _parse_field(cell: str, line: int, column: int) -> float:
     try:
         return float(cell.strip())
@@ -92,62 +106,64 @@ def _parse_field(cell: str, line: int, column: int) -> float:
         ) from None
 
 
+def _located(build, columns: Sequence, lines: Sequence[int], names: Sequence[str]):
+    """``build(*columns)``; a :class:`FieldError` becomes a :class:`ParseError` at
+    the entry's line and its field's column."""
+    try:
+        return build(*columns)
+    except FieldError as exc:
+        raise ParseError(exc.reason, line=lines[exc.index],
+                         column=names.index(exc.field) + 1) from None
+
+
 def parse_components_file(path: str | Path) -> ComponentSet:
     """Read a components CSV (header ``weight,variance,dof``, one row per component).
 
-    Each cell goes through the library's check for its field; a rejected
-    value is a :class:`ParseError` carrying the cell's line and column.
+    Cells are parsed as floats here and checked once, by :class:`ComponentSet`;
+    a cell that is not a number or that the library rejects is a
+    :class:`ParseError` carrying the cell's line and column.
     """
+    reader = csv.reader(io.StringIO(_read_text(path), newline=None))  # universal newlines
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
-    rows = list(csv.reader(io.StringIO(text)))
+        rows = [(reader.line_num, row) for row in reader]  # the line each row ends on
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not rows:
         raise ParseError("file is empty; expected a weight,variance,dof header", line=1)
-    header = tuple(c.strip() for c in rows[0])
+    header = tuple(c.strip() for c in rows[0][1])
     if header != COMPONENTS_HEADER:
         raise ParseError(
             f"expected header {','.join(COMPONENTS_HEADER)!r}, got {','.join(header)!r}",
             line=1,
         )
-    columns = ([], [], [])
-    for i, row in enumerate(rows[1:], start=2):
+    columns, lines = ([], [], []), []
+    for i, row in rows[1:]:
         if not row:  # tolerate blank lines
             continue
         if len(row) != 3:
             raise ParseError(
                 f"expected 3 fields, got {len(row)}", line=i, column=len(row) or 1
             )
-        for j, (field, cell) in enumerate(zip(COMPONENTS_HEADER, row)):
-            value = _parse_field(cell, i, j + 1)
-            try:
-                columns[j].append(_check_field(field, value))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=i, column=j + 1) from None
-    if not columns[0]:
+        for j, cell in enumerate(row):
+            columns[j].append(_parse_field(cell, i, j + 1))
+        lines.append(i)
+    if not lines:
         raise ParseError("no component rows after the header", line=2)
-    return ComponentSet(*columns)
+    return _located(ComponentSet, columns, lines, COMPONENTS_HEADER)
 
 
-def parse_values_file(path: str | Path) -> list[float]:
-    """Read a plain file with one number per line (pseudo-values)."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
-    values = []
-    for i, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        value = _parse_field(raw, i, 1)
-        try:
-            values.append(check_real("pseudo-value", value))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=i, column=1) from None
+def parse_values_file(path: str | Path) -> tuple[list[float], list[int]]:
+    """Read a file with one number per line: the values, parsed but not yet
+    checked, and the line each came from."""
+    rows = _read_text(path).splitlines()
+    values, lines = [], []
+    for i, raw in enumerate(rows, start=1):
+        if raw.strip():
+            values.append(_parse_field(raw, i, 1))
+            lines.append(i)
     if len(values) < 2:
-        raise ParseError(f"need at least 2 values, got {len(values)}", line=len(lines) or 1)
-    return values
+        raise ParseError(f"need at least 2 values, got {len(values)}", line=len(rows) or 1)
+    return values, lines
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +194,7 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: st
 def _estimate_payload(cs: ComponentSet) -> dict:
     return {
         "estimators": [
-            {
-                "variant": est.variant.value,
-                "value": est.value,
-                "numerator": est.numerator,
-                "denominator": est.denominator,
-            }
+            dict(asdict(est), variant=est.variant.value)
             for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
         ],
         "weights": {
@@ -196,18 +207,12 @@ def _estimate_payload(cs: ComponentSet) -> dict:
 def render_estimate(payload: dict, fmt: str, precision: int) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
-    rows = [
-        [
-            e["variant"],
-            _fmt(e["value"], precision),
-            _fmt(e["numerator"], precision),
-            _fmt(e["denominator"], precision),
-        ]
-        for e in payload["estimators"]
-    ]
+    headers = ("estimator", "value", "numerator", "denominator")
+    rows = [[e["variant"], *(_fmt(e[h], precision) for h in headers[1:])]
+            for e in payload["estimators"]]
     for name in ("kish_neff", "design_effect"):
         rows.append([name, _fmt(payload["weights"][name], precision), "", ""])
-    return _render_table(("estimator", "value", "numerator", "denominator"), rows, fmt)
+    return _render_table(headers, rows, fmt)
 
 
 _CLASSIC_HEADERS = {
@@ -246,11 +251,8 @@ def render_cells(cells: Sequence[SimCell], fmt: str, precision: int, layout: str
 
 def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
     """Machine CSV of every cell field, shortest-roundtrip float formatting."""
-    fields = ("k", "nu_bar", "mean_satt", "sd_satt", "mean_corr", "sd_corr",
-              "mean_kish", "expected", "ratio_kish_k", "ratio_satt", "ratio_corr")
-    lines = [",".join(fields)]
-    for c in cells:
-        lines.append(",".join(repr(getattr(c, f)) for f in fields))
+    names = [f.name for f in fields(SimCell)]
+    lines = [",".join(names)] + [",".join(repr(getattr(c, n)) for n in names) for c in cells]
     return "\n".join(lines) + "\n"
 
 
@@ -268,16 +270,7 @@ def config_to_mapping(cfg: SimConfig) -> dict:
 
 def config_from_mapping(mapping: Mapping) -> SimConfig:
     """Rebuild a SimConfig from a manifest's ``config`` entry; other keys are ignored."""
-    return SimConfig(
-        k_values=tuple(mapping["k_values"]),
-        nu_values=tuple(mapping["nu_values"]),
-        seed=mapping["seed"],
-        weight_mode=WeightMode(mapping["weight_mode"]),
-        weight_sd=mapping["weight_sd"],
-        fix_weights=mapping["fix_weights"],
-        replicates=mapping["replicates"],
-        block_size=mapping["block_size"],
-    )
+    return SimConfig(**{f.name: mapping[f.name] for f in fields(SimConfig)})
 
 
 def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> dict:
@@ -354,24 +347,26 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_jackknife(args) -> int:
-    values = parse_values_file(args.input)
-    print(_fmt(jackknife_df(values), args.precision))
+    values, lines = parse_values_file(args.input)
+    df = _located(jackknife_df, (values,), lines, ("pseudo-value",))
+    print(_fmt(df, args.precision))
     return 0
 
 
 def _cmd_welch(args) -> int:
     ts = TwoSampleSummary(args.n1, args.n2, args.s1sq, args.s2sq)
-    p = args.precision
-    print(f"satterthwaite_df,{_fmt(welch_satterthwaite_df(ts), p)}")
-    print(f"corrected_df,{_fmt(welch_corrected_df(ts), p)}")
+    # both values before any output, so a failure leaves stdout empty
+    satt, corr = welch_satterthwaite_df(ts), welch_corrected_df(ts)
+    print(f"satterthwaite_df,{_fmt(satt, args.precision)}")
+    print(f"corrected_df,{_fmt(corr, args.precision)}")
     return 0
 
 
 def _cmd_mi(args) -> int:
     mi = MiVariance(args.var_sampling, args.nu_sampling, args.var_imputation, args.m)
-    p = args.precision
-    print(f"total_variance,{_fmt(mi_total_variance(mi), p)}")
-    print(f"total_df,{_fmt(mi_total_df(mi), p)}")
+    variance, df = mi_total_variance(mi), mi_total_df(mi)
+    print(f"total_variance,{_fmt(variance, args.precision)}")
+    print(f"total_df,{_fmt(df, args.precision)}")
     return 0
 
 

@@ -1,13 +1,16 @@
 """Exception types shared across the package, and the field checks that raise them.
 
-:func:`check_real` and :func:`check_int` are the one place where a numeric
-input field is validated; the estimators, the application wrappers, the
-simulation config and the CLI parser all call them, so a field is accepted or
-rejected the same way wherever it enters.
+:func:`check_real`, :func:`check_reals` and :func:`check_int` are the one
+place where a numeric input field is validated, so a field is accepted or
+rejected the same way wherever it enters. A rejected value raises
+:class:`FieldError`, which carries the field and the entry's index, so a caller
+such as the CLI can report the position in its own terms (a line and a column).
 """
 
 import math
 import numbers
+from collections.abc import Iterable
+from itertools import count, repeat
 
 
 class DegenerateComponents(ValueError):
@@ -23,6 +26,20 @@ class LengthMismatch(ValueError):
     """Paired per-component sequences have different lengths."""
 
 
+class FieldError(ValueError):
+    """A numeric input field holds a bad value: ``field`` names it, ``index`` is
+    the entry's 0-based position in its sequence (None for a scalar field) and
+    ``reason`` the bare message, e.g. ``dof must be > 0, got 0.0``. For an entry
+    the message is ``f"{label} {index}: {reason}"``, e.g. ``component 3: ...``."""
+
+    def __init__(self, field: str, reason: str, index: int | None = None,
+                 label: str = "index"):
+        self.field = field
+        self.index = index
+        self.reason = reason
+        super().__init__(reason if index is None else f"{label} {index}: {reason}")
+
+
 class ParseError(ValueError):
     """An input file could not be parsed; carries 1-based line/column when known."""
 
@@ -30,17 +47,14 @@ class ParseError(ValueError):
                  column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            where += ": "
-        super().__init__(where + message)
+        where = ", ".join(f"{name} {n}" for name, n in (("line", line), ("column", column))
+                          if n is not None)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
-def check_real(name: str, x, low: float | None = None, *, strict: bool = False) -> float:
-    """``x`` as a float, or a ValueError naming ``name``.
+def check_real(name: str, x, low: float | None = None, strict: bool = False,
+               index: int | None = None, label: str = "index") -> float:
+    """``x`` as a float, or a :class:`FieldError` for field ``name`` (at ``index``).
 
     ``x`` must be a finite real number (any ``numbers.Real`` except ``bool``;
     strings are refused, not parsed) and, when ``low`` is given, ``>= low``
@@ -48,21 +62,30 @@ def check_real(name: str, x, low: float | None = None, *, strict: bool = False) 
     """
     if type(x) is not float:
         if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {x!r}")
+            raise FieldError(name, f"{name} must be a real number, got {x!r}", index, label)
         x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
+        raise FieldError(name, f"{name} must be finite, got {x!r}", index, label)
     if low is not None and (x < low or (strict and x == low)):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {low:g}, got {x!r}")
+        raise FieldError(name, f"{name} must be {'>' if strict else '>='} {low:g}, "
+                         f"got {x!r}", index, label)
     return x
 
 
+def check_reals(name: str, xs: Iterable, low: float | None = None, *,
+                strict: bool = False, label: str = "index") -> tuple[float, ...]:
+    """Every entry of ``xs`` through :func:`check_real`, as a tuple of floats."""
+    # map with positional arguments costs less per entry than a generator
+    return tuple(map(check_real, repeat(name), xs, repeat(low), repeat(strict), count(),
+                     repeat(label)))
+
+
 def check_int(name: str, x, low: int) -> int:
-    """``x`` as an int, or a ValueError naming ``name``.
+    """``x`` as an int, or a :class:`FieldError` for the scalar field ``name``.
 
     ``x`` must be an integer ``>= low``: any ``numbers.Integral`` (numpy
     integers included) except ``bool``.
     """
     if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+        raise FieldError(name, f"{name} must be an integer >= {low}, got {x!r}")
     return int(x)

@@ -18,11 +18,11 @@ moment-matching answers are implemented:
 The module also provides Kish's effective sample size ``(sum w)^2 / sum w^2``
 and the weight summaries beside it (relvariance and design effect).
 
-Inputs are plain numbers. The df estimators take a :class:`ComponentSet`,
-three float tuples ``weights``, ``variances`` and ``dofs`` checked on
-construction; the weight summaries take any sequence of weights. Every entry
-must be a finite real number (``bool`` and strings are refused), and a bad one
-raises a ValueError naming it, e.g. ``component 3: dof must be > 0, got 0.0``.
+Inputs are plain numbers: the df estimators take a :class:`ComponentSet`
+(see :meth:`ComponentSet.from_arrays` for its checks), the weight summaries
+any sequence of weights. A bad entry raises an :class:`~effdof.errors.FieldError`
+carrying its ``field`` and 0-based ``index``, e.g. ``index 1: weight must be
+>= 0, got -1.0``.
 
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
@@ -38,8 +38,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import (AllZeroWeights, DegenerateComponents, LengthMismatch,
-                     check_real)
+from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, check_reals
 
 __all__ = [
     "ComponentSet",
@@ -52,15 +51,6 @@ __all__ = [
     "design_effect",
     "relvariance",
 ]
-
-
-def _check_field(field: str, x) -> float:
-    """One ``weight``, ``variance`` or ``dof`` entry as a float.
-
-    Weights and variances must be finite and >= 0, dofs finite and > 0
-    (real-valued is fine); the ValueError names the field.
-    """
-    return check_real(field, x, 0.0, strict=field == "dof")
 
 
 @dataclass(frozen=True)
@@ -77,30 +67,20 @@ class ComponentSet:
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
 
-    def __init__(self, weights: Sequence[float], variances: Sequence[float],
-                 dofs: Sequence[float]):
-        if not (len(weights) == len(variances) == len(dofs)):
-            raise LengthMismatch(
-                f"weights ({len(weights)}), variances ({len(variances)}) and "
-                f"dofs ({len(dofs)}) must have equal lengths"
-            )
-        ws, vs, ds = [], [], []
-        for k, (w, v, d) in enumerate(zip(weights, variances, dofs)):
-            try:
-                ws.append(_check_field("weight", w))
-                vs.append(_check_field("variance", v))
-                ds.append(_check_field("dof", d))
-            except ValueError as exc:
-                raise ValueError(f"component {k}: {exc}") from None
-        if not ws:
+    def __post_init__(self):
+        w, v, d = self.weights, self.variances, self.dofs
+        if not (len(w) == len(v) == len(d)):
+            raise LengthMismatch(f"weights ({len(w)}), variances ({len(v)}) and "
+                                 f"dofs ({len(d)}) must have equal lengths")
+        for name, field in (("weights", "weight"), ("variances", "variance"), ("dofs", "dof")):
+            object.__setattr__(self, name, check_reals(field, getattr(self, name), 0.0,
+                                                       strict=field == "dof", label="component"))
+        if not self.weights:
             raise ValueError("a ComponentSet needs at least one component")
-        if not any(map(operator.mul, ws, vs)):
+        if not any(map(operator.mul, self.weights, self.variances)):
             raise DegenerateComponents(
                 "all weighted variances are zero; df estimators are undefined"
             )
-        object.__setattr__(self, "weights", tuple(ws))
-        object.__setattr__(self, "variances", tuple(vs))
-        object.__setattr__(self, "dofs", tuple(ds))
 
     @classmethod
     def from_arrays(
@@ -109,12 +89,15 @@ class ComponentSet:
         variances: Sequence[float],
         dofs: Sequence[float],
     ) -> "ComponentSet":
-        """Check the three equal-length sequences in one pass and build the set.
+        """Check the three equal-length sequences and build the set.
 
         Every weight and variance must be a finite real number >= 0 and every
-        dof a finite real number > 0 (``bool`` and strings are refused). A
-        bad entry raises a ValueError naming its 0-based index and field, for
-        example ``component 3: dof must be > 0, got 0.0``. Components with
+        dof a finite real number > 0 (``bool`` and strings are refused). The
+        weights are checked first, then the variances, then the dofs; the
+        first bad entry raises a :class:`~effdof.errors.FieldError` whose
+        ``field`` is ``"weight"``, ``"variance"`` or ``"dof"`` and whose
+        ``index`` is the 0-based component, with the message
+        ``component 3: dof must be > 0, got 0.0`` for example. Components with
         ``weight * variance == 0`` are permitted and drop out of the sums,
         but at least one must be positive, else :class:`DegenerateComponents`.
 
@@ -169,11 +152,9 @@ class DfEstimate:
 
 def _checked_weights(weights: Iterable[float]) -> tuple[float, ...]:
     """Finite nonnegative weights as floats, at least one of them positive."""
-    ws = tuple(check_real("weight", w) for w in weights)
+    ws = check_reals("weight", weights, 0.0)
     if not ws:
         raise ValueError("a weight vector needs at least one weight")
-    if any(w < 0 for w in ws):
-        raise ValueError("weights must be nonnegative")
     if all(w == 0.0 for w in ws):
         raise AllZeroWeights("all weights are zero")
     return ws

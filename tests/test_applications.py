@@ -23,6 +23,7 @@ from effdof import (
     welch_corrected_df,
     welch_satterthwaite_df,
 )
+from effdof.errors import FieldError
 
 REL = 1e-12
 
@@ -88,9 +89,11 @@ class TestJackknife:
 
     @pytest.mark.parametrize("values", [["0", "1", "3"], [0, True, 3]])
     def test_strings_and_bools_are_refused(self, values):
-        with pytest.raises(ValueError, match="^pseudo-value must be a real number"):
+        bad = next(i for i, v in enumerate(values) if type(v) is not int)
+        with pytest.raises(FieldError, match=f"^index {bad}: pseudo-value must be a real number"):
             jackknife_df(values)
-        with pytest.raises(ValueError, match="^pseudo-value must be a real number"):
+        # every leave-one-out sample has length 2, so each pseudo-value is values[1]
+        with pytest.raises(FieldError, match="^index 0: pseudo-value must be a real number"):
             leave_one_out_pseudo_values(lambda xs: values[len(xs) - 1], [1, 2, 3])
 
     def test_leave_one_out_helper(self):
@@ -277,6 +280,11 @@ class TestWelch:
     def test_non_numeric_field_is_named(self):
         with pytest.raises(ValueError, match="s1_sq"):
             TwoSampleSummary(10, 10, "1", 1.0)
+
+    def test_scalar_field_error_has_no_index(self):
+        with pytest.raises(FieldError, match="^n1 must be an integer >= 2, got 1$") as exc:
+            TwoSampleSummary(1, 10, 1.0, 1.0)
+        assert (exc.value.field, exc.value.index) == ("n1", None)
 
     def test_numpy_integer_sizes(self):
         ts = TwoSampleSummary(np.int64(10), np.int32(10), 1.0, 1.0)

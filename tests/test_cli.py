@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, reproducibility."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effdof
-from effdof import run_grid
+from effdof import errors, run_grid
 from effdof.cli import (
     cells_csv_full_precision,
     config_from_mapping,
@@ -149,6 +152,36 @@ class TestEstimate:
         assert out == ""
         assert err.rstrip().endswith("line 2, column 2: variance must be finite, got inf")
 
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfew\x00")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("effdof: parse error: line 1: cannot decode byte 0xff as UTF-8 "
+                       "(invalid start byte)\n")
+
+    def test_malformed_csv_is_a_parse_error(self, capsys, tmp_path):
+        cell = "1" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, "long.csv", f"weight,variance,dof\n1,1,4\n1,{cell},4\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", path)
+        assert (code, out) == (3, "")
+        assert err == ("effdof: parse error: line 3: field larger than field limit "
+                       f"({csv.field_size_limit()})\n")
+
+    def test_lines_count_a_quoted_line_break(self, capsys, tmp_path):
+        # the quoted first cell spans lines 2-3, so the bad cell sits on line 4
+        path = write(tmp_path, "quoted.csv", 'weight,variance,dof\n"1\n",1,4\n1,x,4\n')
+        code, out, err = run_cli(capsys, "estimate", "--input", path)
+        assert (code, out) == (3, "")
+        assert err == "effdof: parse error: line 4, column 2: could not parse 'x' as a number\n"
+
+    def test_a_range_error_names_the_row_line(self, capsys, tmp_path):
+        # component 1 sits on line 4, after a blank line
+        path = write(tmp_path, "neg.csv", "weight,variance,dof\n1,1,4\n\n2,1,0\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", path)
+        assert (code, out) == (3, "")
+        assert err == "effdof: parse error: line 4, column 3: dof must be > 0, got 0.0\n"
+
 
 class TestJackknifeCommand:
     def test_worked_examples(self, capsys, tmp_path):
@@ -180,6 +213,38 @@ class TestJackknifeCommand:
         code, _, err = run_cli(capsys, "jackknife", "--input", path)
         assert code == 3
         assert err.rstrip().endswith("line 3, column 1: pseudo-value must be finite, got -inf")
+
+    def test_non_utf8_line_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1\n2\n\xe93\n")
+        code, out, err = run_cli(capsys, "jackknife", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("effdof: parse error: line 3: cannot decode byte 0xe9 as UTF-8 "
+                       "(invalid continuation byte)\n")
+
+
+class TestCheckedOnce:
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        names = []
+        check_real = errors.check_real
+
+        def counting(name, *args, **kwargs):
+            names.append(name)
+            return check_real(name, *args, **kwargs)
+
+        monkeypatch.setattr(errors, "check_real", counting)
+        return names
+
+    def test_each_component_cell_is_checked_once(self, checked, tmp_path):
+        parse_components_file(write(tmp_path, "two.csv", TWO_COMPONENTS))
+        assert sorted(checked) == sorted(["weight", "variance", "dof"] * 2)
+
+    def test_each_pseudo_value_is_checked_once(self, checked, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "jackknife", "--input",
+                             write(tmp_path, "pv.txt", "0\n1\n\n3\n"))
+        assert code == 0
+        assert checked == ["pseudo-value"] * 3
 
 
 class TestWelchCommand:
@@ -239,6 +304,14 @@ class TestMiCommand:
                              "--nu-sampling", "100", "--var-imputation", "0.2",
                              "--m", "1")
         assert code == 2
+
+    def test_failure_leaves_stdout_empty(self, capsys):
+        # the total variance is finite, but squaring it for the df overflows
+        code, out, err = run_cli(capsys, "mi", "--var-sampling", "1e308",
+                                 "--nu-sampling", "10", "--var-imputation", "0",
+                                 "--m", "2")
+        assert (code, out) == (4, "")
+        assert err.startswith("effdof: arithmetic error: ")
 
 
 class TestSimulateCommand:
@@ -387,3 +460,74 @@ class TestModuleEntryPoint:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.startswith(b"| K |")
+
+
+# ---------------------------------------------------------------------------
+# whole-CLI contract: every input ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+_CELLS = st.sampled_from(["1", "0", "-1", "2.5", " 3 ", "inf", "-inf", "nan", "1e308",
+                          "5e-324", "1e-200", "1e400", "x", "", '"1"'])
+_JUNK = st.sampled_from([b"", b"\xff\xfe", b"\xe9", b"\x00", b"\r", b"\r\n", b'"', b","])
+
+
+@st.composite
+def _file_bytes(draw, header):
+    rows = draw(st.lists(st.lists(_CELLS, max_size=4), max_size=4))
+    lines = [",".join(row) for row in rows]
+    if header:
+        lines.insert(0, draw(st.sampled_from([header, "w,v,d", ""])))
+    data = "\n".join(lines).encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(_JUNK) + data[at:]
+
+
+def _main_in_process(argv):
+    """``main(argv)``'s exit code and stdout; argparse's usage errors exit 2."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _assert_contract(argv):
+    code, out = _main_in_process(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert code == 0 or out == "", (argv, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_file_bytes("weight,variance,dof"), st.binary(max_size=40)),
+       st.sampled_from(["csv", "json", "markdown"]))
+def test_estimate_contract(tmp_path_factory, data, fmt):
+    path = tmp_path_factory.getbasetemp() / "contract.csv"
+    path.write_bytes(data)
+    _assert_contract(["estimate", "--input", str(path), "--format", fmt])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_file_bytes(None), st.binary(max_size=40)))
+def test_jackknife_contract(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "contract.txt"
+    path.write_bytes(data)
+    _assert_contract(["jackknife", "--input", str(path)])
+
+
+_INTS = st.sampled_from(["10", "2", "1", "0", "-3", "1.5", "x"])
+_FLOATS = st.sampled_from(["1", "0", "-0", "-1", "2.5", "inf", "nan", "1e308", "5e-324",
+                           "1e400", "x"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([("welch", "--n1", "--n2", "--s1sq", "--s2sq"),
+                        ("mi", "--m", "--var-sampling", "--nu-sampling", "--var-imputation")]),
+       st.tuples(_INTS, st.one_of(_INTS, _FLOATS), _FLOATS, _FLOATS),
+       st.sampled_from([[], ["--precision", "12"], ["--precision", "13"]]))
+def test_flag_commands_contract(command, values, precision):
+    argv = [command[0]]
+    for flag, value in zip(command[1:], values):
+        argv += [flag, value]
+    _assert_contract(argv + precision)

@@ -22,6 +22,7 @@ from effdof import (
     relvariance,
     satterthwaite_df,
 )
+from effdof.errors import FieldError
 from oracles import satterthwaite_df_harmonic
 
 REL = 1e-12
@@ -222,6 +223,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^component 1: {field} must be "):
             ComponentSet.from_arrays([1, weight, 1], [1, variance, 1], [4, dof, 4])
 
+    def test_field_error_carries_field_and_index(self):
+        with pytest.raises(FieldError, match=r"^component 2: dof must be > 0, got 0\.0$") as exc:
+            ComponentSet([1, 1, 1], [1, 1, 1], [4, 4, 0])
+        assert (exc.value.field, exc.value.index) == ("dof", 2)
+        assert exc.value.reason == "dof must be > 0, got 0.0"
+
     def test_dof_may_be_fractional(self):
         cs = cset([1, 1], [1, 1], [0.5, 2.5])
         assert satterthwaite_df(cs).value > 0
@@ -248,8 +255,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("weights", [["1", "3"], [1, True]])
     def test_weight_summaries_refuse_strings_and_bools(self, weights):
+        bad = next(i for i, w in enumerate(weights) if type(w) is not int)
         for summary in (kish_neff, relvariance, design_effect):
-            with pytest.raises(ValueError, match="^weight must be a real number"):
+            with pytest.raises(FieldError, match=f"^index {bad}: weight must be a real number"):
                 summary(weights)
 
     def test_numpy_and_fraction_entries_are_accepted(self):
@@ -263,8 +271,11 @@ class TestValidation:
     def test_weight_vector_invariants(self):
         with pytest.raises(ValueError, match="at least one weight"):
             kish_neff([])
-        with pytest.raises(ValueError, match="nonnegative"):
-            kish_neff([1, -1])
+        for summary in (kish_neff, relvariance, design_effect):
+            with pytest.raises(FieldError,
+                               match=r"^index 1: weight must be >= 0, got -1\.0$") as exc:
+                summary([1, -1, 2])
+            assert (exc.value.field, exc.value.index) == ("weight", 1)
         with pytest.raises(ValueError, match="finite"):
             kish_neff([1, float("nan")])
         with pytest.raises(AllZeroWeights):
