@@ -1,7 +1,9 @@
 """Effective degrees of freedom for weighted sums of variance components.
 
-Public API re-exported from the submodules:
+Public API re-exported from the submodules, each of which lists its public
+names in ``__all__``:
 
+* :mod:`effdof.errors` -- the exception types the estimators raise.
 * :mod:`effdof.estimators` -- the df estimators, Kish effective sample size
   and the weight summaries beside it.
 * :mod:`effdof.applications` -- jackknife, multiple-imputation and two-sample
@@ -11,66 +13,11 @@ Public API re-exported from the submodules:
 
 __version__ = "0.1.0"
 
-from .applications import (
-    MiVariance,
-    TwoSampleSummary,
-    jackknife_df,
-    leave_one_out_pseudo_values,
-    mi_total_df,
-    mi_total_variance,
-    welch_corrected_df,
-    welch_satterthwaite_df,
-)
-from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, ParseError
-from .estimators import (
-    ComponentSet,
-    DfEstimate,
-    Variant,
-    boardman_df,
-    corrected_df,
-    design_effect,
-    kish_neff,
-    relvariance,
-    satterthwaite_df,
-)
-from .montecarlo import (
-    GridResult,
-    SimCell,
-    SimConfig,
-    WeightMode,
-    run_grid,
-    run_grid_detailed,
-    sample_component_variance,
-)
+from . import applications, errors, estimators, montecarlo
+from .applications import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "AllZeroWeights",
-    "ComponentSet",
-    "DegenerateComponents",
-    "DfEstimate",
-    "GridResult",
-    "LengthMismatch",
-    "MiVariance",
-    "ParseError",
-    "SimCell",
-    "SimConfig",
-    "TwoSampleSummary",
-    "Variant",
-    "WeightMode",
-    "boardman_df",
-    "corrected_df",
-    "design_effect",
-    "jackknife_df",
-    "kish_neff",
-    "leave_one_out_pseudo_values",
-    "mi_total_df",
-    "mi_total_variance",
-    "relvariance",
-    "run_grid",
-    "run_grid_detailed",
-    "sample_component_variance",
-    "satterthwaite_df",
-    "welch_corrected_df",
-    "welch_satterthwaite_df",
-]
+__all__ = ["__version__", *errors.__all__, *estimators.__all__, *applications.__all__,
+           *montecarlo.__all__]

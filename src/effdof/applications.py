@@ -1,8 +1,11 @@
 """Application wrappers that map common settings onto the corrected df estimator.
 
-Each wrapper documents the component set it induces and delegates to
-:func:`effdof.estimators.corrected_df` (or the classic estimator for the
-uncorrected baseline), so the core formulas live in one place.
+Each wrapper documents the component set it induces. The MI and two-sample
+wrappers delegate to :func:`effdof.estimators.corrected_df` (or the classic
+estimator for the uncorrected baseline), so the core formulas live in one
+place. :func:`jackknife_df` evaluates the same formula in closed form on
+pseudo-values rescaled by a power of two; the tests check that it equals
+``corrected_df`` on the induced one-df components.
 
 Inputs are plain numbers: :func:`jackknife_df` takes a sequence of
 pseudo-values (and :func:`leave_one_out_pseudo_values` returns them as a tuple

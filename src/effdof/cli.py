@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 validation error, 3 parse error (also a file that is
 not UTF-8 or not well-formed CSV, and a cell the library's
 :class:`~effdof.errors.FieldError` rejects, reported at its line and column),
 4 degenerate input or an arithmetic error (a floating-point overflow or
-division by zero while evaluating an estimator, e.g. from weights near 1e200).
+division by zero while evaluating an estimator, e.g. from weights near 1e200,
+or an overflow in a simulation grid, e.g. at nu 1e308).
 All simulation randomness flows from ``--seed``; without the flag a seed is
 drawn from system entropy and recorded in the run manifest. Simulation tables
 go to stdout and are byte-identical across reruns and thread counts for a
@@ -228,6 +229,8 @@ _RATIO_HEADERS = {
 
 
 def render_cells(cells: Sequence[SimCell], fmt: str, precision: int, layout: str) -> str:
+    """The cells as a table: ``layout`` ``"classic"`` gives mean/SD columns,
+    anything else the Kish and ratio columns."""
     if fmt == "json":
         return json.dumps({"cells": [asdict(c) for c in cells]}, indent=2) + "\n"
     p = precision
@@ -260,14 +263,6 @@ def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
 # manifest
 # ---------------------------------------------------------------------------
 
-def config_to_mapping(cfg: SimConfig) -> dict:
-    d = asdict(cfg)
-    d["k_values"] = list(cfg.k_values)
-    d["nu_values"] = list(cfg.nu_values)
-    d["weight_mode"] = cfg.weight_mode.value
-    return d
-
-
 def config_from_mapping(mapping: Mapping) -> SimConfig:
     """Rebuild a SimConfig from a manifest's ``config`` entry; other keys are ignored."""
     return SimConfig(**{f.name: mapping[f.name] for f in fields(SimConfig)})
@@ -275,7 +270,7 @@ def config_from_mapping(mapping: Mapping) -> SimConfig:
 
 def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> dict:
     return {
-        "config": config_to_mapping(cfg),
+        "config": asdict(cfg),  # JSON writes the tuples as lists, the str enum as its value
         "library_version": __version__,
         "rng": RNG_DESCRIPTION,
         "weight_rejections": weight_rejections,
@@ -321,28 +316,28 @@ def _simulate_config(args) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _simulate_config(args)
+    out = Path(args.out) if args.out else None
+    if out:  # before the grid, so an unusable directory fails at once
+        out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     result = run_grid_detailed(cfg, threads=args.threads)
     duration = time.perf_counter() - start
 
-    layout = args.layout
-    if layout == "auto":
-        ratios = (args.preset or "").startswith("tables45") or (
-            cfg.weight_mode is WeightMode.RANDOM_NORMAL
-        )
-        layout = "ratios" if ratios else "classic"
-    sys.stdout.write(render_cells(result.cells, args.format, args.precision, layout))
-
-    manifest = build_manifest(cfg, result.weight_rejections, duration)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    ratios = (args.preset or "").startswith("tables45") or (
+        cfg.weight_mode is WeightMode.RANDOM_NORMAL
+    )
+    table = render_cells(result.cells, args.format, args.precision,
+                         "ratios" if ratios else "classic")
+    manifest = json.dumps(build_manifest(cfg, result.weight_rejections, duration),
+                          indent=2) + "\n"
+    # the files before stdout, so a failure leaves stdout empty
+    if out:
         (out / "cells.csv").write_text(cells_csv_full_precision(result.cells),
                                        encoding="utf-8")
-        (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
-                                           encoding="utf-8")
-    else:
-        sys.stderr.write(json.dumps(manifest, indent=2) + "\n")
+        (out / "manifest.json").write_text(manifest, encoding="utf-8")
+    sys.stdout.write(table)
+    if not out:
+        sys.stderr.write(manifest)
     return 0
 
 
@@ -409,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sd", type=float, default=0.3,
                      help="sd of random weights (default 0.3)")
     sim.add_argument("--fix-weights", action="store_true",
-                     help="draw one random weight vector per cell instead of per replicate")
+                     help="with random weights: one weight draw per cell, not per replicate")
     sim.add_argument("--replicates", type=int, default=100_000,
                      help="replicates per cell (default 100000)")
     sim.add_argument("--seed", type=int,
@@ -421,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="directory for cells.csv and manifest.json")
     sim.add_argument("--format", choices=("csv", "json", "markdown"),
                      default="markdown")
-    sim.add_argument("--layout", choices=("auto", "classic", "ratios"),
-                     default="auto",
-                     help="classic mean/SD columns or Kish/ratio columns")
     _add_precision(sim)
     sim.set_defaults(func=_cmd_simulate)
 

@@ -12,6 +12,8 @@ import numbers
 from collections.abc import Iterable
 from itertools import count, repeat
 
+__all__ = ["AllZeroWeights", "DegenerateComponents", "LengthMismatch", "ParseError"]
+
 
 class DegenerateComponents(ValueError):
     """Every weighted variance vanishes (or a form's positivity requirement fails),

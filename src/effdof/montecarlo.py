@@ -39,11 +39,7 @@ __all__ = [
     "SimConfig",
     "SimCell",
     "GridResult",
-    "RNG_DESCRIPTION",
     "sample_component_variance",
-    "batch_df_estimates",
-    "batch_kish",
-    "run_grid",
     "run_grid_detailed",
 ]
 
@@ -70,10 +66,10 @@ class SimConfig:
     ``k_values`` x ``nu_values`` defines the cells; each cell runs
     ``replicates`` independent replicates split into blocks of ``block_size``
     (the parallel/substream unit, so changing it changes the draws).
-    ``fix_weights`` freezes one random weight draw per cell instead of
-    redrawing per replicate. Equal weights are 1 and every component's true
-    variance is 1: the df estimators are scale invariant, so neither value
-    can change a result.
+    ``fix_weights`` (a bool, and only with random weights) freezes one
+    weight draw per cell instead of redrawing per replicate. Equal weights
+    are 1 and every component's true variance is 1: the df estimators are
+    scale invariant, so neither value can change a result.
     """
 
     k_values: tuple[int, ...]
@@ -93,6 +89,10 @@ class SimConfig:
         object.__setattr__(self, "nu_values", nus)
         object.__setattr__(self, "weight_sd", check_real("weight_sd", self.weight_sd, 0.0))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
+        if type(self.fix_weights) is not bool:
+            raise ValueError(f"fix_weights must be a bool, got {self.fix_weights!r}")
+        if self.fix_weights and self.weight_mode is WeightMode.EQUAL:
+            raise ValueError("fix_weights needs random weights: equal weights draw nothing")
         for name, low in (("seed", 0), ("replicates", 1), ("block_size", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if not ks:
@@ -269,20 +269,27 @@ def _block_sums(
     n: int,
     fixed_row: np.ndarray | None,
 ) -> _BlockSums:
-    rng = _block_rng(cfg.seed, cell, 1 + block_index)
-    rejections = 0
-    if cfg.weight_mode is WeightMode.EQUAL:
-        weights = 1.0
-        kish_sum = float(n * k)  # n_eff is exactly K per replicate
-    elif fixed_row is not None:
-        weights = fixed_row
-        kish_sum = n * float(batch_kish(fixed_row))
-    else:
-        weights, rejections = _draw_weights(rng, (n, k), cfg.weight_sd)
-        kish_sum = float(batch_kish(weights).sum())
-    s2 = sample_component_variance(nu_bar, 1.0, rng, size=(n, k))
-    satt, corr = batch_df_estimates(weights, s2, nu_bar)
-    return _BlockSums(n, *_mean_m2(satt), *_mean_m2(corr), kish_sum, rejections)
+    """One block's partial sums. An overflow or an invalid operation (say
+    inf - inf) raises ``FloatingPointError`` rather than leaving an inf or a NaN
+    in the cell; numpy's error state is per thread, so it is set here, in the
+    worker."""
+    import numpy as np
+
+    with np.errstate(over="raise", invalid="raise"):
+        rng = _block_rng(cfg.seed, cell, 1 + block_index)
+        rejections = 0
+        if cfg.weight_mode is WeightMode.EQUAL:
+            weights = 1.0
+            kish_sum = float(n * k)  # n_eff is exactly K per replicate
+        elif fixed_row is not None:
+            weights = fixed_row
+            kish_sum = n * float(batch_kish(fixed_row))
+        else:
+            weights, rejections = _draw_weights(rng, (n, k), cfg.weight_sd)
+            kish_sum = float(batch_kish(weights).sum())
+        s2 = sample_component_variance(nu_bar, 1.0, rng, size=(n, k))
+        satt, corr = batch_df_estimates(weights, s2, nu_bar)
+        return _BlockSums(n, *_mean_m2(satt), *_mean_m2(corr), kish_sum, rejections)
 
 
 def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell:
@@ -362,8 +369,3 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
         cells.append(_assemble_cell(k, nu, partials))
         rejections += fixed[ci][1] + sum(p.rejections for p in partials)
     return GridResult(cells, rejections)
-
-
-def run_grid(cfg: SimConfig, *, threads: int = 1) -> list[SimCell]:
-    """Simulate the whole grid; deterministic given the config (incl. seed)."""
-    return run_grid_detailed(cfg, threads=threads).cells

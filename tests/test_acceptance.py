@@ -25,7 +25,7 @@ from effdof import (
     jackknife_df,
     kish_neff,
     mi_total_df,
-    run_grid,
+    run_grid_detailed,
     sample_component_variance,
     satterthwaite_df,
     welch_corrected_df,
@@ -50,7 +50,7 @@ def rel_err(value: float, reference: float) -> float:
 def test_criterion_1_small_k_small_dof_cell():
     cfg = SimConfig(k_values=(2,), nu_values=(1.0,), seed=SEED,
                     replicates=100_000)
-    cell = run_grid(cfg)[0]
+    cell = run_grid_detailed(cfg).cells[0]
     checks = [
         abs(cell.mean_satt - 1.410) <= 0.05,
         abs(cell.mean_corr - 2.229) <= 0.10,
@@ -67,7 +67,7 @@ def test_criterion_1_small_k_small_dof_cell():
 def test_criterion_2_large_k_large_dof_cell():
     cfg = SimConfig(k_values=(64,), nu_values=(32.0,), seed=SEED,
                     replicates=10_000)
-    cell = run_grid(cfg)[0]
+    cell = run_grid_detailed(cfg).cells[0]
     err_satt = rel_err(cell.mean_satt, 1929.855)
     err_corr = rel_err(cell.mean_corr, 2048.471)
     report(
@@ -82,7 +82,7 @@ def test_criterion_3_random_weight_ratios():
     cfg = SimConfig(k_values=(16,), nu_values=(1.0, 5.0, 500.0), seed=SEED,
                     replicates=10_000, weight_mode=WeightMode.RANDOM_NORMAL,
                     weight_sd=0.3)
-    cells = run_grid(cfg)
+    cells = run_grid_detailed(cfg).cells
     reference_corr = {1.0: 1.03, 5.0: 0.94, 500.0: 0.92}
     details = []
     ok = True
@@ -100,7 +100,7 @@ def test_criterion_3_random_weight_ratios():
 def test_criterion_4_equal_unit_weight_ratios():
     cfg = SimConfig(k_values=(32,), nu_values=(1.0, 5.0, 50.0, 500.0), seed=SEED,
                     replicates=10_000)
-    cells = run_grid(cfg)
+    cells = run_grid_detailed(cfg).cells
     reference = {1.0: (1.06, 0.37), 5.0: (1.01, 0.73),
                  50.0: (1.00, 0.96), 500.0: (1.00, 1.00)}
     details = []

@@ -4,9 +4,11 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effdof
-from effdof import errors, run_grid
+from effdof import cli, errors, run_grid_detailed
 from effdof.cli import (
     cells_csv_full_precision,
     config_from_mapping,
@@ -347,10 +349,11 @@ class TestSimulateCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         # rebuilding the config from the manifest reproduces the output bitwise
         cfg = config_from_mapping(manifest["config"])
-        assert cells_csv_full_precision(run_grid(cfg)) == cells_text
+        assert cells_csv_full_precision(run_grid_detailed(cfg).cells) == cells_text
         # older manifests also carry unit_weights and sigma_sq
         older = dict(manifest["config"], unit_weights=False, sigma_sq=1.0)
-        assert cells_csv_full_precision(run_grid(config_from_mapping(older))) == cells_text
+        older_cells = run_grid_detailed(config_from_mapping(older)).cells
+        assert cells_csv_full_precision(older_cells) == cells_text
 
     def test_preset_grid_shape(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--preset", "tables123",
@@ -411,6 +414,34 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "not-a-preset"])
         assert exc.value.code == 2
+
+    def test_out_at_an_existing_file_fails_before_the_grid(self, capsys, monkeypatch,
+                                                          tmp_path):
+        grids = []
+        monkeypatch.setattr(cli, "run_grid_detailed",
+                            lambda *a, **kw: grids.append(a) or run_grid_detailed(*a, **kw))
+        code, out, err = run_cli(capsys, *self.BASE, "--out", write(tmp_path, "afile", ""))
+        assert (code, out, grids) == (2, "", [])
+        assert err.startswith("effdof: ") and "exists" in err
+
+    def test_unwritable_cells_file_leaves_stdout_empty(self, capsys, tmp_path):
+        (tmp_path / "run" / "cells.csv").mkdir(parents=True)
+        code, out, _ = run_cli(capsys, *self.BASE, "--out", str(tmp_path / "run"))
+        assert (code, out) == (2, "")
+
+    def test_fix_weights_needs_random_weights(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--preset", "tables123", "--fix-weights",
+                                 "--replicates", "5", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("effdof: fix_weights ")
+
+    def test_overflowing_grid_is_an_arithmetic_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--k", "2", "--nu", "1e308",
+                                 "--replicates", "5", "--seed", "1",
+                                 "--out", str(tmp_path / "run"))
+        assert (code, out) == (4, "")
+        assert err == "effdof: arithmetic error: overflow encountered in multiply\n"
+        assert not (tmp_path / "run" / "cells.csv").exists()
 
 
 _IMPORT_PROBE = """
@@ -531,3 +562,35 @@ def test_flag_commands_contract(command, values, precision):
     for flag, value in zip(command[1:], values):
         argv += [flag, value]
     _assert_contract(argv + precision)
+
+
+def _mostly(valid, faulty):
+    """``valid``, or ``faulty`` about one draw in four, so most runs get to the grid."""
+    return st.integers(0, 3).flatmap(lambda i: faulty if i == 0 else valid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.lists(st.integers(1, 4).map(str), min_size=1, max_size=3),
+       nu=st.lists(_mostly(st.floats(0.5, 50.0).map(repr),
+                           st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e308"])),
+                   min_size=1, max_size=3),
+       replicates=st.integers(1, 20), block_size=st.integers(1, 20),
+       sd=_mostly(st.floats(0.0, 3.0).map(repr), st.sampled_from(["-1", "nan"])),
+       weights=st.sampled_from([[], ["--weights", "equal"], ["--weights", "random"]]),
+       fix=st.sampled_from([[], ["--fix-weights"]]),
+       threads=st.integers(1, 2), out_is_file=_mostly(st.just(False), st.just(True)))
+def test_simulate_contract(k, nu, replicates, block_size, sd, weights, fix, threads,
+                           out_is_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        if out_is_file:
+            out.write_bytes(b"")
+        argv = ["simulate", "--k", *k, "--nu", *nu, "--replicates", str(replicates),
+                "--block-size", str(block_size), "--sd", sd, *weights, *fix,
+                "--threads", str(threads), "--seed", "1", "--out", str(out)]
+        code, stdout = _main_in_process(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert code == 0 or stdout == "", (argv, stdout)
+        if code == 0:
+            rows = list(csv.reader(io.StringIO((out / "cells.csv").read_text("utf-8"))))
+            assert all(math.isfinite(float(x)) for row in rows[1:] for x in row), (argv, rows)

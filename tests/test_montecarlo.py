@@ -12,7 +12,6 @@ from effdof import (
     WeightMode,
     corrected_df,
     kish_neff,
-    run_grid,
     run_grid_detailed,
     sample_component_variance,
     satterthwaite_df,
@@ -133,16 +132,16 @@ class TestBatchAgainstScalar:
 class TestDeterminism:
     def test_rerun_is_identical(self):
         cfg = make_cfg(k_values=(2, 4), nu_values=(1.0, 8.0), replicates=3_000)
-        assert run_grid(cfg) == run_grid(cfg)
+        assert run_grid_detailed(cfg).cells == run_grid_detailed(cfg).cells
 
     def test_thread_count_does_not_change_results(self):
         # K=3 is not a power of two: an equal weight other than 1 on some
         # path would move the last digits
         cfg = make_cfg(k_values=(2, 3, 4), nu_values=(1.0, 8.0),
                        replicates=25_000, block_size=4_000)
-        base = run_grid(cfg, threads=1)
-        assert run_grid(cfg, threads=4) == base
-        assert run_grid(cfg, threads=2) == base
+        base = run_grid_detailed(cfg, threads=1).cells
+        assert run_grid_detailed(cfg, threads=4).cells == base
+        assert run_grid_detailed(cfg, threads=2).cells == base
 
     def test_random_weight_modes_are_deterministic(self):
         for fix in (False, True):
@@ -155,14 +154,24 @@ class TestDeterminism:
 
     def test_single_replicate_cell(self):
         cfg = make_cfg(replicates=1)
-        cell = run_grid(cfg)[0]
-        assert run_grid(cfg)[0] == cell
+        cell = run_grid_detailed(cfg).cells[0]
+        assert run_grid_detailed(cfg).cells[0] == cell
         assert cell.sd_satt == 0.0 and cell.sd_corr == 0.0
 
     def test_different_seeds_differ(self):
-        a = run_grid(make_cfg())[0]
-        b = run_grid(make_cfg(seed=43))[0]
+        a = run_grid_detailed(make_cfg()).cells[0]
+        b = run_grid_detailed(make_cfg(seed=43)).cells[0]
         assert a.mean_satt != b.mean_satt
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_raises_at_any_thread_count(self, threads):
+        # nu_bar * (sum of the K=2 variances)^2 overflows: the block raises
+        # instead of returning inf
+        cfg = make_cfg(nu_values=(1e308,), replicates=5, block_size=2)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            run_grid_detailed(cfg, threads=threads)
 
 
 class TestGrid:
@@ -170,19 +179,20 @@ class TestGrid:
         cfg = make_cfg(k_values=(64, 2, 4, 8, 16, 32),
                        nu_values=(32.0, 1.0, 2.0, 4.0, 8.0, 16.0),
                        replicates=10)
-        cells = run_grid(cfg)
+        cells = run_grid_detailed(cfg).cells
         assert len(cells) == 36
         assert [(c.k, c.nu_bar) for c in cells] == cfg.grid
         assert cfg.grid == sorted(cfg.grid)
 
     def test_expected_column(self):
-        for cell in run_grid(make_cfg(k_values=(3, 5), nu_values=(2.0,), replicates=50)):
+        cfg = make_cfg(k_values=(3, 5), nu_values=(2.0,), replicates=50)
+        for cell in run_grid_detailed(cfg).cells:
             assert cell.expected == cell.k * cell.nu_bar
 
     def test_seed_stability_of_cell_means(self):
         # two independent seeds agree within Monte Carlo resolution
-        cells = [run_grid(make_cfg(k_values=(2,), nu_values=(8.0,),
-                                   replicates=100_000, seed=s))[0]
+        cells = [run_grid_detailed(make_cfg(k_values=(2,), nu_values=(8.0,),
+                                            replicates=100_000, seed=s)).cells[0]
                  for s in (1, 2)]
         se = math.hypot(cells[0].sd_corr, cells[1].sd_corr) / math.sqrt(100_000)
         assert abs(cells[0].mean_corr - cells[1].mean_corr) < 4 * se
@@ -209,26 +219,27 @@ class TestAggregates:
 
     def test_kish_is_exactly_k_in_equal_mode(self):
         cfg = make_cfg(k_values=(3, 16), nu_values=(2.0,), replicates=500)
-        for cell in run_grid(cfg):
+        for cell in run_grid_detailed(cfg).cells:
             assert cell.mean_kish == float(cell.k)
             assert cell.ratio_kish_k == 1.0
 
     def test_classic_estimator_biased_low_in_ideal_case(self):
         cfg = make_cfg(k_values=(2, 8), nu_values=(1.0, 4.0, 32.0), replicates=4_000)
-        for cell in run_grid(cfg):
+        for cell in run_grid_detailed(cfg).cells:
             assert cell.mean_satt < cell.expected
 
     def test_classic_bias_shrinks_with_growing_dof(self):
         cfg = make_cfg(k_values=(4,), nu_values=(1.0, 4.0, 16.0, 64.0),
                        replicates=4_000)
-        rel_bias = [(c.expected - c.mean_satt) / c.expected for c in run_grid(cfg)]
+        rel_bias = [(c.expected - c.mean_satt) / c.expected
+                    for c in run_grid_detailed(cfg).cells]
         assert all(a > b for a, b in zip(rel_bias, rel_bias[1:]))
 
     def test_corrected_mean_near_expected_at_large_dof(self):
         # residual bias of the corrected estimator is below Monte Carlo
         # resolution once the component df are large
         cfg = make_cfg(k_values=(32,), nu_values=(500.0,), replicates=20_000)
-        cell = run_grid(cfg)[0]
+        cell = run_grid_detailed(cfg).cells[0]
         tol = 4 * cell.sd_corr / math.sqrt(cfg.replicates)
         assert abs(cell.mean_corr - cell.expected) < tol
 
@@ -236,14 +247,14 @@ class TestAggregates:
         # Normal(1, 0.3) weights: E[n_eff / K] near 1/(1 + 0.09) ~ 0.92
         cfg = make_cfg(k_values=(16,), nu_values=(5.0,), replicates=5_000,
                        weight_mode=WeightMode.RANDOM_NORMAL)
-        cell = run_grid(cfg)[0]
+        cell = run_grid_detailed(cfg).cells[0]
         assert 0.91 <= cell.ratio_kish_k <= 0.93
 
     def test_all_ratios_converge_under_random_weights_at_large_dof(self):
         # at nu=500 the weight design effect dominates all three columns
         cfg = make_cfg(k_values=(16,), nu_values=(500.0,), replicates=5_000,
                        weight_mode=WeightMode.RANDOM_NORMAL)
-        cell = run_grid(cfg)[0]
+        cell = run_grid_detailed(cfg).cells[0]
         for ratio in (cell.ratio_kish_k, cell.ratio_satt, cell.ratio_corr):
             assert ratio == pytest.approx(0.92, abs=0.01)
 
@@ -258,7 +269,7 @@ class TestAggregates:
         cfg = make_cfg(k_values=(8,), nu_values=(5.0,), replicates=9_000,
                        weight_mode=WeightMode.RANDOM_NORMAL, fix_weights=True,
                        block_size=2_000)
-        cell = run_grid(cfg)[0]
+        cell = run_grid_detailed(cfg).cells[0]
         # a single weight vector almost surely has n_eff strictly below K
         assert cell.mean_kish < 8.0
         assert cell.ratio_kish_k == pytest.approx(cell.mean_kish / 8.0, rel=1e-12)
@@ -291,6 +302,9 @@ class TestConfigValidation:
             dict(weight_sd=float("nan")),
             dict(nu_values=(True,)),
             dict(nu_values=("1.0",)),
+            dict(fix_weights="no"),
+            dict(fix_weights=1),
+            dict(fix_weights=True),  # equal weights: nothing to fix
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -309,4 +323,4 @@ class TestConfigValidation:
 
     def test_thread_validation(self):
         with pytest.raises(ValueError):
-            run_grid(make_cfg(replicates=10), threads=0)
+            run_grid_detailed(make_cfg(replicates=10), threads=0)
