@@ -24,6 +24,7 @@ fixed config; the manifest (which includes wall-clock time) goes to
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -46,10 +47,10 @@ from .applications import (
 from .errors import DegenerateComponents, FieldError, ParseError
 from .estimators import (
     ComponentSet,
+    _kish_neff,
+    _relvariance,
     boardman_df,
     corrected_df,
-    design_effect,
-    kish_neff,
     satterthwaite_df,
 )
 from .montecarlo import (
@@ -199,8 +200,9 @@ def _estimate_payload(cs: ComponentSet) -> dict:
             for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
         ],
         "weights": {
-            "kish_neff": kish_neff(cs.weights),
-            "design_effect": design_effect(cs.weights),
+            # cs.weights are checked: skip the public functions' second pass
+            "kish_neff": _kish_neff(cs.weights),
+            "design_effect": 1.0 + _relvariance(cs.weights),
         },
     }
 
@@ -317,10 +319,18 @@ def _simulate_config(args) -> SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _simulate_config(args)
     out = Path(args.out) if args.out else None
+    created = False
     if out:  # before the grid, so an unusable directory fails at once
+        created = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = run_grid_detailed(cfg, threads=args.threads)
+    try:
+        result = run_grid_detailed(cfg, threads=args.threads)
+    except BaseException:
+        if created:  # only the leaf this run made, and only while empty
+            with contextlib.suppress(OSError):
+                out.rmdir()
+        raise
     duration = time.perf_counter() - start
 
     ratios = (args.preset or "").startswith("tables45") or (

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, check_reals
@@ -150,14 +150,12 @@ class DfEstimate:
             )
 
 
-def _checked_weights(weights: Iterable[float]) -> tuple[float, ...]:
-    """Finite nonnegative weights as floats, at least one of them positive."""
-    ws = check_reals("weight", weights, 0.0)
+def _require_positive_weight(ws: tuple[float, ...]) -> None:
+    """Raise unless the checked weights ``ws`` hold at least one positive entry."""
     if not ws:
         raise ValueError("a weight vector needs at least one weight")
     if all(w == 0.0 for w in ws):
         raise AllZeroWeights("all weights are zero")
-    return ws
 
 
 def _unit_scaled(xs: Sequence[float]) -> list[float]:
@@ -257,7 +255,12 @@ def kish_neff(weights) -> float:
     Raises:
         AllZeroWeights: if every weight is zero.
     """
-    ws = _checked_weights(weights)
+    return _kish_neff(check_reals("weight", weights, 0.0))
+
+
+def _kish_neff(ws: tuple[float, ...]) -> float:
+    """:func:`kish_neff` of weights already through ``check_reals``."""
+    _require_positive_weight(ws)
     if all(w == ws[0] for w in ws):
         return float(len(ws))
     ws = _unit_scaled(ws)
@@ -274,7 +277,12 @@ def relvariance(weights) -> float:
     Raises:
         AllZeroWeights: if every weight is zero.
     """
-    ws = _checked_weights(weights)
+    return _relvariance(check_reals("weight", weights, 0.0))
+
+
+def _relvariance(ws: tuple[float, ...]) -> float:
+    """:func:`relvariance` of weights already through ``check_reals``."""
+    _require_positive_weight(ws)
     if all(w == ws[0] for w in ws):
         return 0.0
     ws = _unit_scaled(ws)

@@ -10,11 +10,14 @@ Reproducibility contract: every parallel unit draws from an independent
 substream derived from ``(seed, cell index, block index)`` via
 ``numpy.random.SeedSequence`` spawn keys, so output depends only on the
 configuration, never on scheduling or thread count. The bit generator is
-Philox (counter-based, 4x64). A chi-square(1) variate is a squared standard
-normal, which is exactly its distribution and about three times cheaper than a
-gamma draw of shape 1/2; other df come from numpy's ``gamma`` with the scale
-folded in (Marsaglia-Tsang squeeze method for shape >= 1, Ahrens-Dieter GS for
-shape < 1, which covers component df below 2 other than 1).
+SFC64 (Small Fast Chaotic, 256-bit state). The spawn keys, not the generator,
+make the substreams independent, so the draws need no counter-based generator
+such as Philox and take the cheapest one measured. A chi-square(1) variate is
+a squared standard normal, which is exactly its distribution and about three
+times cheaper than a gamma draw of shape 1/2; other df come from numpy's
+``gamma`` with the scale folded in (Marsaglia-Tsang squeeze method for
+shape >= 1, Ahrens-Dieter GS for shape < 1, which covers component df below 2
+other than 1).
 
 numpy is imported inside the functions that draw or reduce arrays, so
 importing this module (and with it ``effdof`` and ``effdof.cli``) does not
@@ -44,8 +47,8 @@ __all__ = [
 ]
 
 RNG_DESCRIPTION = (
-    "philox4x64 counter-based generator; chi-square(1) as a squared numpy "
-    "standard_normal, other df via numpy gamma "
+    "sfc64 generator on SeedSequence(seed, spawn_key=(cell, index)) substreams; "
+    "chi-square(1) as a squared numpy standard_normal, other df via numpy gamma "
     "(Marsaglia-Tsang for shape >= 1, Ahrens-Dieter GS for shape < 1)"
 )
 
@@ -221,7 +224,7 @@ def _mean_m2(x: np.ndarray) -> tuple[float, float]:
 
 
 def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
-    """Philox generator of substream ``index`` of grid cell ``cell``.
+    """SFC64 generator of substream ``index`` of grid cell ``cell``.
 
     Substream 0 draws a cell's fixed weight row, substream ``1 + b`` its
     block ``b``.
@@ -231,7 +234,7 @@ def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
     # explicit spawn key: pure, and independent of how many children a
     # parent sequence has handed out before
     stream = np.random.SeedSequence(entropy=seed, spawn_key=(cell, index))
-    return np.random.Generator(np.random.Philox(stream))
+    return np.random.Generator(np.random.SFC64(stream))
 
 
 def _draw_weights(rng: np.random.Generator, shape, sd: float):

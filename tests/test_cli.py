@@ -242,6 +242,12 @@ class TestCheckedOnce:
         parse_components_file(write(tmp_path, "two.csv", TWO_COMPONENTS))
         assert sorted(checked) == sorted(["weight", "variance", "dof"] * 2)
 
+    def test_estimate_checks_each_cell_once(self, checked, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "estimate", "--input",
+                             write(tmp_path, "two.csv", TWO_COMPONENTS))
+        assert code == 0
+        assert sorted(checked) == sorted(["weight", "variance", "dof"] * 2)
+
     def test_each_pseudo_value_is_checked_once(self, checked, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "jackknife", "--input",
                              write(tmp_path, "pv.txt", "0\n1\n\n3\n"))
@@ -338,7 +344,7 @@ class TestSimulateCommand:
         manifest = json.loads(err)
         assert manifest["config"]["seed"] == 7
         assert manifest["config"]["replicates"] == 800
-        assert "philox" in manifest["rng"]
+        assert "sfc64" in manifest["rng"]
         assert manifest["library_version"]
 
     def test_out_dir_and_manifest_round_trip(self, capsys, tmp_path):
@@ -442,6 +448,16 @@ class TestSimulateCommand:
         assert (code, out) == (4, "")
         assert err == "effdof: arithmetic error: overflow encountered in multiply\n"
         assert not (tmp_path / "run" / "cells.csv").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_failing_grid_keeps_an_existing_out_dir(self, capsys, tmp_path):
+        (tmp_path / "run").mkdir()
+        code, out, _ = run_cli(capsys, "simulate", "--k", "2", "--nu", "1e308",
+                               "--replicates", "5", "--seed", "1",
+                               "--out", str(tmp_path / "run"))
+        assert (code, out) == (4, "")
+        assert (tmp_path / "run").is_dir()
+        assert not any((tmp_path / "run").iterdir())
 
 
 _IMPORT_PROBE = """

@@ -19,6 +19,7 @@ from effdof import (
 from effdof.estimators import ComponentSet
 from effdof.montecarlo import (
     _assemble_cell,
+    _block_rng,
     _block_sizes,
     _BlockSums,
     _mean_m2,
@@ -162,6 +163,32 @@ class TestDeterminism:
         a = run_grid_detailed(make_cfg()).cells[0]
         b = run_grid_detailed(make_cfg(seed=43)).cells[0]
         assert a.mean_satt != b.mean_satt
+
+
+class TestBlockRng:
+    def test_bit_generator_is_sfc64(self):
+        rng = _block_rng(7, 0, 1)
+        assert isinstance(rng, np.random.Generator)
+        assert type(rng.bit_generator) is np.random.SFC64
+
+    def test_same_key_gives_same_draws(self):
+        assert np.array_equal(_block_rng(7, 2, 3).random(16), _block_rng(7, 2, 3).random(16))
+
+    def test_cell_and_index_each_select_a_stream(self):
+        base = _block_rng(7, 2, 3).random(16)
+        assert not np.array_equal(_block_rng(7, 1, 3).random(16), base)
+        assert not np.array_equal(_block_rng(7, 2, 4).random(16), base)
+
+    def test_chi_square_moment_across_substreams(self):
+        # chi2(4) variances from several substreams: E[S^2] = sigma^2 and
+        # Var[S^2] = 2 sigma^4 / nu
+        nu, sigma_sq, n = 4.0, 2.0, 40_000
+        draws = np.concatenate([
+            sample_component_variance(nu, sigma_sq, _block_rng(11, cell, index), size=n)
+            for cell in range(3) for index in range(3)
+        ])
+        se = sigma_sq * math.sqrt(2.0 / nu / draws.size)
+        assert draws.mean() == pytest.approx(sigma_sq, abs=5 * se)
 
 
 class TestOverflow:
