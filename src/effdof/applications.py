@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 
-from .errors import DegenerateComponents, check_int, check_real, check_reals
+from .errors import DegenerateComponents, _Record, check_int, check_real, check_reals
 from .estimators import (
     ComponentSet,
     _unit_scaled,
@@ -98,8 +97,7 @@ def leave_one_out_pseudo_values(
     )
 
 
-@dataclass(frozen=True)
-class MiVariance:
+class MiVariance(_Record):
     """Sampling and imputation variance of a multiply-imputed estimator.
 
     ``num_imputations`` is the number M of imputed datasets; the imputation
@@ -108,22 +106,24 @@ class MiVariance:
     variance is a resampling estimate).
     """
 
+    __slots__ = ("sampling_variance", "sampling_dof", "imputation_variance",
+                 "num_imputations")
     sampling_variance: float
     sampling_dof: float
     imputation_variance: float
     num_imputations: int
 
-    def __post_init__(self):
-        for name, positive in (("sampling_variance", False), ("sampling_dof", True),
-                               ("imputation_variance", False)):
-            value = check_real(name, getattr(self, name), 0.0, strict=positive)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "num_imputations",
-                           check_int("num_imputations", self.num_imputations, 2))
-        if self.sampling_variance + self.imputation_variance <= 0:
+    def __init__(self, sampling_variance: float, sampling_dof: float,
+                 imputation_variance: float, num_imputations: int):
+        sampling_variance = check_real("sampling_variance", sampling_variance, 0.0)
+        sampling_dof = check_real("sampling_dof", sampling_dof, 0.0, strict=True)
+        imputation_variance = check_real("imputation_variance", imputation_variance, 0.0)
+        num_imputations = check_int("num_imputations", num_imputations, 2)
+        if sampling_variance + imputation_variance <= 0:
             raise DegenerateComponents(
                 "sampling and imputation variance are both zero"
             )
+        self._freeze(sampling_variance, sampling_dof, imputation_variance, num_imputations)
 
     @property
     def imputation_weight(self) -> float:
@@ -156,22 +156,21 @@ def mi_total_df(mi: MiVariance) -> float:
     return corrected_df(_mi_components(mi)).value
 
 
-@dataclass(frozen=True)
-class TwoSampleSummary:
+class TwoSampleSummary(_Record):
     """Sizes and sample variances of two independent samples."""
 
+    __slots__ = ("n1", "n2", "s1_sq", "s2_sq")
     n1: int
     n2: int
     s1_sq: float
     s2_sq: float
 
-    def __post_init__(self):
-        for name in ("n1", "n2"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), 2))
-        for name in ("s1_sq", "s2_sq"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
-        if self.s1_sq + self.s2_sq <= 0:
+    def __init__(self, n1: int, n2: int, s1_sq: float, s2_sq: float):
+        n1, n2 = check_int("n1", n1, 2), check_int("n2", n2, 2)
+        s1_sq, s2_sq = check_real("s1_sq", s1_sq, 0.0), check_real("s2_sq", s2_sq, 0.0)
+        if s1_sq + s2_sq <= 0:
             raise DegenerateComponents("both sample variances are zero")
+        self._freeze(n1, n2, s1_sq, s2_sq)
 
 
 def _welch_components(ts: TwoSampleSummary) -> ComponentSet:

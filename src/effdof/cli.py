@@ -27,12 +27,10 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import sys
 import time
-from dataclasses import asdict, fields
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from . import __version__
 from .applications import (
@@ -53,13 +51,12 @@ from .estimators import (
     corrected_df,
     satterthwaite_df,
 )
-from .montecarlo import (
-    RNG_DESCRIPTION,
-    SimConfig,
-    SimCell,
-    WeightMode,
-    run_grid_detailed,
-)
+
+# effdof.montecarlo (and with it dataclasses and concurrent.futures) loads only
+# when ``simulate`` runs; the other subcommands never need it
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .montecarlo import GridResult, SimCell, SimConfig
 
 COMPONENTS_HEADER = ("weight", "variance", "dof")
 
@@ -67,17 +64,17 @@ PRESETS: dict[str, dict] = {
     "tables123": dict(
         k_values=(2, 4, 8, 16, 32, 64),
         nu_values=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-        weight_mode=WeightMode.EQUAL,
+        weight_mode="equal",
     ),
     "tables45-random": dict(
         k_values=(16, 32, 64),
         nu_values=(1.0, 5.0, 50.0, 500.0),
-        weight_mode=WeightMode.RANDOM_NORMAL,
+        weight_mode="random",
     ),
     "tables45-equal": dict(
         k_values=(16, 32, 64),
         nu_values=(1.0, 5.0, 50.0, 500.0),
-        weight_mode=WeightMode.EQUAL,
+        weight_mode="equal",
     ),
 }
 
@@ -196,7 +193,8 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: st
 def _estimate_payload(cs: ComponentSet) -> dict:
     return {
         "estimators": [
-            dict(asdict(est), variant=est.variant.value)
+            {"variant": est.variant.value, "value": est.value,
+             "numerator": est.numerator, "denominator": est.denominator}
             for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
         ],
         "weights": {
@@ -209,6 +207,8 @@ def _estimate_payload(cs: ComponentSet) -> dict:
 
 def render_estimate(payload: dict, fmt: str, precision: int) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(payload, indent=2) + "\n"
     headers = ("estimator", "value", "numerator", "denominator")
     rows = [[e["variant"], *(_fmt(e[h], precision) for h in headers[1:])]
@@ -234,6 +234,9 @@ def render_cells(cells: Sequence[SimCell], fmt: str, precision: int, layout: str
     """The cells as a table: ``layout`` ``"classic"`` gives mean/SD columns,
     anything else the Kish and ratio columns."""
     if fmt == "json":
+        import json
+        from dataclasses import asdict
+
         return json.dumps({"cells": [asdict(c) for c in cells]}, indent=2) + "\n"
     p = precision
     if layout == "classic":
@@ -256,6 +259,10 @@ def render_cells(cells: Sequence[SimCell], fmt: str, precision: int, layout: str
 
 def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
     """Machine CSV of every cell field, shortest-roundtrip float formatting."""
+    from dataclasses import fields
+
+    from .montecarlo import SimCell
+
     names = [f.name for f in fields(SimCell)]
     lines = [",".join(names)] + [",".join(repr(getattr(c, n)) for n in names) for c in cells]
     return "\n".join(lines) + "\n"
@@ -267,10 +274,18 @@ def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
 
 def config_from_mapping(mapping: Mapping) -> SimConfig:
     """Rebuild a SimConfig from a manifest's ``config`` entry; other keys are ignored."""
+    from dataclasses import fields
+
+    from .montecarlo import SimConfig
+
     return SimConfig(**{f.name: mapping[f.name] for f in fields(SimConfig)})
 
 
 def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> dict:
+    from dataclasses import asdict
+
+    from .montecarlo import RNG_DESCRIPTION
+
     return {
         "config": asdict(cfg),  # JSON writes the tuples as lists, the str enum as its value
         "library_version": __version__,
@@ -283,6 +298,17 @@ def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> d
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
+    """:func:`effdof.montecarlo.run_grid_detailed`, imported on the first call.
+
+    ``simulate`` calls the grid through this module global, looked up at call
+    time, so it can be wrapped or replaced here.
+    """
+    from .montecarlo import run_grid_detailed
+
+    return run_grid_detailed(cfg, threads=threads)
+
 
 def _cmd_estimate(args) -> int:
     payload = _estimate_payload(parse_components_file(args.input))
@@ -297,7 +323,7 @@ def _simulate_config(args) -> SimConfig:
     if args.nu is not None:
         base["nu_values"] = tuple(args.nu)
     if args.weights is not None:
-        base["weight_mode"] = WeightMode(args.weights)
+        base["weight_mode"] = args.weights  # SimConfig converts it to a WeightMode
     if "k_values" not in base or "nu_values" not in base:
         raise ValueError("simulate needs --preset or both --k and --nu")
     if args.seed is not None:
@@ -306,6 +332,8 @@ def _simulate_config(args) -> SimConfig:
         import secrets  # here, not at module level: it loads hmac/hashlib
 
         seed = secrets.randbits(64)
+    from .montecarlo import SimConfig
+
     return SimConfig(
         seed=seed,
         weight_sd=args.sd,
@@ -317,6 +345,8 @@ def _simulate_config(args) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
+    import json
+
     cfg = _simulate_config(args)
     out = Path(args.out) if args.out else None
     created = False
@@ -333,9 +363,7 @@ def _cmd_simulate(args) -> int:
         raise
     duration = time.perf_counter() - start
 
-    ratios = (args.preset or "").startswith("tables45") or (
-        cfg.weight_mode is WeightMode.RANDOM_NORMAL
-    )
+    ratios = (args.preset or "").startswith("tables45") or cfg.weight_mode == "random"
     table = render_cells(result.cells, args.format, args.precision,
                          "ratios" if ratios else "classic")
     manifest = json.dumps(build_manifest(cfg, result.weight_rejections, duration),
@@ -409,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--preset", choices=sorted(PRESETS))
     sim.add_argument("--k", type=int, nargs="+", help="component counts K")
     sim.add_argument("--nu", type=float, nargs="+", help="common component df")
-    sim.add_argument("--weights", choices=[m.value for m in WeightMode],
+    sim.add_argument("--weights", choices=("equal", "random"),
                      help="equal weights or Normal(1, sd) random weights")
     sim.add_argument("--sd", type=float, default=0.3,
                      help="sd of random weights (default 0.3)")

@@ -5,6 +5,9 @@ place where a numeric input field is validated, so a field is accepted or
 rejected the same way wherever it enters. A rejected value raises
 :class:`FieldError`, which carries the field and the entry's index, so a caller
 such as the CLI can report the position in its own terms (a line and a column).
+
+:class:`_Record` is the immutable base of the value classes the estimators
+take and return.
 """
 
 import math
@@ -52,6 +55,71 @@ class ParseError(ValueError):
         where = ", ".join(f"{name} {n}" for name, n in (("line", line), ("column", column))
                           if n is not None)
         super().__init__(f"{where}: {message}" if where else message)
+
+
+class _DataclassFields:
+    """The ``__dataclass_fields__`` of a :class:`_Record` subclass, made on first
+    use, so :func:`dataclasses.fields`, :func:`~dataclasses.asdict` and
+    :func:`~dataclasses.replace` accept records while importing the package
+    leaves :mod:`dataclasses` (and the ``inspect`` it loads) unloaded."""
+
+    def __init__(self):
+        self.by_class = {}
+
+    def __get__(self, obj, cls):
+        fields = self.by_class.get(cls)
+        if fields is None:
+            import dataclasses
+
+            fields = dataclasses.make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+            self.by_class[cls] = fields
+        return fields
+
+
+class _Record:
+    """Immutable record whose fields are the subclass's ``__slots__``, in order.
+
+    A subclass's ``__init__`` checks its arguments and passes the final values
+    to :meth:`_freeze`, which sets each field once. Equality, hashing, the repr
+    and pattern matching follow the fields as for a frozen dataclass;
+    assignment and deletion raise :class:`AttributeError`, and copies and
+    pickles are rebuilt through the constructor.
+    """
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls.__slots__
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def check_real(name: str, x, low: float | None = None, strict: bool = False,

@@ -36,9 +36,8 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, check_reals
+from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, _Record, check_reals
 
 __all__ = [
     "ComponentSet",
@@ -53,8 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComponentSet:
+class ComponentSet(_Record):
     """The (w_k, S_k^2, nu_k) triples entering one combined estimate, as three tuples.
 
     ``weights[k]``, ``variances[k]`` and ``dofs[k]`` belong to component k:
@@ -63,24 +61,26 @@ class ComponentSet:
     (see :meth:`from_arrays`) and stores the three tuples as floats.
     """
 
+    __slots__ = ("weights", "variances", "dofs")
     weights: tuple[float, ...]
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
 
-    def __post_init__(self):
-        w, v, d = self.weights, self.variances, self.dofs
-        if not (len(w) == len(v) == len(d)):
-            raise LengthMismatch(f"weights ({len(w)}), variances ({len(v)}) and "
-                                 f"dofs ({len(d)}) must have equal lengths")
-        for name, field in (("weights", "weight"), ("variances", "variance"), ("dofs", "dof")):
-            object.__setattr__(self, name, check_reals(field, getattr(self, name), 0.0,
-                                                       strict=field == "dof", label="component"))
-        if not self.weights:
+    def __init__(self, weights: Sequence[float], variances: Sequence[float],
+                 dofs: Sequence[float]):
+        if not (len(weights) == len(variances) == len(dofs)):
+            raise LengthMismatch(f"weights ({len(weights)}), variances ({len(variances)}) "
+                                 f"and dofs ({len(dofs)}) must have equal lengths")
+        weights = check_reals("weight", weights, 0.0, label="component")
+        variances = check_reals("variance", variances, 0.0, label="component")
+        dofs = check_reals("dof", dofs, 0.0, strict=True, label="component")
+        if not weights:
             raise ValueError("a ComponentSet needs at least one component")
-        if not any(map(operator.mul, self.weights, self.variances)):
+        if not any(map(operator.mul, weights, variances)):
             raise DegenerateComponents(
                 "all weighted variances are zero; df estimators are undefined"
             )
+        self._freeze(weights, variances, dofs)
 
     @classmethod
     def from_arrays(
@@ -127,8 +127,7 @@ class Variant(enum.Enum):
         return member
 
 
-@dataclass(frozen=True)
-class DfEstimate:
+class DfEstimate(_Record):
     """A df estimate together with the ratio it came from.
 
     ``value`` equals ``numerator / denominator - variant.shift`` (exactly for
@@ -137,17 +136,20 @@ class DfEstimate:
     denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + variant.dof_offset)``.
     """
 
+    __slots__ = ("variant", "value", "numerator", "denominator")
     variant: Variant
     value: float
     numerator: float
     denominator: float
 
-    def __post_init__(self):
-        if self.value <= 0 or not math.isfinite(self.value):
+    def __init__(self, variant: Variant, value: float, numerator: float,
+                 denominator: float):
+        if value <= 0 or not math.isfinite(value):
             raise DegenerateComponents(
-                f"{self.variant.value} df estimate is not positive "
-                f"({self.value!r}); input components are degenerate"
+                f"{variant.value} df estimate is not positive "
+                f"({value!r}); input components are degenerate"
             )
+        self._freeze(variant, value, numerator, denominator)
 
 
 def _require_positive_weight(ws: tuple[float, ...]) -> None:

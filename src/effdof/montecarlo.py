@@ -20,8 +20,9 @@ shape >= 1, Ahrens-Dieter GS for shape < 1, which covers component df below 2
 other than 1).
 
 numpy is imported inside the functions that draw or reduce arrays, so
-importing this module (and with it ``effdof`` and ``effdof.cli``) does not
-load numpy; the closed-form estimators never need it.
+importing this module does not load numpy. ``effdof`` and ``effdof.cli`` do
+not import this module at all until a simulation name is first used or
+``effdof simulate`` runs; the closed-form estimators never need it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ RNG_DESCRIPTION = (
 
 _MAX_SEED = 2**64
 
+# floats in one block's (replicates x K) variance array: 2**24 is 128 MiB,
+# and a random-weight block holds about three arrays of that shape at once
+_MAX_BLOCK_VALUES = 2**24
+
 
 class WeightMode(str, enum.Enum):
     """How component weights are produced for each simulated replicate."""
@@ -68,7 +73,9 @@ class SimConfig:
 
     ``k_values`` x ``nu_values`` defines the cells; each cell runs
     ``replicates`` independent replicates split into blocks of ``block_size``
-    (the parallel/substream unit, so changing it changes the draws).
+    (the parallel/substream unit, so changing it changes the draws). One
+    block draws ``min(block_size, replicates) x max(k_values)`` values, at
+    most 2**24 (a 128 MiB array); a larger block raises ``ValueError``.
     ``fix_weights`` (a bool, and only with random weights) freezes one
     weight draw per cell instead of redrawing per replicate. Equal weights
     are 1 and every component's true variance is 1: the df estimators are
@@ -104,6 +111,13 @@ class SimConfig:
             raise ValueError("nu_values must be nonempty")
         if self.seed >= _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
+        rows = min(self.block_size, self.replicates)
+        if rows * ks[-1] > _MAX_BLOCK_VALUES:
+            raise ValueError(
+                f"one block would hold min(block_size, replicates) x max(k_values) = "
+                f"{rows} x {ks[-1]} values, above the limit of {_MAX_BLOCK_VALUES}; "
+                f"lower block_size or the largest k_values entry"
+            )
 
     @property
     def grid(self) -> list[tuple[int, float]]:

@@ -1,5 +1,11 @@
 """The package's public names: each submodule's ``__all__``, re-exported once."""
 
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
 import effdof
 from effdof import applications, errors, estimators, montecarlo
 
@@ -32,3 +38,58 @@ def test_every_public_name_resolves_to_its_submodule_object():
             assert getattr(effdof, name) is getattr(module, name), name
     assert effdof.__version__ == "0.1.0"
 
+
+
+def test_simulation_names_are_listed_without_loading_them():
+    assert set(montecarlo.__all__) <= set(effdof.__all__)
+    assert set(montecarlo.__all__) | {"montecarlo"} <= set(dir(effdof))
+    assert set(effdof.__all__) <= set(dir(effdof))
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'run_grid'"):
+        effdof.run_grid  # noqa: B018
+    assert not hasattr(effdof, "nonexistent")
+
+
+RECORDS = [
+    (estimators.ComponentSet, ((1.0, 2.0), (1.0, 0.5), (4.0, 4.0)),
+     "ComponentSet(weights=(1.0, 2.0), variances=(1.0, 0.5), dofs=(4.0, 4.0))", (8.0, 8.0)),
+    (estimators.DfEstimate, (estimators.Variant.CORRECTED, 6.0, 4.0, 0.5),
+     "DfEstimate(variant=<Variant.CORRECTED: 'corrected'>, value=6.0, numerator=4.0, "
+     "denominator=0.5)", 1.0),
+    (applications.MiVariance, (1.0, 100.0, 0.2, 5),
+     "MiVariance(sampling_variance=1.0, sampling_dof=100.0, imputation_variance=0.2, "
+     "num_imputations=5)", 10),
+    (applications.TwoSampleSummary, (10, 12, 1.0, 2.0),
+     "TwoSampleSummary(n1=10, n2=12, s1_sq=1.0, s2_sq=2.0)", 4.0),
+]
+
+
+@pytest.mark.parametrize("cls,args,text,other_last", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_records_behave_as_frozen_dataclasses(cls, args, text, other_last):
+    record = cls(*args)
+    names = cls.__slots__
+    assert repr(record) == text
+    assert not hasattr(record, "__dict__")
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    twin = cls(**dict(zip(names, args)))  # keyword construction, fields in order
+    assert twin == record and hash(twin) == hash(record)
+    assert twin != cls(*args[:-1], other_last)
+    assert record != tuple(args)
+    assert copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+    # the dataclass field protocol still works, loading dataclasses only when asked
+    assert tuple(f.name for f in dataclasses.fields(record)) == names
+    assert dataclasses.asdict(record) == {n: getattr(record, n) for n in names}
+    changed = dataclasses.replace(record, **{names[-1]: other_last})
+    assert changed == cls(*args[:-1], other_last)
+    match record:
+        case cls(first):
+            assert first == getattr(record, names[0])

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, reproducibility."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -416,6 +417,14 @@ class TestSimulateCommand:
                                "--replicates", "10", "--seed", "1")
         assert code == 2 and "--nu" in err
 
+    def test_oversized_block_fails_before_the_grid(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_grid_detailed",
+                            lambda *a, **kw: pytest.fail("the grid started"))
+        code, out, err = run_cli(capsys, "simulate", "--k", "100000000", "--nu", "1",
+                                 "--replicates", "1", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "block_size" in err and "k_values" in err
+
     def test_flag_validation_uses_argparse_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "not-a-preset"])
@@ -460,26 +469,34 @@ class TestSimulateCommand:
         assert not any((tmp_path / "run").iterdir())
 
 
+# json is watched too, so the probe itself must not import it: runs come in as
+# tab-joined arguments and the result goes out as a repr
 _IMPORT_PROBE = """
-import json, sys
-from effdof.cli import main
+import sys
+
+WATCHED = ("concurrent.futures", "dataclasses", "effdof.montecarlo", "json", "numpy",
+           "secrets")
 
 def loaded():
-    return sorted(m for m in ("numpy", "secrets") if m in sys.modules)
+    return [m for m in WATCHED if m in sys.modules]
 
-seen = {"import": loaded()}
-for argv in json.loads(sys.argv[1]):
+import effdof
+seen = {"import effdof": loaded()}
+from effdof.cli import main
+seen["import effdof.cli"] = loaded()
+for run in sys.argv[1:]:
+    argv = run.split("\\t")
     assert main(argv) == 0, argv
     seen[argv[0]] = loaded()
 assert main(["simulate", "--k", "2", "--nu", "1", "--replicates", "10"]) == 0
 seen["simulate"] = loaded()
-print(json.dumps(seen))
+print(repr(seen))
 """
 
 
 class TestModuleEntryPoint:
     def test_only_simulate_imports_numpy(self, tmp_path):
-        # this process has numpy loaded already, so probe a fresh interpreter
+        # this process has all of them loaded already, so probe a fresh interpreter
         runs = [
             ["welch", "--n1", "10", "--n2", "12", "--s1sq", "1", "--s2sq", "2"],
             ["mi", "--var-sampling", "1", "--nu-sampling", "100",
@@ -491,13 +508,16 @@ class TestModuleEntryPoint:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+            [sys.executable, "-c", _IMPORT_PROBE, *("\t".join(run) for run in runs)],
             capture_output=True, text=True, env=env, check=True,
         )
-        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        seen = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
         assert seen == {
-            "import": [], "welch": [], "mi": [], "jackknife": [], "estimate": [],
-            "simulate": ["numpy", "secrets"],
+            "import effdof": [], "import effdof.cli": [],
+            "welch": [], "mi": [], "jackknife": [], "estimate": [],
+            # json writes the run manifest; secrets draws the seed
+            "simulate": ["concurrent.futures", "dataclasses", "effdof.montecarlo", "json",
+                         "numpy", "secrets"],
         }
 
     def test_python_dash_m_runs_and_is_deterministic(self):

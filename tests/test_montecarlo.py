@@ -18,6 +18,7 @@ from effdof import (
 )
 from effdof.estimators import ComponentSet
 from effdof.montecarlo import (
+    _MAX_BLOCK_VALUES,
     _assemble_cell,
     _block_rng,
     _block_sizes,
@@ -338,6 +339,17 @@ class TestConfigValidation:
         (field,) = kwargs
         with pytest.raises(ValueError, match=field):
             make_cfg(**kwargs)
+
+    def test_block_array_is_bounded(self):
+        # builds configs only, so no block array is ever allocated
+        limit = _MAX_BLOCK_VALUES
+        make_cfg(k_values=(limit // 1000,), replicates=10**9, block_size=1000)
+        make_cfg(k_values=(2, limit // 2), replicates=2)  # replicates < block_size
+        for kwargs in (dict(k_values=(2, 100_000_000), replicates=1),
+                       dict(k_values=(limit // 1000 + 1,), replicates=10**9, block_size=1000),
+                       dict(k_values=(limit // 2 + 1,), replicates=2)):
+            with pytest.raises(ValueError, match=r"block_size.*k_values"):
+                make_cfg(**kwargs)
 
     def test_weight_mode_coercion(self):
         assert make_cfg(weight_mode="random").weight_mode is WeightMode.RANDOM_NORMAL
