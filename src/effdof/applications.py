@@ -140,8 +140,14 @@ def _mi_components(mi: MiVariance) -> ComponentSet:
 
 
 def mi_total_variance(mi: MiVariance) -> float:
-    """Total variance ``Var(sampling) + (M+1)/M * Var(imputation)``."""
-    return mi.sampling_variance + mi.imputation_weight * mi.imputation_variance
+    """Total variance ``Var(sampling) + (M+1)/M * Var(imputation)``.
+
+    Raises ``OverflowError`` when the total exceeds the largest float.
+    """
+    total = mi.sampling_variance + mi.imputation_weight * mi.imputation_variance
+    if not math.isfinite(total):
+        raise OverflowError("total variance overflows a float")
+    return total
 
 
 def mi_total_df(mi: MiVariance) -> float:

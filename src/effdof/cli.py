@@ -29,7 +29,7 @@ import csv
 import io
 import sys
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
@@ -272,22 +272,15 @@ def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
 # manifest
 # ---------------------------------------------------------------------------
 
-def config_from_mapping(mapping: Mapping) -> SimConfig:
-    """Rebuild a SimConfig from a manifest's ``config`` entry; other keys are ignored."""
-    from dataclasses import fields
-
-    from .montecarlo import SimConfig
-
-    return SimConfig(**{f.name: mapping[f.name] for f in fields(SimConfig)})
-
-
 def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> dict:
     from dataclasses import asdict
 
     from .montecarlo import RNG_DESCRIPTION
 
     return {
-        "config": asdict(cfg),  # JSON writes the tuples as lists, the str enum as its value
+        # JSON writes the tuples as lists, the str enum as its value;
+        # SimConfig(**manifest["config"]) rebuilds the config
+        "config": asdict(cfg),
         "library_version": __version__,
         "rng": RNG_DESCRIPTION,
         "weight_rejections": weight_rejections,
@@ -334,14 +327,8 @@ def _simulate_config(args) -> SimConfig:
         seed = secrets.randbits(64)
     from .montecarlo import SimConfig
 
-    return SimConfig(
-        seed=seed,
-        weight_sd=args.sd,
-        fix_weights=args.fix_weights,
-        replicates=args.replicates,
-        block_size=args.block_size,
-        **base,
-    )
+    return SimConfig(seed=seed, replicates=args.replicates, block_size=args.block_size,
+                     **base)
 
 
 def _cmd_simulate(args) -> int:
@@ -408,9 +395,12 @@ def _cmd_mi(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _precision(value: str) -> int:
-    p = int(value)
+    try:
+        p = int(value)
+    except ValueError:
+        p = -1
     if not 0 <= p <= 12:
-        raise argparse.ArgumentTypeError("precision must be between 0 and 12")
+        raise argparse.ArgumentTypeError("precision must be an integer between 0 and 12")
     return p
 
 
@@ -438,11 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--k", type=int, nargs="+", help="component counts K")
     sim.add_argument("--nu", type=float, nargs="+", help="common component df")
     sim.add_argument("--weights", choices=("equal", "random"),
-                     help="equal weights or Normal(1, sd) random weights")
-    sim.add_argument("--sd", type=float, default=0.3,
-                     help="sd of random weights (default 0.3)")
-    sim.add_argument("--fix-weights", action="store_true",
-                     help="with random weights: one weight draw per cell, not per replicate")
+                     help="equal weights or Normal(1, 0.3) weights redrawn per replicate")
     sim.add_argument("--replicates", type=int, default=100_000,
                      help="replicates per cell (default 100000)")
     sim.add_argument("--seed", type=int,

@@ -1,10 +1,12 @@
 """Chi-square Monte Carlo harness for the df estimators.
 
-Simulates the ideal case (equal true variances, equal component df) and the
-random-weight case, aggregating each grid cell of (K, nu_bar) into means, SDs
-and ratio columns so runs can be compared against the documented reference
-results. Every true component variance is 1 and equal weights are 1: the df
-estimators are scale invariant, so other constants would not change them.
+Simulates the paper's two weight schemes: the ideal case (equal weights,
+equal true variances, equal component df) and random Normal(1, 0.3) weights
+redrawn for every replicate. Each grid cell of (K, nu_bar) is aggregated into
+means, SDs and ratio columns so runs can be compared against the documented
+reference results. Every true component variance is 1 and equal weights are
+1: the df estimators are scale invariant, so other constants would not change
+them.
 
 Reproducibility contract: every parallel unit draws from an independent
 substream derived from ``(seed, cell index, block index)`` via
@@ -55,16 +57,19 @@ RNG_DESCRIPTION = (
 
 _MAX_SEED = 2**64
 
+# standard deviation of the random Normal(1, sd) weights
+_WEIGHT_SD = 0.3
+
 # floats in one block's (replicates x K) variance array: 2**24 is 128 MiB,
 # and a random-weight block holds about three arrays of that shape at once
 _MAX_BLOCK_VALUES = 2**24
 
 
 class WeightMode(str, enum.Enum):
-    """How component weights are produced for each simulated replicate."""
+    """The paper's two weight schemes, applied to every simulated replicate."""
 
     EQUAL = "equal"            # w_k = 1
-    RANDOM_NORMAL = "random"   # w_k ~ Normal(1, sd), redrawn while <= 0
+    RANDOM_NORMAL = "random"   # w_k ~ Normal(1, 0.3) per replicate, redrawn while <= 0
 
 
 @dataclass(frozen=True)
@@ -76,18 +81,16 @@ class SimConfig:
     (the parallel/substream unit, so changing it changes the draws). One
     block draws ``min(block_size, replicates) x max(k_values)`` values, at
     most 2**24 (a 128 MiB array); a larger block raises ``ValueError``.
-    ``fix_weights`` (a bool, and only with random weights) freezes one
-    weight draw per cell instead of redrawing per replicate. Equal weights
-    are 1 and every component's true variance is 1: the df estimators are
-    scale invariant, so neither value can change a result.
+    ``weight_mode`` picks equal weights or Normal(1, 0.3) weights redrawn for
+    every replicate. Equal weights are 1 and every component's true variance
+    is 1: the df estimators are scale invariant, so neither value can change
+    a result.
     """
 
     k_values: tuple[int, ...]
     nu_values: tuple[float, ...]
     seed: int
     weight_mode: WeightMode = WeightMode.EQUAL
-    weight_sd: float = 0.3
-    fix_weights: bool = False
     replicates: int = 100_000
     block_size: int = 10_000
 
@@ -97,12 +100,7 @@ class SimConfig:
                                for v in self.nu_values)))
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
-        object.__setattr__(self, "weight_sd", check_real("weight_sd", self.weight_sd, 0.0))
         object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
-        if type(self.fix_weights) is not bool:
-            raise ValueError(f"fix_weights must be a bool, got {self.fix_weights!r}")
-        if self.fix_weights and self.weight_mode is WeightMode.EQUAL:
-            raise ValueError("fix_weights needs random weights: equal weights draw nothing")
         for name, low in (("seed", 0), ("replicates", 1), ("block_size", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if not ks:
@@ -157,25 +155,22 @@ class GridResult:
     weight_rejections: int
 
 
-def sample_component_variance(nu, sigma_sq, rng: np.random.Generator, size=None):
-    """Draw component variance estimates S^2 with nu * S^2 / sigma^2 ~ chi^2(nu).
+def sample_component_variance(nu, rng: np.random.Generator, size=None):
+    """Draw component variance estimates S^2 with nu * S^2 ~ chi^2(nu).
 
-    Returns ``sigma_sq * X / nu`` for a chi-square(nu) variate X, so
-    ``E[S^2] = sigma_sq`` and ``Var[S^2] = 2 sigma_sq^2 / nu``. For nu == 1,
-    X is a squared standard normal; otherwise S^2 is one gamma draw of shape
-    nu/2 and scale ``2 sigma_sq / nu``. ``size=None`` gives one float; an int
-    or shape tuple gives an array, built in place without a second array.
+    The true variance is 1: returns ``X / nu`` for a chi-square(nu) variate
+    X, so ``E[S^2] = 1`` and ``Var[S^2] = 2 / nu``. For nu == 1, X is a
+    squared standard normal; otherwise S^2 is one gamma draw of shape nu/2
+    and scale ``2 / nu``. ``size=None`` gives one float; an int or shape
+    tuple gives an array, built in place without a second array.
     """
     if not nu > 0:
         raise ValueError("nu must be > 0")
-    if not sigma_sq > 0:
-        raise ValueError("sigma_sq must be > 0")
     if nu == 1:
         x = rng.standard_normal(size)
         x *= x
-        x *= sigma_sq
         return x
-    return rng.gamma(nu / 2.0, 2.0 * sigma_sq / nu, size)
+    return rng.gamma(nu / 2.0, 2.0 / nu, size)
 
 
 def batch_df_estimates(weights, s2, nu):
@@ -238,11 +233,7 @@ def _mean_m2(x: np.ndarray) -> tuple[float, float]:
 
 
 def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
-    """SFC64 generator of substream ``index`` of grid cell ``cell``.
-
-    Substream 0 draws a cell's fixed weight row, substream ``1 + b`` its
-    block ``b``.
-    """
+    """SFC64 generator of substream ``index`` of grid cell ``cell``."""
     import numpy as np
 
     # explicit spawn key: pure, and independent of how many children a
@@ -251,9 +242,9 @@ def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(stream))
 
 
-def _draw_weights(rng: np.random.Generator, shape, sd: float):
-    """Normal(1, sd) weights with nonpositive entries redrawn; returns (w, redraws)."""
-    w = rng.normal(1.0, sd, size=shape)
+def _draw_weights(rng: np.random.Generator, shape):
+    """Normal(1, 0.3) weights with nonpositive entries redrawn; returns (w, redraws)."""
+    w = rng.normal(1.0, _WEIGHT_SD, size=shape)
     rejections = 0
     while True:
         bad = w <= 0.0
@@ -261,20 +252,12 @@ def _draw_weights(rng: np.random.Generator, shape, sd: float):
         if n_bad == 0:
             return w, rejections
         rejections += n_bad
-        w[bad] = rng.normal(1.0, sd, size=n_bad)
+        w[bad] = rng.normal(1.0, _WEIGHT_SD, size=n_bad)
 
 
 def _block_sizes(cfg: SimConfig) -> list[int]:
     full, rest = divmod(cfg.replicates, cfg.block_size)
     return [cfg.block_size] * full + ([rest] if rest else [])
-
-
-def _fixed_weights(k: int, cfg: SimConfig, cell: int) -> tuple[np.ndarray | None, int]:
-    """The per-cell weight row (substream 0) when fix_weights is active."""
-    if cfg.weight_mode is not WeightMode.RANDOM_NORMAL or not cfg.fix_weights:
-        return None, 0
-    rng = _block_rng(cfg.seed, cell, 0)
-    return _draw_weights(rng, k, cfg.weight_sd)
 
 
 def _block_sums(
@@ -284,7 +267,6 @@ def _block_sums(
     cell: int,
     block_index: int,
     n: int,
-    fixed_row: np.ndarray | None,
 ) -> _BlockSums:
     """One block's partial sums. An overflow or an invalid operation (say
     inf - inf) raises ``FloatingPointError`` rather than leaving an inf or a NaN
@@ -293,18 +275,16 @@ def _block_sums(
     import numpy as np
 
     with np.errstate(over="raise", invalid="raise"):
+        # block b draws from substream 1 + b; substream 0 once drew a fixed
+        # weight row and stays unused, so fixed-seed output keeps its bytes
         rng = _block_rng(cfg.seed, cell, 1 + block_index)
-        rejections = 0
         if cfg.weight_mode is WeightMode.EQUAL:
-            weights = 1.0
+            weights, rejections = 1.0, 0
             kish_sum = float(n * k)  # n_eff is exactly K per replicate
-        elif fixed_row is not None:
-            weights = fixed_row
-            kish_sum = n * float(batch_kish(fixed_row))
         else:
-            weights, rejections = _draw_weights(rng, (n, k), cfg.weight_sd)
+            weights, rejections = _draw_weights(rng, (n, k))
             kish_sum = float(batch_kish(weights).sum())
-        s2 = sample_component_variance(nu_bar, 1.0, rng, size=(n, k))
+        s2 = sample_component_variance(nu_bar, rng, size=(n, k))
         satt, corr = batch_df_estimates(weights, s2, nu_bar)
         return _BlockSums(n, *_mean_m2(satt), *_mean_m2(corr), kish_sum, rejections)
 
@@ -363,7 +343,6 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     if threads < 1:
         raise ValueError("threads must be >= 1")
     grid = cfg.grid
-    fixed = [_fixed_weights(k, cfg, ci) for ci, (k, _) in enumerate(grid)]
     sizes = _block_sizes(cfg)
     tasks = [
         (ci, bi, n)
@@ -374,15 +353,12 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     def work(task: tuple[int, int, int]) -> _BlockSums:
         ci, bi, n = task
         k, nu = grid[ci]
-        return _block_sums(k, nu, cfg, ci, bi, n, fixed[ci][0])
+        return _block_sums(k, nu, cfg, ci, bi, n)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, tasks))  # map keeps task order
 
-    cells = []
-    rejections = 0
-    for ci, (k, nu) in enumerate(grid):
-        partials = results[ci * len(sizes):(ci + 1) * len(sizes)]
-        cells.append(_assemble_cell(k, nu, partials))
-        rejections += fixed[ci][1] + sum(p.rejections for p in partials)
-    return GridResult(cells, rejections)
+    b = len(sizes)
+    cells = [_assemble_cell(k, nu, results[ci * b:(ci + 1) * b])
+             for ci, (k, nu) in enumerate(grid)]
+    return GridResult(cells, sum(p.rejections for p in results))

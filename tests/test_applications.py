@@ -121,6 +121,10 @@ class TestMultipleImputation:
             1.5, rel=1e-15
         )
 
+    def test_total_variance_overflow_raises(self):
+        with pytest.raises(OverflowError, match="total variance"):
+            mi_total_variance(MiVariance(1e308, 10, 1e308, 2))
+
     def test_no_imputation_variance_returns_sampling_dof(self):
         assert mi_total_df(MiVariance(1.0, 50.0, 0.0, 5)) == 50.0
         assert mi_total_df(MiVariance(0.3, 12.5, 0.0, 3)) == 12.5

@@ -20,7 +20,6 @@ import effdof
 from effdof import cli, errors, run_grid_detailed
 from effdof.cli import (
     cells_csv_full_precision,
-    config_from_mapping,
     main,
     parse_components_file,
 )
@@ -314,6 +313,13 @@ class TestMiCommand:
                              "--m", "1")
         assert code == 2
 
+    def test_overflowing_total_variance(self, capsys):
+        code, out, err = run_cli(capsys, "mi", "--var-sampling", "1e308",
+                                 "--nu-sampling", "10", "--var-imputation", "1e308",
+                                 "--m", "2")
+        assert (code, out) == (4, "")
+        assert err == "effdof: arithmetic error: total variance overflows a float\n"
+
     def test_failure_leaves_stdout_empty(self, capsys):
         # the total variance is finite, but squaring it for the df overflows
         code, out, err = run_cli(capsys, "mi", "--var-sampling", "1e308",
@@ -355,12 +361,12 @@ class TestSimulateCommand:
         cells_text = (out_dir / "cells.csv").read_text(encoding="utf-8")
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         # rebuilding the config from the manifest reproduces the output bitwise
-        cfg = config_from_mapping(manifest["config"])
+        cfg = effdof.SimConfig(**manifest["config"])
         assert cells_csv_full_precision(run_grid_detailed(cfg).cells) == cells_text
-        # older manifests also carry unit_weights and sigma_sq
-        older = dict(manifest["config"], unit_weights=False, sigma_sq=1.0)
-        older_cells = run_grid_detailed(config_from_mapping(older)).cells
-        assert cells_csv_full_precision(older_cells) == cells_text
+        # a manifest from an earlier release carries keys SimConfig no longer has
+        for key, value in (("weight_sd", 0.3), ("fix_weights", False)):
+            with pytest.raises(TypeError, match=key):
+                effdof.SimConfig(**manifest["config"], **{key: value})
 
     def test_preset_grid_shape(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--preset", "tables123",
@@ -380,7 +386,7 @@ class TestSimulateCommand:
 
     def test_ratio_layout_for_random_weights(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--k", "16", "--nu", "5",
-                               "--weights", "random", "--sd", "0.3",
+                               "--weights", "random",
                                "--replicates", "2000", "--seed", "3",
                                "--format", "csv")
         assert code == 0
@@ -444,11 +450,15 @@ class TestSimulateCommand:
         code, out, _ = run_cli(capsys, *self.BASE, "--out", str(tmp_path / "run"))
         assert (code, out) == (2, "")
 
-    def test_fix_weights_needs_random_weights(self, capsys):
-        code, out, err = run_cli(capsys, "simulate", "--preset", "tables123", "--fix-weights",
-                                 "--replicates", "5", "--seed", "1")
-        assert (code, out) == (2, "")
-        assert err.startswith("effdof: fix_weights ")
+    def test_removed_weight_flags_are_refused(self, capsys):
+        # random weights are Normal(1, 0.3), redrawn for every replicate
+        for flag in (["--sd", "0.5"], ["--fix-weights"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["simulate", "--preset", "tables45-random", *flag,
+                      "--replicates", "5", "--seed", "1"])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert f"unrecognized arguments: {flag[0]}" in captured.err
 
     def test_overflowing_grid_is_an_arithmetic_error(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "simulate", "--k", "2", "--nu", "1e308",
@@ -519,6 +529,16 @@ class TestModuleEntryPoint:
             "simulate": ["concurrent.futures", "dataclasses", "effdof.montecarlo", "json",
                          "numpy", "secrets"],
         }
+
+    @pytest.mark.parametrize("value", ["x", "1.5", "13"])
+    def test_precision_must_be_an_integer_in_range(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["welch", "--n1", "10", "--n2", "10", "--s1sq", "1", "--s2sq", "1",
+                  "--precision", value])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(
+            "argument --precision: precision must be an integer between 0 and 12\n")
 
     def test_python_dash_m_runs_and_is_deterministic(self):
         cmd = [sys.executable, "-m", "effdof", "simulate", "--k", "2", "--nu", "1",
@@ -611,18 +631,15 @@ def _mostly(valid, faulty):
                            st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e308"])),
                    min_size=1, max_size=3),
        replicates=st.integers(1, 20), block_size=st.integers(1, 20),
-       sd=_mostly(st.floats(0.0, 3.0).map(repr), st.sampled_from(["-1", "nan"])),
        weights=st.sampled_from([[], ["--weights", "equal"], ["--weights", "random"]]),
-       fix=st.sampled_from([[], ["--fix-weights"]]),
        threads=st.integers(1, 2), out_is_file=_mostly(st.just(False), st.just(True)))
-def test_simulate_contract(k, nu, replicates, block_size, sd, weights, fix, threads,
-                           out_is_file):
+def test_simulate_contract(k, nu, replicates, block_size, weights, threads, out_is_file):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         if out_is_file:
             out.write_bytes(b"")
         argv = ["simulate", "--k", *k, "--nu", *nu, "--replicates", str(replicates),
-                "--block-size", str(block_size), "--sd", sd, *weights, *fix,
+                "--block-size", str(block_size), *weights,
                 "--threads", str(threads), "--seed", "1", "--out", str(out)]
         code, stdout = _main_in_process(argv)
         assert code in (0, 2, 3, 4), (argv, code)

@@ -38,64 +38,68 @@ def make_cfg(**kwargs):
 class TestSampler:
     def test_scalar_draw(self):
         rng = np.random.Generator(np.random.Philox(0))
-        value = sample_component_variance(4.0, 1.0, rng)
+        value = sample_component_variance(4.0, rng)
         assert isinstance(value, float) and value >= 0.0
 
     def test_moments(self):
-        # E[S^2] = sigma^2, Var[S^2] = 2 sigma^4 / nu
+        # E[S^2] = 1, Var[S^2] = 2 / nu
         rng = np.random.Generator(np.random.Philox(1))
-        draws = sample_component_variance(4.0, 2.0, rng, size=200_000)
-        se_mean = math.sqrt(2.0 / 4.0) * 2.0 / math.sqrt(draws.size)
-        assert draws.mean() == pytest.approx(2.0, abs=5 * se_mean)
-        assert draws.var(ddof=1) == pytest.approx(2 * 4.0 / 4.0, rel=0.05)
+        draws = sample_component_variance(4.0, rng, size=200_000)
+        se_mean = math.sqrt(2.0 / 4.0) / math.sqrt(draws.size)
+        assert draws.mean() == pytest.approx(1.0, abs=5 * se_mean)
+        assert draws.var(ddof=1) == pytest.approx(2.0 / 4.0, rel=0.05)
 
     def test_fourth_moment_identity(self):
-        # E[S^4] * nu / (nu + 2) recovers sigma^4
+        # E[S^4] * nu / (nu + 2) recovers the true variance squared, 1
         rng = np.random.Generator(np.random.Philox(2))
-        draws = sample_component_variance(2.0, 1.0, rng, size=300_000)
+        draws = sample_component_variance(2.0, rng, size=300_000)
         transformed = draws**2 * (2.0 / 4.0)
         se = transformed.std(ddof=1) / math.sqrt(transformed.size)
         assert transformed.mean() == pytest.approx(1.0, abs=5 * se)
 
     def test_sub_one_gamma_shape_path(self):
         # nu=0.5 takes numpy's gamma sampler at shape 0.25 (< 1): check
-        # E[S^2] = sigma^2 and Var[S^2] = 2 sigma^4 / nu
-        nu, sigma_sq, n = 0.5, 3.0, 400_000
+        # E[S^2] = 1 and Var[S^2] = 2 / nu
+        nu, n = 0.5, 400_000
         rng = np.random.Generator(np.random.Philox(3))
-        draws = sample_component_variance(nu, sigma_sq, rng, size=n)
-        var = 2 * sigma_sq**2 / nu
-        assert draws.mean() == pytest.approx(sigma_sq, abs=5 * math.sqrt(var / n))
+        draws = sample_component_variance(nu, rng, size=n)
+        var = 2 / nu
+        assert draws.mean() == pytest.approx(1.0, abs=5 * math.sqrt(var / n))
         # a gamma of shape a has excess kurtosis 6/a
         excess_kurtosis = 6 / (nu / 2)
         tol = 5 * var * math.sqrt((excess_kurtosis + 2) / n)
         assert draws.var(ddof=1) == pytest.approx(var, abs=tol)
 
-    @pytest.mark.parametrize("sigma_sq", [1.0, 2.5])
-    def test_chi_square_one_cdf(self, sigma_sq):
-        # nu=1 is a squared standard normal; check the CDF against the closed
-        # form P(sigma^2 chi2_1 <= x) = erf(sqrt(x / (2 sigma^2)))
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 4.0])
+    def test_chi_square_one_cdf(self, x):
+        # nu=1 is a squared standard normal; check the CDF at x against the
+        # closed form P(chi2_1 <= x) = erf(sqrt(x / 2))
         rng = np.random.Generator(np.random.Philox(3))
-        draws = sample_component_variance(1.0, sigma_sq, rng, size=200_000)
-        for x in (0.5, 2.0, 4.0):
-            p = math.erf(math.sqrt(x / (2.0 * sigma_sq)))
-            emp = float((draws <= x).mean())
-            tol = 5 * math.sqrt(p * (1 - p) / draws.size)
-            assert emp == pytest.approx(p, abs=tol)
+        draws = sample_component_variance(1.0, rng, size=200_000)
+        p = math.erf(math.sqrt(x / 2.0))
+        emp = float((draws <= x).mean())
+        tol = 5 * math.sqrt(p * (1 - p) / draws.size)
+        assert emp == pytest.approx(p, abs=tol)
 
     def test_chi_square_one_is_a_squared_normal(self):
-        draws = sample_component_variance(1.0, 2.5, np.random.Generator(np.random.Philox(5)),
+        draws = sample_component_variance(1.0, np.random.Generator(np.random.Philox(5)),
                                           size=(3, 4))
         z = np.random.Generator(np.random.Philox(5)).standard_normal((3, 4))
-        assert np.array_equal(draws, z * z * 2.5)
-        value = sample_component_variance(1.0, 2.5, np.random.Generator(np.random.Philox(5)))
+        assert np.array_equal(draws, z * z)
+        value = sample_component_variance(1.0, np.random.Generator(np.random.Philox(5)))
         assert isinstance(value, float) and value == draws[0, 0]
+
+    def test_gamma_scale_is_two_over_nu(self):
+        draws = sample_component_variance(4.0, np.random.Generator(np.random.Philox(6)),
+                                          size=8)
+        gamma = np.random.Generator(np.random.Philox(6)).gamma(2.0, 0.5, 8)
+        assert np.array_equal(draws, gamma)
 
     def test_invalid_parameters(self):
         rng = np.random.Generator(np.random.Philox(4))
-        with pytest.raises(ValueError):
-            sample_component_variance(0.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            sample_component_variance(1.0, 0.0, rng)
+        for nu in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="nu"):
+                sample_component_variance(nu, rng)
 
 
 class TestBatchAgainstScalar:
@@ -146,13 +150,12 @@ class TestDeterminism:
         assert run_grid_detailed(cfg, threads=2).cells == base
 
     def test_random_weight_modes_are_deterministic(self):
-        for fix in (False, True):
-            cfg = make_cfg(weight_mode=WeightMode.RANDOM_NORMAL, fix_weights=fix,
-                           replicates=22_000, block_size=5_000)
-            a = run_grid_detailed(cfg, threads=1)
-            b = run_grid_detailed(cfg, threads=3)
-            assert a.cells == b.cells
-            assert a.weight_rejections == b.weight_rejections
+        cfg = make_cfg(weight_mode=WeightMode.RANDOM_NORMAL,
+                       replicates=22_000, block_size=5_000)
+        a = run_grid_detailed(cfg, threads=1)
+        b = run_grid_detailed(cfg, threads=3)
+        assert a.cells == b.cells
+        assert a.weight_rejections == b.weight_rejections
 
     def test_single_replicate_cell(self):
         cfg = make_cfg(replicates=1)
@@ -181,15 +184,15 @@ class TestBlockRng:
         assert not np.array_equal(_block_rng(7, 2, 4).random(16), base)
 
     def test_chi_square_moment_across_substreams(self):
-        # chi2(4) variances from several substreams: E[S^2] = sigma^2 and
-        # Var[S^2] = 2 sigma^4 / nu
-        nu, sigma_sq, n = 4.0, 2.0, 40_000
+        # chi2(4) variances from several substreams: E[S^2] = 1 and
+        # Var[S^2] = 2 / nu
+        nu, n = 4.0, 40_000
         draws = np.concatenate([
-            sample_component_variance(nu, sigma_sq, _block_rng(11, cell, index), size=n)
+            sample_component_variance(nu, _block_rng(11, cell, index), size=n)
             for cell in range(3) for index in range(3)
         ])
-        se = sigma_sq * math.sqrt(2.0 / nu / draws.size)
-        assert draws.mean() == pytest.approx(sigma_sq, abs=5 * se)
+        se = math.sqrt(2.0 / nu / draws.size)
+        assert draws.mean() == pytest.approx(1.0, abs=5 * se)
 
 
 class TestOverflow:
@@ -293,14 +296,6 @@ class TestAggregates:
         # P(w <= 0) ~ 4.3e-4 per draw over 800k draws
         assert 200 < result.weight_rejections < 500
 
-    def test_fixed_weights_reuse_one_draw(self):
-        cfg = make_cfg(k_values=(8,), nu_values=(5.0,), replicates=9_000,
-                       weight_mode=WeightMode.RANDOM_NORMAL, fix_weights=True,
-                       block_size=2_000)
-        cell = run_grid_detailed(cfg).cells[0]
-        # a single weight vector almost surely has n_eff strictly below K
-        assert cell.mean_kish < 8.0
-        assert cell.ratio_kish_k == pytest.approx(cell.mean_kish / 8.0, rel=1e-12)
 
 
 class TestConfigValidation:
@@ -317,7 +312,7 @@ class TestConfigValidation:
             dict(nu_values=(0.0,)),
             dict(nu_values=(-1.0,)),
             dict(replicates=0),
-            dict(weight_sd=-0.1),
+            dict(k_values=(-2,)),
             dict(seed=-1),
             dict(seed=2**64),
             dict(block_size=0),
@@ -325,14 +320,14 @@ class TestConfigValidation:
             dict(block_size=5000.0),
             dict(k_values=(2.7,)),
             dict(seed=True),
-            dict(weight_sd="0.3"),
-            dict(weight_sd=True),
-            dict(weight_sd=float("nan")),
+            dict(nu_values=()),
+            dict(nu_values=(float("nan"),)),
+            dict(nu_values=(float("inf"),)),
             dict(nu_values=(True,)),
             dict(nu_values=("1.0",)),
-            dict(fix_weights="no"),
-            dict(fix_weights=1),
-            dict(fix_weights=True),  # equal weights: nothing to fix
+            dict(replicates=True),
+            dict(block_size="10"),
+            dict(seed=1.5),
         ],
     )
     def test_invalid_configs(self, kwargs):
