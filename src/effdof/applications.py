@@ -20,11 +20,13 @@ integers included) except ``bool``.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import DegenerateComponents, _Record, check_int, check_real, check_reals
 from .estimators import (
     ComponentSet,
+    _all_equal,
     _unit_scaled,
     corrected_df,
     satterthwaite_df,
@@ -48,7 +50,7 @@ def _checked_pseudo_values(values: Iterable[float]) -> tuple[float, ...]:
     ts = check_reals("pseudo-value", values)
     if len(ts) < 2:
         raise ValueError("need at least two pseudo-values")
-    if all(t == ts[0] for t in ts):
+    if _all_equal(ts, ts[0]):
         raise DegenerateComponents(
             "all pseudo-values are identical; jackknife df is undefined"
         )
@@ -75,7 +77,7 @@ def jackknife_df(pv: Iterable[float]) -> float:
     d2 = [(t - mean) ** 2 for t in ts]
     sum_d2 = math.fsum(d2)
     # > 0: the values are not all equal, and scaled so no deviation underflows
-    sum_d4 = math.fsum(x * x for x in d2)
+    sum_d4 = math.fsum(map(operator.mul, d2, d2))
     return 3.0 * sum_d2 * sum_d2 / sum_d4 - 2.0
 
 

@@ -6,6 +6,13 @@ rejected the same way wherever it enters. A rejected value raises
 :class:`FieldError`, which carries the field and the entry's index, so a caller
 such as the CLI can report the position in its own terms (a line and a column).
 
+:func:`check_reals` is the one sequence check. A sequence of plain ``float``
+and ``int`` entries that passes takes a bulk path of C-level loops (type set,
+conversion, a finite sum, the minimum); anything else, and every sequence
+holding a bad entry, goes through :func:`check_real` entry by entry, which
+alone builds the :class:`FieldError` for a bad entry. Both paths accept and
+return the same values.
+
 :class:`_Record` is the immutable base of the value classes the estimators
 take and return.
 """
@@ -131,9 +138,16 @@ def check_real(name: str, x, low: float | None = None, strict: bool = False,
     (``> low`` if ``strict``).
     """
     if type(x) is not float:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        # the exact-type test spares a plain int the numbers ABC check
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
             raise FieldError(name, f"{name} must be a real number, got {x!r}", index, label)
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:
+            # the value's repr may run to hundreds of digits, so name its type only
+            kind = "an int" if isinstance(x, int) else f"a {type(x).__name__}"
+            raise FieldError(name, f"{name} must be finite, got {kind} too large for a float",
+                             index, label) from None
     if not math.isfinite(x):
         raise FieldError(name, f"{name} must be finite, got {x!r}", index, label)
     if low is not None and (x < low or (strict and x == low)):
@@ -142,9 +156,44 @@ def check_real(name: str, x, low: float | None = None, strict: bool = False,
     return x
 
 
+_PLAIN_TYPES = frozenset((float, int))
+
+
+def _plain_floats(xs: tuple, low: float | None, strict: bool) -> tuple[float, ...] | None:
+    """``xs`` as floats if every entry is a plain ``float`` or ``int`` that
+    :func:`check_real` would accept, else None; C-level loops throughout."""
+    types = set(map(type, xs))
+    if not types <= _PLAIN_TYPES:
+        return None
+    if int in types:
+        try:
+            xs = tuple(map(float, xs))
+        except OverflowError:
+            return None
+    # a nan or inf entry makes the sum non-finite; so may an overflow of finite
+    # entries, which then simply take the per-entry path
+    if not math.isfinite(sum(xs)):
+        return None
+    if low is not None and xs:
+        least = min(xs)
+        if least < low or (strict and least == low):
+            return None
+    return xs
+
+
 def check_reals(name: str, xs: Iterable, low: float | None = None, *,
                 strict: bool = False, label: str = "index") -> tuple[float, ...]:
-    """Every entry of ``xs`` through :func:`check_real`, as a tuple of floats."""
+    """Every entry of ``xs`` as :func:`check_real` checks it, as a tuple of floats.
+
+    ``xs`` is read once, into a tuple. A sequence of plain floats and ints
+    that passes is checked and converted in bulk; any other sequence, and any
+    sequence with a bad entry, goes through :func:`check_real` entry by entry,
+    so the first bad entry raises the same :class:`FieldError` either way.
+    """
+    xs = tuple(xs)
+    ys = _plain_floats(xs, low, strict)
+    if ys is not None:
+        return ys
     # map with positional arguments costs less per entry than a generator
     return tuple(map(check_real, repeat(name), xs, repeat(low), repeat(strict), count(),
                      repeat(label)))
@@ -156,6 +205,7 @@ def check_int(name: str, x, low: int) -> int:
     ``x`` must be an integer ``>= low``: any ``numbers.Integral`` (numpy
     integers included) except ``bool``.
     """
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < low:
+    if (type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral))
+            or x < low):
         raise FieldError(name, f"{name} must be an integer >= {low}, got {x!r}")
     return int(x)

@@ -152,11 +152,20 @@ class DfEstimate(_Record):
         self._freeze(variant, value, numerator, denominator)
 
 
+def _all_equal(xs: tuple[float, ...], value: float) -> bool:
+    """Whether every entry of the nonempty ``xs`` equals ``value``.
+
+    ``count`` compares in C; testing the last entry first settles the usual
+    unequal case without a scan.
+    """
+    return xs[-1] == value and xs.count(value) == len(xs)
+
+
 def _require_positive_weight(ws: tuple[float, ...]) -> None:
     """Raise unless the checked weights ``ws`` hold at least one positive entry."""
     if not ws:
         raise ValueError("a weight vector needs at least one weight")
-    if all(w == 0.0 for w in ws):
+    if _all_equal(ws, 0.0):
         raise AllZeroWeights("all weights are zero")
 
 
@@ -263,11 +272,11 @@ def kish_neff(weights) -> float:
 def _kish_neff(ws: tuple[float, ...]) -> float:
     """:func:`kish_neff` of weights already through ``check_reals``."""
     _require_positive_weight(ws)
-    if all(w == ws[0] for w in ws):
+    if _all_equal(ws, ws[0]):
         return float(len(ws))
     ws = _unit_scaled(ws)
     total = math.fsum(ws)
-    return total * total / math.fsum(w * w for w in ws)
+    return total * total / math.fsum(map(operator.mul, ws, ws))
 
 
 def relvariance(weights) -> float:
@@ -285,7 +294,7 @@ def relvariance(weights) -> float:
 def _relvariance(ws: tuple[float, ...]) -> float:
     """:func:`relvariance` of weights already through ``check_reals``."""
     _require_positive_weight(ws)
-    if all(w == ws[0] for w in ws):
+    if _all_equal(ws, ws[0]):
         return 0.0
     ws = _unit_scaled(ws)
     mean = math.fsum(ws) / len(ws)

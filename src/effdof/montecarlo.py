@@ -35,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateComponents, check_int, check_real
+from .errors import DegenerateComponents, FieldError, check_int, check_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -100,7 +100,13 @@ class SimConfig:
                                for v in self.nu_values)))
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
-        object.__setattr__(self, "weight_mode", WeightMode(self.weight_mode))
+        try:
+            mode = WeightMode(self.weight_mode)
+        except ValueError:
+            allowed = " or ".join(repr(m.value) for m in WeightMode)
+            raise FieldError("weight_mode", f"weight_mode must be {allowed}, "
+                             f"got {self.weight_mode!r}") from None
+        object.__setattr__(self, "weight_mode", mode)
         for name, low in (("seed", 0), ("replicates", 1), ("block_size", 1)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), low))
         if not ks:

@@ -285,6 +285,12 @@ class TestWelch:
         with pytest.raises(ValueError, match="s1_sq"):
             TwoSampleSummary(10, 10, "1", 1.0)
 
+    def test_int_too_large_for_a_float_is_a_field_error(self):
+        with pytest.raises(FieldError, match="^s1_sq must be finite, got an int too large "
+                                             "for a float$") as exc:
+            TwoSampleSummary(10, 10, 10**400, 1.0)
+        assert (exc.value.field, exc.value.index) == ("s1_sq", None)
+
     def test_scalar_field_error_has_no_index(self):
         with pytest.raises(FieldError, match="^n1 must be an integer >= 2, got 1$") as exc:
             TwoSampleSummary(1, 10, 1.0, 1.0)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effdof
-from effdof import cli, errors, run_grid_detailed
+from effdof import applications, cli, errors, estimators, run_grid_detailed
 from effdof.cli import (
     cells_csv_full_precision,
     main,
@@ -228,31 +228,41 @@ class TestJackknifeCommand:
 class TestCheckedOnce:
     @pytest.fixture
     def checked(self, monkeypatch):
-        names = []
-        check_real = errors.check_real
+        """(field, entries checked) for every field check: a ``check_reals`` call
+        where the library makes one, and a per-entry ``check_real`` (1 entry)."""
+        calls = []
 
-        def counting(name, *args, **kwargs):
-            names.append(name)
-            return check_real(name, *args, **kwargs)
+        def spy(module, attr, size):
+            check = getattr(module, attr)
 
-        monkeypatch.setattr(errors, "check_real", counting)
-        return names
+            def counting(name, xs, *args, **kwargs):
+                if size:
+                    xs = tuple(xs)
+                calls.append((name, len(xs) if size else 1))
+                return check(name, xs, *args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counting)
+
+        spy(errors, "check_real", size=False)
+        spy(estimators, "check_reals", size=True)
+        spy(applications, "check_reals", size=True)
+        return calls
 
     def test_each_component_cell_is_checked_once(self, checked, tmp_path):
         parse_components_file(write(tmp_path, "two.csv", TWO_COMPONENTS))
-        assert sorted(checked) == sorted(["weight", "variance", "dof"] * 2)
+        assert sorted(checked) == [("dof", 2), ("variance", 2), ("weight", 2)]
 
     def test_estimate_checks_each_cell_once(self, checked, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "estimate", "--input",
                              write(tmp_path, "two.csv", TWO_COMPONENTS))
         assert code == 0
-        assert sorted(checked) == sorted(["weight", "variance", "dof"] * 2)
+        assert sorted(checked) == [("dof", 2), ("variance", 2), ("weight", 2)]
 
     def test_each_pseudo_value_is_checked_once(self, checked, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "jackknife", "--input",
                              write(tmp_path, "pv.txt", "0\n1\n\n3\n"))
         assert code == 0
-        assert checked == ["pseudo-value"] * 3
+        assert checked == [("pseudo-value", 3)]
 
 
 class TestWelchCommand:

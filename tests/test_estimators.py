@@ -5,6 +5,7 @@ independent direct-formula script before being asserted here.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,13 +15,19 @@ from effdof import (
     ComponentSet,
     DegenerateComponents,
     LengthMismatch,
+    MiVariance,
+    TwoSampleSummary,
     Variant,
     boardman_df,
     corrected_df,
     design_effect,
+    jackknife_df,
     kish_neff,
+    mi_total_df,
     relvariance,
     satterthwaite_df,
+    welch_corrected_df,
+    welch_satterthwaite_df,
 )
 from effdof.errors import FieldError
 from oracles import satterthwaite_df_harmonic
@@ -280,3 +287,138 @@ class TestValidation:
             kish_neff([1, float("nan")])
         with pytest.raises(AllZeroWeights):
             kish_neff([0, 0, 0])
+
+    def test_int_too_large_for_a_float_is_a_field_error(self):
+        reason = "weight must be finite, got an int too large for a float"
+        with pytest.raises(FieldError, match=f"^component 1: {reason}$") as exc:
+            ComponentSet([1.0, 10**400], [1, 1], [1, 1])
+        assert (exc.value.field, exc.value.index) == ("weight", 1)
+        for summary in (kish_neff, relvariance, design_effect):
+            with pytest.raises(FieldError, match=f"^index 1: {reason}$"):
+                summary([1, 10**400])
+
+
+def _golden_inputs():
+    """A fixed corpus: int dofs, equal weights, one positive component, and
+    K=4096 drawn with exact arithmetic only (no libm), so it is the same
+    everywhere."""
+    rng = random.Random(4096)
+
+    def magnitudes(k):
+        return [math.ldexp(0.5 + rng.random(), rng.randint(-10, 10)) for _ in range(k)]
+
+    big = (magnitudes(4096), magnitudes(4096), [rng.randint(1, 500) for _ in range(4096)])
+    sets = {
+        "int-dofs": ([0.5, 1.25, 2.0, 0.8], [3.0, 0.7, 1.1, 2.5], [4, 9, 30, 2]),
+        "equal-weights": ([2.5] * 5, [1.0, 4.0, 0.25, 9.0, 2.0], [3.0, 5.0, 7.5, 10.0, 1.0]),
+        "one-positive": ([0.0, 1.5, 0.0], [1.0, 2.0, 3.0], [3, 5, 7]),
+        "int-weights": ([1, 2, 3, 7], [1, 1, 2, 2], [5, 5, 5, 5]),
+        "k4096": big,
+    }
+    pseudo_values = {
+        "short": [1.0, 2.0, 4.0, 8.0, 3],
+        "k4096": [3.0 + math.ldexp(rng.random() - 0.5, 4) for _ in range(4096)],
+    }
+    mi = {"doubles": MiVariance(1.0, 100.0, 0.2, 5), "ints": MiVariance(2, 37, 1, 12)}
+    welch = {"doubles": TwoSampleSummary(10, 17, 1.5, 0.75),
+             "ints": TwoSampleSummary(2, 1000, 3, 1)}
+    return sets, pseudo_values, mi, welch
+
+
+def _golden_values() -> dict[str, str]:
+    """``float.hex`` of every scalar result on the corpus, by name."""
+    sets, pseudo_values, mi, welch = _golden_inputs()
+    out = {}
+    for name, (weights, variances, dofs) in sets.items():
+        cs = ComponentSet(weights, variances, dofs)
+        for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs)):
+            for field in ("value", "numerator", "denominator"):
+                out[f"{name}/{est.variant.value}.{field}"] = getattr(est, field).hex()
+        for fn in (kish_neff, relvariance, design_effect):
+            out[f"{name}/{fn.__name__}"] = fn(weights).hex()
+    for name, values in pseudo_values.items():
+        out[f"jackknife/{name}"] = jackknife_df(values).hex()
+    for name, m in mi.items():
+        out[f"mi/{name}"] = mi_total_df(m).hex()
+    for name, ts in welch.items():
+        out[f"welch/{name}/satterthwaite"] = welch_satterthwaite_df(ts).hex()
+        out[f"welch/{name}/corrected"] = welch_corrected_df(ts).hex()
+    return out
+
+
+# float.hex of every result of _golden_values(), recorded before the field
+# checks got their bulk path; any change in a bit is a regression
+GOLDEN = {
+    "int-dofs/satterthwaite.value": "0x1.ec7f9440f24ecp+3",
+    "int-dofs/satterthwaite.numerator": "0x1.59d851eb851ecp+5",
+    "int-dofs/satterthwaite.denominator": "0x1.678a2050197c8p+1",
+    "int-dofs/corrected.value": "0x1.916e0a30a7452p+4",
+    "int-dofs/corrected.numerator": "0x1.59d851eb851ecp+5",
+    "int-dofs/corrected.denominator": "0x1.9889c6489c649p+0",
+    "int-dofs/boardman.value": "0x1.b16e0a30a7452p+4",
+    "int-dofs/boardman.numerator": "0x1.59d851eb851ecp+5",
+    "int-dofs/boardman.denominator": "0x1.9889c6489c649p+0",
+    "int-dofs/kish_neff": "0x1.9aae5e9fb0a68p+1",
+    "int-dofs/relvariance": "0x1.f942be5e8912cp-3",
+    "int-dofs/design_effect": "0x1.3f2857cbd1226p+0",
+    "equal-weights/satterthwaite.value": "0x1.0e1ca43602747p+4",
+    "equal-weights/satterthwaite.numerator": "0x1.9c99000000000p+10",
+    "equal-weights/satterthwaite.denominator": "0x1.870aaaaaaaaabp+6",
+    "equal-weights/corrected.value": "0x1.6f80e67127bedp+4",
+    "equal-weights/corrected.numerator": "0x1.9c99000000000p+10",
+    "equal-weights/corrected.denominator": "0x1.0864029100a44p+6",
+    "equal-weights/boardman.value": "0x1.8f80e67127bedp+4",
+    "equal-weights/boardman.numerator": "0x1.9c99000000000p+10",
+    "equal-weights/boardman.denominator": "0x1.0864029100a44p+6",
+    "equal-weights/kish_neff": "0x1.4000000000000p+2",
+    "equal-weights/relvariance": "0x0.0p+0",
+    "equal-weights/design_effect": "0x1.0000000000000p+0",
+    "one-positive/satterthwaite.value": "0x1.4000000000000p+2",
+    "one-positive/satterthwaite.numerator": "0x1.2000000000000p+3",
+    "one-positive/satterthwaite.denominator": "0x1.ccccccccccccdp+0",
+    "one-positive/corrected.value": "0x1.4000000000000p+2",
+    "one-positive/corrected.numerator": "0x1.2000000000000p+3",
+    "one-positive/corrected.denominator": "0x1.4924924924925p+0",
+    "one-positive/boardman.value": "0x1.c000000000000p+2",
+    "one-positive/boardman.numerator": "0x1.2000000000000p+3",
+    "one-positive/boardman.denominator": "0x1.4924924924925p+0",
+    "one-positive/kish_neff": "0x1.0000000000000p+0",
+    "one-positive/relvariance": "0x1.0000000000000p+1",
+    "one-positive/design_effect": "0x1.8000000000000p+1",
+    "int-weights/satterthwaite.value": "0x1.65217c382b34ep+3",
+    "int-weights/satterthwaite.numerator": "0x1.0880000000000p+9",
+    "int-weights/satterthwaite.denominator": "0x1.7b33333333334p+5",
+    "int-weights/corrected.value": "0x1.b3fbade83c7d6p+3",
+    "int-weights/corrected.numerator": "0x1.0880000000000p+9",
+    "int-weights/corrected.denominator": "0x1.0edb6db6db6dbp+5",
+    "int-weights/boardman.value": "0x1.f3fbade83c7d6p+3",
+    "int-weights/boardman.numerator": "0x1.0880000000000p+9",
+    "int-weights/boardman.denominator": "0x1.0edb6db6db6dbp+5",
+    "int-weights/kish_neff": "0x1.575d75d75d75dp+1",
+    "int-weights/relvariance": "0x1.f6e94731fcf85p-2",
+    "int-weights/design_effect": "0x1.7dba51cc7f3e1p+0",
+    "k4096/satterthwaite.value": "0x1.93eb5586b3f23p+11",
+    "k4096/satterthwaite.numerator": "0x1.c9639023cdfe7p+50",
+    "k4096/satterthwaite.denominator": "0x1.21e37676c9de9p+39",
+    "k4096/corrected.value": "0x1.e735ac8ee498dp+11",
+    "k4096/corrected.numerator": "0x1.c9639023cdfe7p+50",
+    "k4096/corrected.denominator": "0x1.e06a572ede5d8p+38",
+    "k4096/boardman.value": "0x1.e775ac8ee498dp+11",
+    "k4096/boardman.numerator": "0x1.c9639023cdfe7p+50",
+    "k4096/boardman.denominator": "0x1.e06a572ede5d8p+38",
+    "k4096/kish_neff": "0x1.194850f3a6ed1p+9",
+    "k4096/relvariance": "0x1.91fade602a5a1p+2",
+    "k4096/design_effect": "0x1.d1fade602a5a1p+2",
+    "jackknife/short": "0x1.fe63a772cb024p+1",
+    "jackknife/k4096": "0x1.a609bdc9232cep+12",
+    "mi/doubles": "0x1.34f783d42048fp+6",
+    "mi/ints": "0x1.7a64b2b41f33cp+5",
+    "welch/doubles/satterthwaite": "0x1.cbf1d9e1e83e2p+3",
+    "welch/doubles/corrected": "0x1.efe8d1067f3aap+3",
+    "welch/ints/satterthwaite": "0x1.0057691205b8fp+0",
+    "welch/ints/corrected": "0x1.01063b2a9f182p+0",
+}
+
+
+def test_golden_results_are_bit_identical():
+    assert _golden_values() == GOLDEN

@@ -16,6 +16,7 @@ from effdof import (
     sample_component_variance,
     satterthwaite_df,
 )
+from effdof.errors import FieldError
 from effdof.estimators import ComponentSet
 from effdof.montecarlo import (
     _MAX_BLOCK_VALUES,
@@ -348,6 +349,12 @@ class TestConfigValidation:
 
     def test_weight_mode_coercion(self):
         assert make_cfg(weight_mode="random").weight_mode is WeightMode.RANDOM_NORMAL
+
+    def test_unknown_weight_mode_names_the_field(self):
+        with pytest.raises(FieldError, match="^weight_mode must be 'equal' or 'random', "
+                                             "got 'fixed'$") as exc:
+            make_cfg(weight_mode="fixed")
+        assert exc.value.field == "weight_mode"
 
     def test_block_partition(self):
         assert _block_sizes(make_cfg(replicates=25_000, block_size=10_000)) == [

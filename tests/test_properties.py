@@ -1,7 +1,10 @@
 """Property-based tests of the algebraic invariants."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from effdof import (
     relvariance,
     satterthwaite_df,
 )
+from effdof.errors import FieldError, check_real, check_reals
 from oracles import satterthwaite_df_harmonic
 
 REL = 1e-12
@@ -183,3 +187,54 @@ def test_jackknife_lower_bound_and_shift_invariance(ts):
     assert value >= 1.0 - 1e-9
     shifted = jackknife_df([t + 123.25 for t in ts])
     assert math.isclose(shifted, value, rel_tol=1e-6)
+
+
+class _FloatSubclass(float):
+    pass
+
+
+# entries check_reals accepts in bulk when low is 0.0 (the sum of two of the
+# largest overflows, which sends a sequence to the per-entry path)
+plain_entries = st.one_of(st.floats(min_value=0.0, max_value=1e300), st.integers(0, 10**6),
+                          st.sampled_from([0.0, -0.0, 0, 1.7976931348623157e308]))
+# entries the per-entry path has to judge: bad values, and types it converts itself
+odd_entries = st.one_of(
+    st.floats(),  # nan, +-inf, -0.0, subnormals and negatives
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.text(max_size=3),
+    st.fractions(),
+    st.decimals(),
+    st.floats(min_value=-1e300, max_value=1e300).map(np.float64),
+    st.floats().map(_FloatSubclass),
+)
+
+
+@st.composite
+def field_sequences(draw):
+    xs = draw(st.lists(plain_entries, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        xs.insert(draw(st.integers(0, len(xs))), draw(odd_entries))
+    return xs
+
+
+def _outcome(check):
+    """``check()``'s floats as hex strings, or its error's type, message (which
+    holds the label) and fields."""
+    try:
+        ys = check()
+    except FieldError as exc:
+        return type(exc), str(exc), exc.field, exc.index, exc.reason
+    assert type(ys) is tuple and all(type(y) is float for y in ys)
+    return [y.hex() for y in ys]
+
+
+@settings(deadline=None)  # max_examples comes from the active profile
+@given(field_sequences(), st.sampled_from([None, 0.0]), st.booleans(), st.booleans())
+def test_check_reals_matches_the_per_entry_check(xs, low, strict, as_generator):
+    expected = _outcome(lambda: tuple(check_real("weight", x, low, strict, i, "component")
+                                      for i, x in enumerate(xs)))
+    given_xs = (x for x in xs) if as_generator else xs
+    assert _outcome(lambda: check_reals("weight", given_xs, low, strict=strict,
+                                        label="component")) == expected
