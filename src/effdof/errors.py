@@ -6,12 +6,12 @@ rejected the same way wherever it enters. A rejected value raises
 :class:`FieldError`, which carries the field and the entry's index, so a caller
 such as the CLI can report the position in its own terms (a line and a column).
 
-:func:`check_reals` is the one sequence check. A sequence of plain ``float``
-and ``int`` entries that passes takes a bulk path of C-level loops (type set,
-conversion, a finite sum, the minimum); anything else, and every sequence
-holding a bad entry, goes through :func:`check_real` entry by entry, which
-alone builds the :class:`FieldError` for a bad entry. Both paths accept and
-return the same values.
+:func:`check_reals` is the one sequence check. A sequence of plain ``float``,
+``int`` or numpy ``float64`` entries that passes takes a bulk path of C-level
+loops (type set, conversion, a finite sum, the minimum); anything else, and
+every sequence holding a bad entry, goes through :func:`check_real` entry by
+entry, which alone builds the :class:`FieldError` for a bad entry. Both paths
+accept and return the same values.
 
 :class:`_Record` is the immutable base of the value classes the estimators
 take and return.
@@ -19,6 +19,7 @@ take and return.
 
 import math
 import numbers
+import sys
 from collections.abc import Iterable
 from itertools import count, repeat
 
@@ -78,19 +79,24 @@ class _DataclassFields:
         if fields is None:
             import dataclasses
 
-            fields = dataclasses.make_dataclass(cls.__name__, cls.__slots__).__dataclass_fields__
+            fields = dataclasses.make_dataclass(cls.__name__, cls._fields).__dataclass_fields__
             self.by_class[cls] = fields
         return fields
 
 
 class _Record:
-    """Immutable record whose fields are the subclass's ``__slots__``, in order.
+    """Immutable record whose fields are the subclass's public ``__slots__``, in order.
 
     A subclass's ``__init__`` checks its arguments and passes the final values
     to :meth:`_freeze`, which sets each field once. Equality, hashing, the repr
     and pattern matching follow the fields as for a frozen dataclass;
     assignment and deletion raise :class:`AttributeError`, and copies and
     pickles are rebuilt through the constructor.
+
+    A slot whose name starts with ``_`` is not a field: it holds private state
+    derived from the fields (such as :class:`~effdof.estimators.ComponentSet`'s
+    ratio sums), set in ``__init__`` and never compared, hashed, printed or
+    pickled.
     """
 
     __slots__ = ()
@@ -98,14 +104,15 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.__match_args__ = cls.__slots__
+        cls._fields = cls.__match_args__ = tuple(
+            name for name in cls.__slots__ if not name.startswith("_"))
 
     def _freeze(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -122,7 +129,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
@@ -160,12 +167,16 @@ _PLAIN_TYPES = frozenset((float, int))
 
 
 def _plain_floats(xs: tuple, low: float | None, strict: bool) -> tuple[float, ...] | None:
-    """``xs`` as floats if every entry is a plain ``float`` or ``int`` that
-    :func:`check_real` would accept, else None; C-level loops throughout."""
+    """``xs`` as floats if every entry is a plain ``float`` or ``int`` (or a
+    numpy ``float64``) that :func:`check_real` would accept, else None; C-level
+    loops throughout."""
     types = set(map(type, xs))
     if not types <= _PLAIN_TYPES:
-        return None
-    if int in types:
+        # a numpy float exists only once numpy is loaded; float() of one is exact
+        numpy = sys.modules.get("numpy")
+        if numpy is None or not types <= {float, int, numpy.float64}:
+            return None
+    if types - {float}:
         try:
             xs = tuple(map(float, xs))
         except OverflowError:
@@ -203,9 +214,16 @@ def check_int(name: str, x, low: int) -> int:
     """``x`` as an int, or a :class:`FieldError` for the scalar field ``name``.
 
     ``x`` must be an integer ``>= low``: any ``numbers.Integral`` (numpy
-    integers included) except ``bool``.
+    integers included) except ``bool``, small enough to convert to a float.
     """
     if (type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral))
             or x < low):
         raise FieldError(name, f"{name} must be an integer >= {low}, got {x!r}")
-    return int(x)
+    x = int(x)
+    try:
+        float(x)
+    except OverflowError:
+        # as in check_real: the value's repr may run to hundreds of digits
+        raise FieldError(name, f"{name} must be finite, got an int too large for a float"
+                         ) from None
+    return x

@@ -59,9 +59,15 @@ class ComponentSet(_Record):
     ``variances[k]`` is the estimate S_k^2 (or a known sigma_k^2) with
     ``dofs[k]`` degrees of freedom behind it. Construction checks every entry
     (see :meth:`from_arrays`) and stores the three tuples as floats.
+
+    A set forms its weighted variances w_k S_k^2 once, when it is built, and
+    computes the ratio sums of the df estimators on first use: the numerator
+    once, and each denominator once per ``Variant.dof_offset``. Every df
+    estimator on the set reuses them. Any caller would compute the same
+    values, so sharing a set between threads is safe.
     """
 
-    __slots__ = ("weights", "variances", "dofs")
+    __slots__ = ("weights", "variances", "dofs", "_products", "_sums")
     weights: tuple[float, ...]
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
@@ -76,11 +82,15 @@ class ComponentSet(_Record):
         dofs = check_reals("dof", dofs, 0.0, strict=True, label="component")
         if not weights:
             raise ValueError("a ComponentSet needs at least one component")
-        if not any(map(operator.mul, weights, variances)):
+        products = tuple(map(operator.mul, weights, variances))
+        if not any(products):
             raise DegenerateComponents(
                 "all weighted variances are zero; df estimators are undefined"
             )
         self._freeze(weights, variances, dofs)
+        object.__setattr__(self, "_products", products)
+        # the ratio sums: None -> numerator, a dof offset -> its denominator
+        object.__setattr__(self, "_sums", {})
 
     @classmethod
     def from_arrays(
@@ -197,9 +207,15 @@ def _single_positive(a: Sequence[float]) -> int | None:
 def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
     minus the shift, with both constants taken from ``variant``.
+
+    The products and sums come from ``cs``: each is computed once per set and
+    stored there, so the three estimators on one set make one numerator pass
+    and two denominator passes (corrected and Boardman share an offset). The
+    sums wait for first use because they may overflow: building a set never
+    raises it, and a sum that raises is not stored.
     """
     offset = variant.dof_offset
-    a = list(map(operator.mul, cs.weights, cs.variances))
+    a = cs._products
     only = _single_positive(a)
     if only is not None:
         # ratio is exactly nu + offset here; evaluating it directly keeps
@@ -208,8 +224,14 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
         dof = cs.dofs[only]
         value = dof + (offset - variant.shift)
         return DfEstimate(variant, value, aa, aa / (dof + offset))
-    numerator = math.fsum(a) ** 2
-    denominator = math.fsum(x * x / (d + offset) for x, d in zip(a, cs.dofs))
+    sums = cs._sums
+    numerator = sums.get(None)
+    if numerator is None:
+        numerator = sums[None] = math.fsum(a) ** 2
+    denominator = sums.get(offset)
+    if denominator is None:
+        denominator = sums[offset] = math.fsum(x * x / (d + offset)
+                                               for x, d in zip(a, cs.dofs))
     if denominator == 0.0:
         raise DegenerateComponents(
             "all weighted variances are zero; df estimators are undefined"

@@ -70,7 +70,8 @@ RECORDS = [
                          ids=[r[0].__name__ for r in RECORDS])
 def test_records_behave_as_frozen_dataclasses(cls, args, text, other_last):
     record = cls(*args)
-    names = cls.__slots__
+    names = cls.__match_args__  # the public slots; a "_" slot is private state
+    assert names and not any(name.startswith("_") for name in names)
     assert repr(record) == text
     assert not hasattr(record, "__dict__")
     for name in names:
@@ -93,3 +94,23 @@ def test_records_behave_as_frozen_dataclasses(cls, args, text, other_last):
     match record:
         case cls(first):
             assert first == getattr(record, names[0])
+
+
+def test_component_set_private_state_stays_out_of_the_record_protocol():
+    cs = estimators.ComponentSet((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
+    private = [name for name in cs.__slots__ if name.startswith("_")]
+    assert private  # the products and the memo of ratio sums
+    payload = cs.__reduce__()[1]
+    assert payload == ((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
+    for name in private:
+        assert name not in repr(cs)
+        assert name not in {f.name for f in dataclasses.fields(cs)}
+        assert name not in dataclasses.asdict(cs)
+        with pytest.raises(AttributeError):
+            setattr(cs, name, getattr(cs, name))
+    # estimating fills one set's memo only: equality and hash ignore it
+    twin = estimators.ComponentSet((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
+    estimators.corrected_df(cs)
+    assert cs == twin and hash(cs) == hash(twin)
+    assert repr(cs) == repr(twin)
+    assert pickle.dumps(cs) == pickle.dumps(twin)

@@ -192,6 +192,13 @@ class TestMultipleImputation:
         with pytest.raises(ValueError, match="sampling_variance"):
             MiVariance("1", 10, 0.2, 5)
 
+    def test_imputation_count_too_large_for_a_float_is_a_field_error(self):
+        # not "component 1: dof ...", a component of the induced set
+        with pytest.raises(FieldError, match="^num_imputations must be finite, got an int "
+                                             "too large for a float$") as exc:
+            MiVariance(1.0, 10.0, 1.0, 10**400)
+        assert (exc.value.field, exc.value.index) == ("num_imputations", None)
+
     def test_numpy_integer_imputation_count(self):
         mi = MiVariance(1.0, 100.0, 0.2, np.int64(5))
         assert type(mi.num_imputations) is int
@@ -290,6 +297,15 @@ class TestWelch:
                                              "for a float$") as exc:
             TwoSampleSummary(10, 10, 10**400, 1.0)
         assert (exc.value.field, exc.value.index) == ("s1_sq", None)
+
+    @pytest.mark.parametrize("field", ["n1", "n2"])
+    def test_size_too_large_for_a_float_is_a_field_error(self, field):
+        sizes = dict(n1=10, n2=10, s1_sq=1.0, s2_sq=1.0)
+        sizes[field] = 10**400
+        with pytest.raises(FieldError, match=f"^{field} must be finite, got an int too large "
+                                             "for a float$") as exc:
+            TwoSampleSummary(**sizes)
+        assert (exc.value.field, exc.value.index) == (field, None)
 
     def test_scalar_field_error_has_no_index(self):
         with pytest.raises(FieldError, match="^n1 must be an integer >= 2, got 1$") as exc:

@@ -291,6 +291,12 @@ class TestWelchCommand:
                              "--s1sq", "0", "--s2sq", "0")
         assert code == 4
 
+    def test_size_too_large_for_a_float_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "welch", "--n1", str(10**400), "--n2", "10",
+                                 "--s1sq", "1", "--s2sq", "1")
+        assert (code, out) == (2, "")
+        assert err == "effdof: n1 must be finite, got an int too large for a float\n"
+
 
 class TestMiCommand:
     def test_worked_example(self, capsys):
@@ -322,6 +328,14 @@ class TestMiCommand:
                              "--nu-sampling", "100", "--var-imputation", "0.2",
                              "--m", "1")
         assert code == 2
+
+    def test_imputation_count_too_large_for_a_float_is_a_validation_error(self, capsys):
+        code, out, err = run_cli(capsys, "mi", "--var-sampling", "1",
+                                 "--nu-sampling", "10", "--var-imputation", "1",
+                                 "--m", str(10**400))
+        assert (code, out) == (2, "")
+        assert err == ("effdof: num_imputations must be finite, got an int too large "
+                       "for a float\n")
 
     def test_overflowing_total_variance(self, capsys):
         code, out, err = run_cli(capsys, "mi", "--var-sampling", "1e308",

@@ -4,12 +4,18 @@ Expected values are frozen from hand arithmetic, cross-checked with an
 independent direct-formula script before being asserted here.
 """
 
+import copy
+import itertools
 import math
+import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from effdof import estimators
 from effdof import (
     AllZeroWeights,
     ComponentSet,
@@ -108,6 +114,74 @@ class TestDfEstimators:
     def test_all_degenerate_components_rejected(self):
         with pytest.raises(DegenerateComponents):
             cset([0, 1], [1, 0], [4, 4])
+
+
+DF_ESTIMATORS = (satterthwaite_df, corrected_df, boardman_df)
+
+
+def _hexes(cs, order=DF_ESTIMATORS):
+    """``float.hex`` of each estimate's value, numerator and denominator, by variant."""
+    return {est.variant: tuple(getattr(est, f).hex()
+                               for f in ("value", "numerator", "denominator"))
+            for est in (fn(cs) for fn in order)}
+
+
+class TestSharedRatioSums:
+    """A set computes its ratio sums once; no call order, copy or thread may
+    change a bit of any estimate."""
+
+    @pytest.fixture
+    def columns(self):
+        rng = random.Random(4096)
+        k = 4096
+        return ([rng.uniform(0.0, 3.0) for _ in range(k)],
+                [math.ldexp(0.5 + rng.random(), rng.randint(-8, 8)) for _ in range(k)],
+                [rng.uniform(0.5, 60.0) for _ in range(k)])
+
+    def test_every_call_order_gives_the_same_bits(self, columns):
+        expected = _hexes(ComponentSet(*columns))
+        for order in itertools.permutations(DF_ESTIMATORS):
+            assert _hexes(ComponentSet(*columns), order) == expected
+        estimated = ComponentSet(*columns)
+        _hexes(estimated)
+        for twin in (estimated, ComponentSet(*columns), copy.deepcopy(estimated),
+                     pickle.loads(pickle.dumps(estimated))):
+            assert _hexes(twin) == expected
+
+    def test_threads_sharing_one_set_agree_with_a_serial_run(self, columns):
+        # racing threads may each compute a sum the memo lacks; they store the same bits
+        expected = _hexes(ComponentSet(*columns))
+        shared = ComponentSet(*columns)
+
+        def estimate(i):
+            return _hexes(shared, DF_ESTIMATORS[i % 3:] + DF_ESTIMATORS[:i % 3])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(estimate, range(50), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 50 and all(result == expected for result in results)
+
+    def test_three_estimators_make_one_numerator_and_two_denominator_sums(
+            self, monkeypatch):
+        cs = cset([1.0, 2.0, 0.5], [1.0, 0.5, 3.0], [4.0, 9.0, 2.5])
+        calls = []
+        fsum = estimators.math.fsum
+
+        def counting(xs):
+            calls.append(1)
+            return fsum(xs)
+
+        monkeypatch.setattr(estimators.math, "fsum", counting)
+        for fn in DF_ESTIMATORS:
+            fn(cs)
+        assert len(calls) == 3  # the numerator, nu_k + 0 and nu_k + 2
+        for fn in DF_ESTIMATORS:
+            fn(cs)
+        assert len(calls) == 3
 
 
 class TestHarmonicForm:

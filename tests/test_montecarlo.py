@@ -329,6 +329,8 @@ class TestConfigValidation:
             dict(replicates=True),
             dict(block_size="10"),
             dict(seed=1.5),
+            dict(replicates=10**400),
+            dict(block_size=10**400),
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -230,8 +230,18 @@ def _outcome(check):
     return [y.hex() for y in ys]
 
 
+# numpy arrays: float64 entries take the bulk path, int64 ones the per-entry path
+numpy_arrays = st.one_of(
+    st.lists(st.one_of(plain_entries.map(float), st.floats()), max_size=12)
+    .map(lambda xs: np.array(xs, dtype=np.float64)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=12)
+    .map(lambda xs: np.array(xs, dtype=np.int64)),
+)
+
+
 @settings(deadline=None)  # max_examples comes from the active profile
-@given(field_sequences(), st.sampled_from([None, 0.0]), st.booleans(), st.booleans())
+@given(st.one_of(field_sequences(), numpy_arrays), st.sampled_from([None, 0.0]),
+       st.booleans(), st.booleans())
 def test_check_reals_matches_the_per_entry_check(xs, low, strict, as_generator):
     expected = _outcome(lambda: tuple(check_real("weight", x, low, strict, i, "component")
                                       for i, x in enumerate(xs)))
