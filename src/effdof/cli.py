@@ -3,17 +3,17 @@
 Subcommands
 -----------
 estimate    df estimators and weight summaries for a components CSV
-simulate    run a simulation grid (presets or custom flags), emit tables + manifest
+simulate    run a simulation grid: markdown table on stdout, every cell field in --out
 jackknife   jackknife df from a file of pseudo-values
 welch       two-sample df, classic and corrected side by side
 mi          multiple-imputation total variance and df
 
 Exit codes: 0 success, 2 validation error, 3 parse error (also a file that is
-not UTF-8 or not well-formed CSV, and a cell the library's
-:class:`~effdof.errors.FieldError` rejects, reported at its line and column),
-4 degenerate input or an arithmetic error (a floating-point overflow or
-division by zero while evaluating an estimator, e.g. from weights near 1e200,
-or an overflow in a simulation grid, e.g. at nu 1e308).
+not UTF-8, a leading byte-order mark aside, or not well-formed CSV, and a cell
+the library's :class:`~effdof.errors.FieldError` rejects, at its line and
+column), 4 degenerate input or an arithmetic error (a floating-point overflow
+or division by zero while evaluating an estimator, e.g. from weights near
+1e200, or an overflow in a simulation grid, e.g. at nu 1e308).
 All simulation randomness flows from ``--seed``; without the flag a seed is
 drawn from system entropy and recorded in the run manifest. Simulation tables
 go to stdout and are byte-identical across reruns and thread counts for a
@@ -84,11 +84,13 @@ PRESETS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 
 def _read_text(path: str | Path) -> str:
-    """The file's text; a missing, unreadable or non-UTF-8 file is a ParseError."""
+    """The file's text, without a leading UTF-8 byte-order mark (spreadsheets
+    write one); a missing, unreadable or non-UTF-8 file is a ParseError."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    data = data.removeprefix(b"\xef\xbb\xbf")  # not utf-8-sig: its error offsets skip it
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -180,14 +182,12 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: st
         writer.writerow(headers)
         writer.writerows(rows)
         return out.getvalue()
-    if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(headers) + " |",
-            "|" + "|".join(" --- " for _ in headers) + "|",
-        ]
-        lines += ["| " + " | ".join(row) + " |" for row in rows]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    lines = [
+        "| " + " | ".join(headers) + " |",
+        "|" + "|".join(" --- " for _ in headers) + "|",
+    ]
+    lines += ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _estimate_payload(cs: ComponentSet) -> dict:
@@ -218,43 +218,32 @@ def render_estimate(payload: dict, fmt: str, precision: int) -> str:
     return _render_table(headers, rows, fmt)
 
 
-_CLASSIC_HEADERS = {
-    "csv": ("k", "df", "mean_satt", "sd_satt", "mean_corr", "sd_corr", "expected"),
-    "markdown": ("K", "df", "mean unc", "SD unc", "mean corr", "SD corr", "K x nu"),
-}
-_RATIO_HEADERS = {
-    "csv": ("k", "nu", "mean_kish", "mean_satt", "mean_corr", "expected",
-            "kish_over_k", "satt_over_expected", "corr_over_expected"),
-    "markdown": ("K", "nu", "M(Kish)", "M(Satt)", "M(Corr)", "K x nu",
-                 "Kish/K", "Satt/(K nu)", "Corr/(K nu)"),
-}
+_CLASSIC_HEADERS = ("K", "df", "mean unc", "SD unc", "mean corr", "SD corr", "K x nu")
+_RATIO_HEADERS = ("K", "nu", "M(Kish)", "M(Satt)", "M(Corr)", "K x nu",
+                  "Kish/K", "Satt/(K nu)", "Corr/(K nu)")
 
 
-def render_cells(cells: Sequence[SimCell], fmt: str, precision: int, layout: str) -> str:
-    """The cells as a table: ``layout`` ``"classic"`` gives mean/SD columns,
-    anything else the Kish and ratio columns."""
-    if fmt == "json":
-        import json
-        from dataclasses import asdict
-
-        return json.dumps({"cells": [asdict(c) for c in cells]}, indent=2) + "\n"
+def render_cells(cells: Sequence[SimCell], precision: int, ratios: bool) -> str:
+    """The cells as the paper's markdown table: the Kish and ratio columns if
+    ``ratios``, else the classic mean/SD columns (every field at full precision:
+    :func:`cells_csv_full_precision`)."""
     p = precision
-    if layout == "classic":
-        headers = _CLASSIC_HEADERS[fmt]
-        rows = [
-            [str(c.k), f"{c.nu_bar:g}", _fmt(c.mean_satt, p), _fmt(c.sd_satt, p),
-             _fmt(c.mean_corr, p), _fmt(c.sd_corr, p), f"{c.expected:g}"]
-            for c in cells
-        ]
-    else:
-        headers = _RATIO_HEADERS[fmt]
+    if ratios:
+        headers = _RATIO_HEADERS
         rows = [
             [str(c.k), f"{c.nu_bar:g}", _fmt(c.mean_kish, p), _fmt(c.mean_satt, p),
              _fmt(c.mean_corr, p), f"{c.expected:g}", _fmt(c.ratio_kish_k, p),
              _fmt(c.ratio_satt, p), _fmt(c.ratio_corr, p)]
             for c in cells
         ]
-    return _render_table(headers, rows, fmt)
+    else:
+        headers = _CLASSIC_HEADERS
+        rows = [
+            [str(c.k), f"{c.nu_bar:g}", _fmt(c.mean_satt, p), _fmt(c.sd_satt, p),
+             _fmt(c.mean_corr, p), _fmt(c.sd_corr, p), f"{c.expected:g}"]
+            for c in cells
+        ]
+    return _render_table(headers, rows, "markdown")
 
 
 def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
@@ -351,8 +340,7 @@ def _cmd_simulate(args) -> int:
     duration = time.perf_counter() - start
 
     ratios = (args.preset or "").startswith("tables45") or cfg.weight_mode == "random"
-    table = render_cells(result.cells, args.format, args.precision,
-                         "ratios" if ratios else "classic")
+    table = render_cells(result.cells, args.precision, ratios)
     manifest = json.dumps(build_manifest(cfg, result.weight_rejections, duration),
                           indent=2) + "\n"
     # the files before stdout, so a failure leaves stdout empty
@@ -436,10 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--block-size", type=int, default=10_000,
                      help="replicates per substream block (default 10000)")
     sim.add_argument("--threads", type=int, default=1,
-                     help="worker threads; results do not depend on this")
+                     help="worker threads (1-256); results do not depend on this")
     sim.add_argument("--out", help="directory for cells.csv and manifest.json")
-    sim.add_argument("--format", choices=("csv", "json", "markdown"),
-                     default="markdown")
     _add_precision(sim)
     sim.set_defaults(func=_cmd_simulate)
 

@@ -220,10 +220,5 @@ def check_int(name: str, x, low: int) -> int:
             or x < low):
         raise FieldError(name, f"{name} must be an integer >= {low}, got {x!r}")
     x = int(x)
-    try:
-        float(x)
-    except OverflowError:
-        # as in check_real: the value's repr may run to hundreds of digits
-        raise FieldError(name, f"{name} must be finite, got an int too large for a float"
-                         ) from None
+    check_real(name, x)  # refuses an int too large for a float
     return x

@@ -64,6 +64,9 @@ _WEIGHT_SD = 0.3
 # and a random-weight block holds about three arrays of that shape at once
 _MAX_BLOCK_VALUES = 2**24
 
+# cap on worker threads: each is an OS thread, and CPU-bound blocks gain nothing past the cores
+_MAX_THREADS = 256
+
 
 class WeightMode(str, enum.Enum):
     """The paper's two weight schemes, applied to every simulated replicate."""
@@ -344,10 +347,10 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     the Kish effective sample size, then aggregate means/SDs and ratio
     columns per cell. ``threads`` only controls scheduling: blocks are seeded
     by (seed, cell index, block index), so any thread count yields identical
-    cells.
+    cells. ``threads`` must lie in 1..256.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError(f"threads must be between 1 and {_MAX_THREADS}, got {threads}")
     grid = cfg.grid
     sizes = _block_sizes(cfg)
     tasks = [

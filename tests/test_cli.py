@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import effdof
-from effdof import applications, cli, errors, estimators, run_grid_detailed
+from effdof import applications, cli, errors, estimators, montecarlo, run_grid_detailed
 from effdof.cli import (
     cells_csv_full_precision,
     main,
@@ -162,6 +162,25 @@ class TestEstimate:
         assert err == ("effdof: parse error: line 1: cannot decode byte 0xff as UTF-8 "
                        "(invalid start byte)\n")
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # spreadsheets' "CSV UTF-8" export starts the file with one
+        plain = write(tmp_path, "plain.csv", TWO_COMPONENTS)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + TWO_COMPONENTS.encode())
+        for fmt in ("csv", "json", "markdown"):
+            expected = run_cli(capsys, "estimate", "--input", plain, "--format", fmt)
+            assert expected[0] == 0
+            assert run_cli(capsys, "estimate", "--input", str(marked),
+                           "--format", fmt) == expected
+
+    def test_byte_order_mark_keeps_decode_error_positions(self, capsys, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfweight,variance,dof\n\xff\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("effdof: parse error: line 2: cannot decode byte 0xff as UTF-8 "
+                       "(invalid start byte)\n")
+
     def test_malformed_csv_is_a_parse_error(self, capsys, tmp_path):
         cell = "1" * (csv.field_size_limit() + 1)
         path = write(tmp_path, "long.csv", f"weight,variance,dof\n1,1,4\n1,{cell},4\n")
@@ -223,6 +242,15 @@ class TestJackknifeCommand:
         assert (code, out) == (3, "")
         assert err == ("effdof: parse error: line 3: cannot decode byte 0xe9 as UTF-8 "
                        "(invalid continuation byte)\n")
+
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        plain = write(tmp_path, "pv.txt", "0\n0\n2\n2\n")
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf0\n0\n2\n2\n")
+        expected = run_cli(capsys, "jackknife", "--input", plain)
+        assert expected == (0, "10.000\n", "")
+        assert run_cli(capsys, "jackknife", "--input", str(marked)) == expected
 
 
 class TestCheckedOnce:
@@ -392,49 +420,94 @@ class TestSimulateCommand:
             with pytest.raises(TypeError, match=key):
                 effdof.SimConfig(**manifest["config"], **{key: value})
 
-    def test_preset_grid_shape(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--preset", "tables123",
-                               "--replicates", "5", "--seed", "1",
-                               "--format", "csv")
+    def out_cells(self, capsys, tmp_path, *argv):
+        """Run ``simulate`` with ``--out``; its stdout and the rows of its cells.csv."""
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--out", str(out_dir))
         assert code == 0
+        text = (out_dir / "cells.csv").read_text(encoding="utf-8")
+        return out, list(csv.DictReader(io.StringIO(text)))
+
+    def test_preset_grid_shape(self, capsys, tmp_path):
+        out, cells = self.out_cells(capsys, tmp_path, "--preset", "tables123",
+                                    "--replicates", "5", "--seed", "1")
+        assert len(cells) == 36
         rows = out.strip().splitlines()
-        assert len(rows) == 1 + 36
-        assert rows[0] == "k,df,mean_satt,sd_satt,mean_corr,sd_corr,expected"
+        assert len(rows) == 2 + 36
+        assert rows[0] == "| K | df | mean unc | SD unc | mean corr | SD corr | K x nu |"
 
-    def test_preset_flag_overrides(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--preset", "tables123",
-                               "--k", "64", "--nu", "32", "--replicates", "5",
-                               "--seed", "1", "--format", "csv")
-        rows = out.strip().splitlines()
-        assert len(rows) == 2 and rows[1].startswith("64,32")
+    def test_preset_flag_overrides(self, capsys, tmp_path):
+        out, cells = self.out_cells(capsys, tmp_path, "--preset", "tables123",
+                                    "--k", "64", "--nu", "32", "--replicates", "5",
+                                    "--seed", "1")
+        assert len(cells) == 1
+        assert (int(cells[0]["k"]), float(cells[0]["nu_bar"])) == (64, 32.0)
+        assert out.splitlines()[2].startswith("| 64 | 32 |")
 
-    def test_ratio_layout_for_random_weights(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--k", "16", "--nu", "5",
-                               "--weights", "random",
-                               "--replicates", "2000", "--seed", "3",
-                               "--format", "csv")
-        assert code == 0
-        header = out.splitlines()[0].split(",")
-        assert "kish_over_k" in header
-        row = dict(zip(header, out.splitlines()[1].split(",")))
-        assert 0.90 <= float(row["kish_over_k"]) <= 0.94
+    def test_ratio_layout_for_random_weights(self, capsys, tmp_path):
+        out, cells = self.out_cells(capsys, tmp_path, "--k", "16", "--nu", "5",
+                                    "--weights", "random",
+                                    "--replicates", "2000", "--seed", "3")
+        assert "| Kish/K |" in out.splitlines()[0]
+        assert 0.90 <= float(cells[0]["ratio_kish_k"]) <= 0.94
 
-    def test_json_cells(self, capsys):
-        code, out, _ = run_cli(capsys, *self.BASE, "--format", "json")
-        cells = json.loads(out)["cells"]
-        assert len(cells) == 1 and cells[0]["k"] == 2
-
-    def test_reference_cell_through_cli(self, capsys):
+    def test_reference_cell_through_cli(self, capsys, tmp_path):
         # the K=2 df=1 ideal-case cell lands on its reference means
-        code, out, _ = run_cli(capsys, "simulate", "--preset", "tables123",
-                               "--k", "2", "--nu", "1",
-                               "--replicates", "100000", "--seed", "42",
-                               "--format", "csv")
-        assert code == 0
-        header, row = (line.split(",") for line in out.strip().splitlines())
-        cell = dict(zip(header, row))
+        _, cells = self.out_cells(capsys, tmp_path, "--preset", "tables123",
+                                  "--k", "2", "--nu", "1",
+                                  "--replicates", "100000", "--seed", "42")
+        [cell] = cells
         assert abs(float(cell["mean_satt"]) - 1.410) <= 0.05
         assert abs(float(cell["mean_corr"]) - 2.229) <= 0.10
+
+    def test_stdout_rows_show_cells_csv_at_precision(self, capsys, tmp_path):
+        # the markdown table is the cells.csv rows rounded to --precision, in both layouts
+        classic = ("k", "nu_bar", "mean_satt", "sd_satt", "mean_corr", "sd_corr", "expected")
+        ratios = ("k", "nu_bar", "mean_kish", "mean_satt", "mean_corr", "expected",
+                  "ratio_kish_k", "ratio_satt", "ratio_corr")
+        plain = {"k", "nu_bar", "expected"}  # printed with :g, the rest at --precision
+        for i, (precision, columns, ks, argv) in enumerate((
+            (3, classic, ["2"], self.BASE[1:]),
+            (5, classic, ["2", "2", "5", "5"],
+             ("--k", "2", "5", "--nu", "1", "2.5", "--replicates", "300", "--seed", "7",
+              "--precision", "5")),
+            (2, ratios, ["3", "3", "16", "16"],
+             ("--k", "3", "16", "--nu", "0.5", "50", "--weights", "random",
+              "--replicates", "300", "--seed", "7", "--precision", "2")),
+        )):
+            out, cells = self.out_cells(capsys, tmp_path / str(i), *argv)
+            rows = out.splitlines()[2:]
+            assert [c["k"] for c in cells] == ks and len(rows) == len(cells)
+            for row, cell in zip(rows, cells):
+                shown = [f"{float(cell[n]):g}" if n in plain
+                         else f"{float(cell[n]):.{precision}f}" for n in columns]
+                assert row == "| " + " | ".join(shown) + " |"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    def test_removed_format_flag_is_refused(self, capsys, tmp_path, fmt):
+        # the table is always markdown; --out DIR writes cells.csv at full precision
+        with pytest.raises(SystemExit) as exc:
+            main([*self.BASE, "--format", fmt, "--out", str(tmp_path / "run")])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "unrecognized arguments: --format" in captured.err
+        assert not (tmp_path / "run").exists()
+
+    def test_too_many_threads_fail_before_any_pool_starts(self, capsys, monkeypatch,
+                                                          tmp_path):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                pytest.fail("a thread pool was constructed")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", NoPool)
+        for threads in ("257", "100000"):
+            code, out, err = run_cli(capsys, "simulate", "--k", "2", "--nu", "1",
+                                     "--replicates", "100000", "--block-size", "1",
+                                     "--seed", "1", "--threads", threads,
+                                     "--out", str(tmp_path / "run"))
+            assert (code, out) == (2, "")
+            assert err == f"effdof: threads must be between 1 and 256, got {threads}\n"
+            assert not (tmp_path / "run").exists()
 
     def test_seed_drawn_when_missing(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--k", "2", "--nu", "1",

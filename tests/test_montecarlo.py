@@ -367,3 +367,7 @@ class TestConfigValidation:
     def test_thread_validation(self):
         with pytest.raises(ValueError):
             run_grid_detailed(make_cfg(replicates=10), threads=0)
+        # one block, so even a missing bound would start a single thread
+        with pytest.raises(ValueError, match="between 1 and 256, got 257"):
+            run_grid_detailed(make_cfg(replicates=10), threads=257)
+        assert run_grid_detailed(make_cfg(replicates=10), threads=256).cells
