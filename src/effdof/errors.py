@@ -8,7 +8,8 @@ such as the CLI can report the position in its own terms (a line and a column).
 
 :func:`check_reals` is the one sequence check. A sequence of plain ``float``,
 ``int`` or numpy ``float64`` entries that passes takes a bulk path of C-level
-loops (type set, conversion, a finite sum, the minimum); anything else, and
+loops (a count of float entries, then the type set and the conversion only
+when some entry is not a float, a finite sum, the minimum); anything else, and
 every sequence holding a bad entry, goes through :func:`check_real` entry by
 entry, which alone builds the :class:`FieldError` for a bad entry. Both paths
 accept and return the same values.
@@ -170,13 +171,15 @@ def _plain_floats(xs: tuple, low: float | None, strict: bool) -> tuple[float, ..
     """``xs`` as floats if every entry is a plain ``float`` or ``int`` (or a
     numpy ``float64``) that :func:`check_real` would accept, else None; C-level
     loops throughout."""
-    types = set(map(type, xs))
-    if not types <= _PLAIN_TYPES:
-        # a numpy float exists only once numpy is loaded; float() of one is exact
-        numpy = sys.modules.get("numpy")
-        if numpy is None or not types <= {float, int, numpy.float64}:
-            return None
-    if types - {float}:
+    # counting one type is cheaper than building the set of types, and the
+    # usual all-float sequence needs nothing more
+    if list(map(type, xs)).count(float) != len(xs):
+        types = set(map(type, xs))
+        if not types <= _PLAIN_TYPES:
+            # a numpy float exists only once numpy is loaded; float() of one is exact
+            numpy = sys.modules.get("numpy")
+            if numpy is None or not types <= {float, int, numpy.float64}:
+                return None
         try:
             xs = tuple(map(float, xs))
         except OverflowError:

@@ -26,7 +26,11 @@ carrying its ``field`` and 0-based ``index``, e.g. ``index 1: weight must be
 
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
-use. Degrees of freedom are real-valued throughout; nothing requires
+use. The weight summaries scale the weights by a power of two only when
+some weight lies outside [2**-250, 2**250] (or is zero): inside that range
+every sum, square and quotient they form is a normal float, where scaling by
+a power of two changes no bit, and outside it the scaling keeps them in
+range. Degrees of freedom are real-valued throughout; nothing requires
 integrality.
 """
 
@@ -36,6 +40,7 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
+from itertools import repeat
 
 from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, _Record, check_reals
 
@@ -61,13 +66,14 @@ class ComponentSet(_Record):
     (see :meth:`from_arrays`) and stores the three tuples as floats.
 
     A set forms its weighted variances w_k S_k^2 once, when it is built, and
-    computes the ratio sums of the df estimators on first use: the numerator
-    once, and each denominator once per ``Variant.dof_offset``. Every df
-    estimator on the set reuses them. Any caller would compute the same
-    values, so sharing a set between threads is safe.
+    the rest of the df estimators' ratio on first use: the numerator once, the
+    squares (w_k S_k^2)^2 once, and each denominator once per
+    ``Variant.dof_offset``. Every df estimator on the set reuses them. Any
+    caller would compute the same values, so sharing a set between threads is
+    safe.
     """
 
-    __slots__ = ("weights", "variances", "dofs", "_products", "_sums")
+    __slots__ = ("weights", "variances", "dofs", "_products", "_memo")
     weights: tuple[float, ...]
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
@@ -89,8 +95,9 @@ class ComponentSet(_Record):
             )
         self._freeze(weights, variances, dofs)
         object.__setattr__(self, "_products", products)
-        # the ratio sums: None -> numerator, a dof offset -> its denominator
-        object.__setattr__(self, "_sums", {})
+        # the ratio memo: None -> numerator, "squares" -> the squared
+        # products, a dof offset -> its denominator
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def from_arrays(
@@ -186,11 +193,29 @@ def _unit_scaled(xs: Sequence[float]) -> list[float]:
     sums of powers of these values equals the unscaled one wherever that
     neither overflows nor underflows, and stays in range where it would.
     """
-    _, exponent = math.frexp(max(map(abs, xs)))
+    # max|x| without a float per entry: the larger of max(xs) and -min(xs)
+    _, exponent = math.frexp(max(max(xs), -min(xs)))
     # 2**1023 is the largest power of two a float holds; a subnormal max
     # times it is still at least 2**-51, far from underflow when squared
     factor = math.ldexp(1.0, min(-exponent, 1023))
     return [x * factor for x in xs]
+
+
+def _scaled_if_needed(ws: tuple[float, ...]) -> Sequence[float]:
+    """The weights ``ws`` for the weight summaries: ``ws`` itself when every
+    weight lies in [2**-250, 2**250], else :func:`_unit_scaled` of them (a zero
+    weight is outside).
+
+    Inside that range the squares lie in [2**-500, 2**500]. Unit-scaled, the
+    largest weight is in [0.5, 1) and none is below 2**-500 of it, so they lie
+    in [2**-501, 1) and their squares in [2**-1002, 1). Every sum, square and
+    quotient the summaries form is then a normal float with or without the
+    scaling, and there a correctly rounded operation (``fsum`` included)
+    commutes with a power of two: skipping the scaling changes no bit.
+    """
+    if 2.0 ** -250 <= min(ws) and max(ws) <= 2.0 ** 250:
+        return ws
+    return _unit_scaled(ws)
 
 
 def _single_positive(a: Sequence[float]) -> int | None:
@@ -208,11 +233,12 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
     minus the shift, with both constants taken from ``variant``.
 
-    The products and sums come from ``cs``: each is computed once per set and
-    stored there, so the three estimators on one set make one numerator pass
-    and two denominator passes (corrected and Boardman share an offset). The
-    sums wait for first use because they may overflow: building a set never
-    raises it, and a sum that raises is not stored.
+    The products, their squares and the sums come from ``cs``: each is
+    computed once per set and stored there, so the three estimators on one
+    set make one numerator pass, one squares pass and two denominator passes
+    (corrected and Boardman share an offset). The sums wait for first use
+    because they may overflow: building a set never raises it, and a sum that
+    raises is not stored.
     """
     offset = variant.dof_offset
     a = cs._products
@@ -224,14 +250,19 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
         dof = cs.dofs[only]
         value = dof + (offset - variant.shift)
         return DfEstimate(variant, value, aa, aa / (dof + offset))
-    sums = cs._sums
-    numerator = sums.get(None)
+    memo = cs._memo
+    numerator = memo.get(None)
     if numerator is None:
-        numerator = sums[None] = math.fsum(a) ** 2
-    denominator = sums.get(offset)
+        # ** 2, not *: a sum too large to square raises OverflowError, not inf
+        numerator = memo[None] = math.fsum(a) ** 2
+    denominator = memo.get(offset)
     if denominator is None:
-        denominator = sums[offset] = math.fsum(x * x / (d + offset)
-                                               for x, d in zip(a, cs.dofs))
+        squares = memo.get("squares")
+        if squares is None:
+            squares = memo["squares"] = tuple(map(operator.mul, a, a))
+        # d + 0.0 == d for every dof d > 0, so the classic form skips the add
+        dofs = map(operator.add, cs.dofs, repeat(offset)) if offset else cs.dofs
+        denominator = memo[offset] = math.fsum(map(operator.truediv, squares, dofs))
     if denominator == 0.0:
         raise DegenerateComponents(
             "all weighted variances are zero; df estimators are undefined"
@@ -282,8 +313,10 @@ def kish_neff(weights) -> float:
 
     Equals the number of observations for uniform positive weights (returned
     exactly in that case) and is bounded by 1 below and by the count of
-    strictly positive weights above. Weights are rescaled by a power of two
-    first, so any finite magnitude gives the same value.
+    strictly positive weights above. Any finite magnitude gives the same
+    value: when a weight lies outside [2**-250, 2**250] (or is zero), the
+    weights are scaled by a power of two first; inside that range the scaling
+    would change no bit, so it is skipped.
 
     Raises:
         AllZeroWeights: if every weight is zero.
@@ -296,7 +329,7 @@ def _kish_neff(ws: tuple[float, ...]) -> float:
     _require_positive_weight(ws)
     if _all_equal(ws, ws[0]):
         return float(len(ws))
-    ws = _unit_scaled(ws)
+    ws = _scaled_if_needed(ws)
     total = math.fsum(ws)
     return total * total / math.fsum(map(operator.mul, ws, ws))
 
@@ -305,7 +338,9 @@ def relvariance(weights) -> float:
     """Relative variance of the weights: ``mean((w_k / wbar - 1)^2)``.
 
     Zero exactly when all weights are equal (returned exactly in that case),
-    positive otherwise.
+    positive otherwise. Like :func:`kish_neff`, it scales the weights by a
+    power of two only when one lies outside [2**-250, 2**250] (or is zero),
+    so any finite magnitude gives the same value.
 
     Raises:
         AllZeroWeights: if every weight is zero.
@@ -318,7 +353,7 @@ def _relvariance(ws: tuple[float, ...]) -> float:
     _require_positive_weight(ws)
     if _all_equal(ws, ws[0]):
         return 0.0
-    ws = _unit_scaled(ws)
+    ws = _scaled_if_needed(ws)
     mean = math.fsum(ws) / len(ws)
     return math.fsum((w / mean - 1.0) ** 2 for w in ws) / len(ws)
 

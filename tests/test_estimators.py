@@ -280,6 +280,12 @@ class TestWeightSummaries:
         assert mean_deff == pytest.approx(1.09, abs=0.02)
 
 
+def test_unit_scaled_takes_the_largest_magnitude_from_a_negative_entry():
+    # max|x| is |-3| in [2, 4), so the factor is 2**-2; max(xs) = 1 would give 2**-1
+    assert estimators._unit_scaled([-3.0, 1.0]) == [-0.75, 0.25]
+    assert estimators._unit_scaled([1.0, -3.0]) == [0.25, -0.75]
+
+
 class TestConcurrency:
     def test_pure_functions_are_thread_safe(self):
         from concurrent.futures import ThreadPoolExecutor

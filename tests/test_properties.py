@@ -21,6 +21,7 @@ from effdof import (
     satterthwaite_df,
 )
 from effdof.errors import FieldError, check_real, check_reals
+from effdof.estimators import _kish_neff, _relvariance, _unit_scaled
 from oracles import satterthwaite_df_harmonic
 
 REL = 1e-12
@@ -167,6 +168,55 @@ def test_weight_summaries_power_of_two_scaling_is_exact(ws, e):
     scaled = [math.ldexp(w, e) for w in ws]
     assert kish_neff(scaled) == kish_neff(ws)
     assert design_effect(scaled) == design_effect(ws)
+
+
+def _always_scaled_kish(ws):
+    """Kish n_eff with the power-of-two scaling applied to every input."""
+    if len(set(ws)) == 1:
+        return float(len(ws))
+    ws = _unit_scaled(ws)
+    total = math.fsum(ws)
+    return total * total / math.fsum(w * w for w in ws)
+
+
+def _always_scaled_relvariance(ws):
+    """The relvariance with the power-of-two scaling applied to every input."""
+    if len(set(ws)) == 1:
+        return 0.0
+    ws = _unit_scaled(ws)
+    mean = math.fsum(ws) / len(ws)
+    return math.fsum((w / mean - 1.0) ** 2 for w in ws) / len(ws)
+
+
+@st.composite
+def wide_weight_vectors(draw):
+    """Weights whose exponents differ by at most 12 from a common one, which lies
+    near the edges 2**-250 and 2**250 of the range where the weight summaries
+    skip their scaling, near 2**-511 and 2**512 where a square leaves the
+    normal range, or anywhere in the float range; with up to two zeros,
+    subnormals or weights of any exponent mixed in."""
+    center = draw(st.one_of(st.integers(-262, -238), st.integers(238, 262),
+                            st.integers(-540, -500), st.integers(500, 540),
+                            st.integers(-1074, 1024)))
+    spread = draw(st.integers(0, 12))
+    mantissas = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
+    near = st.builds(math.ldexp, mantissas,
+                     st.integers(max(center - spread, -1074), min(center + spread, 1024)))
+    ws = draw(st.lists(near, min_size=1, max_size=12))
+    odd = st.one_of(st.just(0.0),
+                    st.floats(min_value=0.0, max_value=2.0 ** -1022, exclude_max=True),
+                    st.builds(math.ldexp, mantissas, st.integers(-1074, 1024)))
+    for _ in range(draw(st.integers(0, 2))):
+        ws.insert(draw(st.integers(0, len(ws))), draw(odd))
+    assume(any(ws))
+    return tuple(ws)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_weight_vectors())
+def test_weight_summaries_skip_scaling_without_changing_a_bit(ws):
+    assert _kish_neff(ws).hex() == _always_scaled_kish(ws).hex()
+    assert _relvariance(ws).hex() == _always_scaled_relvariance(ws).hex()
 
 
 @settings(max_examples=300, deadline=None)
