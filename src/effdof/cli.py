@@ -341,16 +341,17 @@ def _cmd_simulate(args) -> int:
 
     ratios = (args.preset or "").startswith("tables45") or cfg.weight_mode == "random"
     table = render_cells(result.cells, args.precision, ratios)
-    manifest = json.dumps(build_manifest(cfg, result.weight_rejections, duration),
-                          indent=2) + "\n"
+    manifest = build_manifest(cfg, result.weight_rejections, duration)
+    manifest["cell_weight_rejections"] = list(result.cell_weight_rejections)  # grid order
+    manifest_text = json.dumps(manifest, indent=2) + "\n"
     # the files before stdout, so a failure leaves stdout empty
     if out:
         (out / "cells.csv").write_text(cells_csv_full_precision(result.cells),
                                        encoding="utf-8")
-        (out / "manifest.json").write_text(manifest, encoding="utf-8")
+        (out / "manifest.json").write_text(manifest_text, encoding="utf-8")
     sys.stdout.write(table)
     if not out:
-        sys.stderr.write(manifest)
+        sys.stderr.write(manifest_text)
     return 0
 
 

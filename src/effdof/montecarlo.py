@@ -61,7 +61,7 @@ _MAX_SEED = 2**64
 _WEIGHT_SD = 0.3
 
 # floats in one block's (replicates x K) variance array: 2**24 is 128 MiB,
-# and a random-weight block holds about three arrays of that shape at once
+# and a random-weight block holds two arrays of that shape at once
 _MAX_BLOCK_VALUES = 2**24
 
 # cap on worker threads: each is an OS thread, and CPU-bound blocks gain nothing past the cores
@@ -83,7 +83,8 @@ class SimConfig:
     ``replicates`` independent replicates split into blocks of ``block_size``
     (the parallel/substream unit, so changing it changes the draws). One
     block draws ``min(block_size, replicates) x max(k_values)`` values, at
-    most 2**24 (a 128 MiB array); a larger block raises ``ValueError``.
+    most 2**24 (a 128 MiB array; a random-weight block holds two); a larger
+    block raises ``ValueError``.
     ``weight_mode`` picks equal weights or Normal(1, 0.3) weights redrawn for
     every replicate. Equal weights are 1 and every component's true variance
     is 1: the df estimators are scale invariant, so neither value can change
@@ -158,10 +159,14 @@ class SimCell:
 
 @dataclass(frozen=True)
 class GridResult:
-    """Cells of a grid run plus the telemetry the run manifest records."""
+    """Cells of a grid run plus the telemetry the run manifest records.
+
+    ``cell_weight_rejections`` counts each cell's weight redraws, in grid order.
+    """
 
     cells: list[SimCell]
     weight_rejections: int
+    cell_weight_rejections: tuple[int, ...]
 
 
 def sample_component_variance(nu, rng: np.random.Generator, size=None):
@@ -188,8 +193,8 @@ def batch_df_estimates(weights, s2, nu):
     ``weights`` broadcasts against ``s2`` (rows = replicates, columns =
     components); ``nu`` is the df shared by all components of a cell. Agrees
     with the scalar estimators row by row (covered by tests). A scalar weight
-    of 1 (equal mode) is not multiplied in, and the row sum of squares needs
-    no temporary array.
+    of 1 is not multiplied in, and the row sum of squares needs no temporary
+    array; the simulation weights its variances in place and passes 1.
     """
     import numpy as np
 
@@ -252,16 +257,21 @@ def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
 
 
 def _draw_weights(rng: np.random.Generator, shape):
-    """Normal(1, 0.3) weights with nonpositive entries redrawn; returns (w, redraws)."""
+    """Normal(1, 0.3) weights with nonpositive entries redrawn; returns (w, redraws).
+
+    Each round redraws the rejected entries in ascending position order; only
+    a fresh value can be rejected again, so later rounds test only those.
+    """
     w = rng.normal(1.0, _WEIGHT_SD, size=shape)
+    flat = w.reshape(-1)
+    bad = (flat <= 0.0).nonzero()[0]
     rejections = 0
-    while True:
-        bad = w <= 0.0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            return w, rejections
-        rejections += n_bad
-        w[bad] = rng.normal(1.0, _WEIGHT_SD, size=n_bad)
+    while bad.size:
+        rejections += bad.size
+        fresh = rng.normal(1.0, _WEIGHT_SD, size=bad.size)
+        flat[bad] = fresh
+        bad = bad[fresh <= 0.0]
+    return w, rejections
 
 
 def _block_sizes(cfg: SimConfig) -> list[int]:
@@ -288,13 +298,15 @@ def _block_sums(
         # weight row and stays unused, so fixed-seed output keeps its bytes
         rng = _block_rng(cfg.seed, cell, 1 + block_index)
         if cfg.weight_mode is WeightMode.EQUAL:
-            weights, rejections = 1.0, 0
+            rejections = 0
             kish_sum = float(n * k)  # n_eff is exactly K per replicate
+            s2 = sample_component_variance(nu_bar, rng, size=(n, k))
         else:
             weights, rejections = _draw_weights(rng, (n, k))
             kish_sum = float(batch_kish(weights).sum())
-        s2 = sample_component_variance(nu_bar, rng, size=(n, k))
-        satt, corr = batch_df_estimates(weights, s2, nu_bar)
+            s2 = sample_component_variance(nu_bar, rng, size=(n, k))
+            s2 *= weights  # the weighted variances, without a third array
+        satt, corr = batch_df_estimates(1.0, s2, nu_bar)
         return _BlockSums(n, *_mean_m2(satt), *_mean_m2(corr), kish_sum, rejections)
 
 
@@ -368,6 +380,7 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
         results = list(pool.map(work, tasks))  # map keeps task order
 
     b = len(sizes)
-    cells = [_assemble_cell(k, nu, results[ci * b:(ci + 1) * b])
-             for ci, (k, nu) in enumerate(grid)]
-    return GridResult(cells, sum(p.rejections for p in results))
+    parts = [results[ci * b:(ci + 1) * b] for ci in range(len(grid))]
+    cells = [_assemble_cell(k, nu, part) for (k, nu), part in zip(grid, parts)]
+    per_cell = tuple(sum(p.rejections for p in part) for part in parts)
+    return GridResult(cells, sum(per_cell), per_cell)

@@ -405,6 +405,19 @@ class TestSimulateCommand:
         assert manifest["config"]["replicates"] == 800
         assert "sfc64" in manifest["rng"]
         assert manifest["library_version"]
+        assert manifest["cell_weight_rejections"] == [0]
+
+    def test_manifest_counts_redraws_per_cell(self, capsys):
+        argv = ("simulate", "--k", "4", "32", "--nu", "1", "--weights", "random",
+                "--replicates", "6000", "--seed", "7")
+        manifests = []
+        for threads in ("1", "2"):
+            _, _, err = run_cli(capsys, *argv, "--threads", threads)
+            manifests.append(json.loads(err))
+        per_cell = manifests[0]["cell_weight_rejections"]
+        assert len(per_cell) == 2 and all(isinstance(n, int) for n in per_cell)
+        assert sum(per_cell) == manifests[0]["weight_rejections"] > 0
+        assert manifests[1]["cell_weight_rejections"] == per_cell
 
     def test_out_dir_and_manifest_round_trip(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

@@ -12,6 +12,7 @@ from effdof import (
     WeightMode,
     corrected_df,
     kish_neff,
+    montecarlo,
     run_grid_detailed,
     sample_component_variance,
     satterthwaite_df,
@@ -24,6 +25,7 @@ from effdof.montecarlo import (
     _block_rng,
     _block_sizes,
     _BlockSums,
+    _draw_weights,
     _mean_m2,
     batch_df_estimates,
     batch_kish,
@@ -34,6 +36,36 @@ def make_cfg(**kwargs):
     defaults = dict(k_values=(2,), nu_values=(1.0,), seed=42, replicates=2_000)
     defaults.update(kwargs)
     return SimConfig(**defaults)
+
+
+def reference_draw_weights(rng, shape):
+    """The whole-array redraw loop: rescan every entry until none is <= 0."""
+    w = rng.normal(1.0, montecarlo._WEIGHT_SD, size=shape)
+    rejections = 0
+    while True:
+        bad = w <= 0.0
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            return w, rejections
+        rejections += n_bad
+        w[bad] = rng.normal(1.0, montecarlo._WEIGHT_SD, size=n_bad)
+
+
+def reference_cells(cfg):
+    """Random-weight cells with a separate weighted-variance array, block by block."""
+    cells, rejections = [], []
+    for ci, (k, nu) in enumerate(cfg.grid):
+        partials = []
+        for bi, n in enumerate(_block_sizes(cfg)):
+            rng = _block_rng(cfg.seed, ci, 1 + bi)
+            weights, redraws = reference_draw_weights(rng, (n, k))
+            s2 = sample_component_variance(nu, rng, size=(n, k))
+            satt, corr = batch_df_estimates(weights, s2, nu)
+            partials.append(_BlockSums(n, *_mean_m2(satt), *_mean_m2(corr),
+                                       float(batch_kish(weights).sum()), redraws))
+        cells.append(_assemble_cell(k, nu, partials))
+        rejections.append(sum(p.rejections for p in partials))
+    return cells, tuple(rejections)
 
 
 class TestSampler:
@@ -136,6 +168,41 @@ class TestBatchAgainstScalar:
             batch_df_estimates(weights, s2, 2.0)
 
 
+class TestWeightDraw:
+    # sd 1.0 puts P(w <= 0) near 16%, so blocks take several redraw rounds
+    @pytest.mark.parametrize("sd", [0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (500, 16), (2_000, 64)])
+    def test_matches_the_whole_array_redraw(self, monkeypatch, sd, seed, shape):
+        monkeypatch.setattr(montecarlo, "_WEIGHT_SD", sd)
+        rng, ref_rng = _block_rng(seed, 0, 1), _block_rng(seed, 0, 1)
+        w, redraws = _draw_weights(rng, shape)
+        ref, ref_redraws = reference_draw_weights(ref_rng, shape)
+        assert w.shape == shape and np.array_equal(w, ref)
+        assert redraws == ref_redraws
+        assert (w > 0.0).all()
+        # both leave the stream at the same position
+        assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+    def test_several_rounds_occur_at_a_wide_sd(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_WEIGHT_SD", 1.0)
+        shape = (2_000, 64)
+        _, redraws = _draw_weights(_block_rng(0, 0, 1), shape)
+        # one round would redraw about 16% of the entries; more rounds add 16% of that
+        assert redraws > 0.17 * shape[0] * shape[1]
+
+    @pytest.mark.parametrize("sd", [0.3, 1.0])
+    def test_random_grid_matches_the_reference_block(self, monkeypatch, sd):
+        monkeypatch.setattr(montecarlo, "_WEIGHT_SD", sd)
+        cfg = make_cfg(k_values=(3, 16), nu_values=(1.0, 5.0), replicates=12_000,
+                       block_size=5_000, weight_mode=WeightMode.RANDOM_NORMAL)
+        result = run_grid_detailed(cfg)
+        cells, rejections = reference_cells(cfg)
+        assert result.cells == cells
+        assert result.cell_weight_rejections == rejections
+        assert result.weight_rejections == sum(rejections)
+
+
 class TestDeterminism:
     def test_rerun_is_identical(self):
         cfg = make_cfg(k_values=(2, 4), nu_values=(1.0, 8.0), replicates=3_000)
@@ -157,6 +224,7 @@ class TestDeterminism:
         b = run_grid_detailed(cfg, threads=3)
         assert a.cells == b.cells
         assert a.weight_rejections == b.weight_rejections
+        assert a.cell_weight_rejections == b.cell_weight_rejections
 
     def test_single_replicate_cell(self):
         cfg = make_cfg(replicates=1)
@@ -296,6 +364,22 @@ class TestAggregates:
         result = run_grid_detailed(cfg)
         # P(w <= 0) ~ 4.3e-4 per draw over 800k draws
         assert 200 < result.weight_rejections < 500
+
+    def test_weight_rejections_per_cell(self):
+        cfg = make_cfg(k_values=(4, 32), nu_values=(1.0, 8.0), replicates=9_000,
+                       block_size=2_000, weight_mode=WeightMode.RANDOM_NORMAL)
+        result = run_grid_detailed(cfg, threads=2)
+        per_cell = result.cell_weight_rejections
+        assert len(per_cell) == len(cfg.grid)
+        assert sum(per_cell) == result.weight_rejections
+        # P(w <= 0) ~ 4.3e-4 per draw: K=32 cells draw 8x the weights of K=4 cells
+        assert per_cell[2] > per_cell[0] and per_cell[3] > per_cell[1]
+
+    def test_no_weight_rejections_in_equal_mode(self):
+        cfg = make_cfg(k_values=(2, 8), nu_values=(1.0, 4.0), replicates=600)
+        result = run_grid_detailed(cfg, threads=2)
+        assert result.cell_weight_rejections == (0, 0, 0, 0)
+        assert result.weight_rejections == 0
 
 
 
