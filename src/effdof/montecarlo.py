@@ -21,10 +21,12 @@ times cheaper than a gamma draw of shape 1/2; other df come from numpy's
 shape >= 1, Ahrens-Dieter GS for shape < 1, which covers component df below 2
 other than 1).
 
-numpy is imported inside the functions that draw or reduce arrays, so
-importing this module does not load numpy. ``effdof`` and ``effdof.cli`` do
-not import this module at all until a simulation name is first used or
-``effdof simulate`` runs; the closed-form estimators never need it.
+Every component of a cell shares nu, so a replicate reduces to one ratio
+R = (sum a)^2 / sum a^2 of its weighted variances a: the classic df is nu * R
+and the corrected df (nu + 2) * R - 2. Blocks reduce R alone, and each cell
+derives both estimators' means and SDs from R's. numpy loads with this
+module; ``effdof`` and ``effdof.cli`` import it only when a simulation name
+is first used or ``effdof simulate`` runs.
 """
 
 from __future__ import annotations
@@ -33,12 +35,10 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import DegenerateComponents, FieldError, check_int, check_real
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "WeightMode",
@@ -176,7 +176,8 @@ def sample_component_variance(nu, rng: np.random.Generator, size=None):
     X, so ``E[S^2] = 1`` and ``Var[S^2] = 2 / nu``. For nu == 1, X is a
     squared standard normal; otherwise S^2 is one gamma draw of shape nu/2
     and scale ``2 / nu``. ``size=None`` gives one float; an int or shape
-    tuple gives an array, built in place without a second array.
+    tuple gives an array, built in place without a second array. A nu so
+    small that ``2 / nu`` overflows raises ``FloatingPointError``.
     """
     if not nu > 0:
         raise ValueError("nu must be > 0")
@@ -184,6 +185,8 @@ def sample_component_variance(nu, rng: np.random.Generator, size=None):
         x = rng.standard_normal(size)
         x *= x
         return x
+    if not math.isfinite(2.0 / nu):  # numpy's gamma gives NaN at an infinite scale
+        raise FloatingPointError(f"overflow: the gamma scale 2 / nu is infinite at nu={nu!r}")
     return rng.gamma(nu / 2.0, 2.0 / nu, size)
 
 
@@ -194,10 +197,10 @@ def batch_df_estimates(weights, s2, nu):
     components); ``nu`` is the df shared by all components of a cell. Agrees
     with the scalar estimators row by row (covered by tests). A scalar weight
     of 1 is not multiplied in, and the row sum of squares needs no temporary
-    array; the simulation weights its variances in place and passes 1.
+    array. At ``nu == 1`` the classic estimate is the ratio R = (sum a)^2 /
+    sum a^2 itself: the simulation weights its variances in place and calls
+    this with weight 1 and nu 1 to get R.
     """
-    import numpy as np
-
     a = np.asarray(s2, dtype=float)
     if not (np.ndim(weights) == 0 and weights == 1.0):
         a = np.asarray(weights, dtype=float) * a
@@ -212,8 +215,6 @@ def batch_df_estimates(weights, s2, nu):
 
 def batch_kish(weights):
     """Vectorized Kish effective sample size over weight rows."""
-    import numpy as np
-
     w = np.asarray(weights, dtype=float)
     return w.sum(axis=-1) ** 2 / (w * w).sum(axis=-1)
 
@@ -226,15 +227,13 @@ def batch_kish(weights):
 class _BlockSums:
     """Partial results of one replicate block.
 
-    ``mean_*`` is the block mean of an estimator and ``m2_*`` the sum of
-    squared deviations from that mean; ``kish`` is the block's Kish sum.
+    ``mean`` is the block mean of the ratio R and ``m2`` the sum of squared
+    deviations from that mean; ``kish`` is the block's Kish sum.
     """
 
     n: int
-    mean_satt: float
-    m2_satt: float
-    mean_corr: float
-    m2_corr: float
+    mean: float
+    m2: float
     kish: float
     rejections: int
 
@@ -248,8 +247,6 @@ def _mean_m2(x: np.ndarray) -> tuple[float, float]:
 
 def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
     """SFC64 generator of substream ``index`` of grid cell ``cell``."""
-    import numpy as np
-
     # explicit spawn key: pure, and independent of how many children a
     # parent sequence has handed out before
     stream = np.random.SeedSequence(entropy=seed, spawn_key=(cell, index))
@@ -291,8 +288,6 @@ def _block_sums(
     inf - inf) raises ``FloatingPointError`` rather than leaving an inf or a NaN
     in the cell; numpy's error state is per thread, so it is set here, in the
     worker."""
-    import numpy as np
-
     with np.errstate(over="raise", invalid="raise"):
         # block b draws from substream 1 + b; substream 0 once drew a fixed
         # weight row and stays unused, so fixed-seed output keeps its bytes
@@ -306,35 +301,35 @@ def _block_sums(
             kish_sum = float(batch_kish(weights).sum())
             s2 = sample_component_variance(nu_bar, rng, size=(n, k))
             s2 *= weights  # the weighted variances, without a third array
-        satt, corr = batch_df_estimates(1.0, s2, nu_bar)
-        return _BlockSums(n, *_mean_m2(satt), *_mean_m2(corr), kish_sum, rejections)
+        ratio, _ = batch_df_estimates(1.0, s2, 1.0)  # at nu = 1 the classic df is R
+        return _BlockSums(n, *_mean_m2(ratio), kish_sum, rejections)
 
 
 def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell:
     """Combine block partials into one SimCell.
 
-    Block means and M2s are pooled with the parallel formula of Chan, Golub
-    and LeVeque: M2 = sum M2_b + sum n_b (mean_b - mean)^2, each deviation
-    taken from its own mean, so no digits cancel however far the cell mean
-    lies from K * nu_bar. Float sums use ``math.fsum``, which is exact before
+    Block means and M2s of R are pooled with the parallel formula of Chan,
+    Golub and LeVeque: M2 = sum M2_b + sum n_b (mean_b - mean)^2, each
+    deviation taken from its own mean, so no digits cancel however far the
+    cell mean lies from K. Float sums use ``math.fsum``, which is exact before
     its one rounding, so the result depends neither on block order nor on the
     Python version (the built-in ``sum`` of floats is compensated only from
-    3.12 on).
+    3.12 on). Both estimators are affine in R, so their means and SDs follow
+    from R's; a derived value beyond the float range raises
+    ``FloatingPointError`` naming the cell.
     """
     r = sum(p.n for p in partials)
+    mean = math.fsum(p.n * p.mean for p in partials) / r
+    sd = 0.0
+    if r > 1:
+        m2 = math.fsum([*(p.m2 for p in partials),
+                        *(p.n * (p.mean - mean) ** 2 for p in partials)])
+        sd = math.sqrt(m2 / (r - 1))
+    mean_satt, sd_satt = nu_bar * mean, nu_bar * sd
+    mean_corr, sd_corr = (nu_bar + 2.0) * mean - 2.0, (nu_bar + 2.0) * sd
     expected = k * nu_bar
-
-    def moments(means: list[float], m2s: list[float]) -> tuple[float, float]:
-        mean = math.fsum(p.n * m for p, m in zip(partials, means)) / r
-        if r == 1:
-            return mean, 0.0
-        m2 = math.fsum([*m2s, *(p.n * (m - mean) ** 2 for p, m in zip(partials, means))])
-        return mean, math.sqrt(m2 / (r - 1))
-
-    mean_satt, sd_satt = moments([p.mean_satt for p in partials],
-                                 [p.m2_satt for p in partials])
-    mean_corr, sd_corr = moments([p.mean_corr for p in partials],
-                                 [p.m2_corr for p in partials])
+    if not all(map(math.isfinite, (mean_satt, sd_satt, mean_corr, sd_corr, expected))):
+        raise FloatingPointError(f"overflow in the df moments of cell K={k}, nu={nu_bar:g}")
     mean_kish = math.fsum(p.kish for p in partials) / r
     return SimCell(
         k=k,
@@ -355,8 +350,8 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     """Run every cell of the grid; also reports weight-redraw telemetry.
 
     Per replicate: draw weights according to ``cfg.weight_mode``, draw K
-    component variances, evaluate the classic and corrected df estimators and
-    the Kish effective sample size, then aggregate means/SDs and ratio
+    component variances, reduce them to the ratio R and the Kish effective
+    sample size, then derive both df estimators' means/SDs and the ratio
     columns per cell. ``threads`` only controls scheduling: blocks are seeded
     by (seed, cell index, block index), so any thread count yields identical
     cells. ``threads`` must lie in 1..256.

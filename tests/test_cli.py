@@ -575,7 +575,8 @@ class TestSimulateCommand:
                                  "--replicates", "5", "--seed", "1",
                                  "--out", str(tmp_path / "run"))
         assert (code, out) == (4, "")
-        assert err == "effdof: arithmetic error: overflow encountered in multiply\n"
+        assert err == ("effdof: arithmetic error: overflow in the df moments of cell "
+                       "K=2, nu=1e+308\n")
         assert not (tmp_path / "run" / "cells.csv").exists()
         assert not (tmp_path / "run").exists()
 
@@ -738,7 +739,8 @@ def _mostly(valid, faulty):
 @settings(max_examples=200, deadline=None)
 @given(k=st.lists(st.integers(1, 4).map(str), min_size=1, max_size=3),
        nu=st.lists(_mostly(st.floats(0.5, 50.0).map(repr),
-                           st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e308"])),
+                           st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e-310",
+                                            "1e308"])),
                    min_size=1, max_size=3),
        replicates=st.integers(1, 20), block_size=st.integers(1, 20),
        weights=st.sampled_from([[], ["--weights", "equal"], ["--weights", "random"]]),

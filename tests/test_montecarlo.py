@@ -8,6 +8,7 @@ import pytest
 
 from effdof import (
     DegenerateComponents,
+    SimCell,
     SimConfig,
     WeightMode,
     corrected_df,
@@ -17,6 +18,7 @@ from effdof import (
     sample_component_variance,
     satterthwaite_df,
 )
+from effdof.cli import render_cells
 from effdof.errors import FieldError
 from effdof.estimators import ComponentSet
 from effdof.montecarlo import (
@@ -60,12 +62,44 @@ def reference_cells(cfg):
             rng = _block_rng(cfg.seed, ci, 1 + bi)
             weights, redraws = reference_draw_weights(rng, (n, k))
             s2 = sample_component_variance(nu, rng, size=(n, k))
-            satt, corr = batch_df_estimates(weights, s2, nu)
-            partials.append(_BlockSums(n, *_mean_m2(satt), *_mean_m2(corr),
+            ratio = batch_df_estimates(weights, s2, 1.0)[0]
+            partials.append(_BlockSums(n, *_mean_m2(ratio),
                                        float(batch_kish(weights).sum()), redraws))
         cells.append(_assemble_cell(k, nu, partials))
         rejections.append(sum(p.rejections for p in partials))
     return cells, tuple(rejections)
+
+
+def two_estimator_cells(cfg):
+    """Cells reduced the earlier way: both df estimators per replicate, each
+    with its own block moments and its own pooling."""
+    cells = []
+    for ci, (k, nu) in enumerate(cfg.grid):
+        blocks = []
+        for bi, n in enumerate(_block_sizes(cfg)):
+            rng = _block_rng(cfg.seed, ci, 1 + bi)
+            if cfg.weight_mode is WeightMode.EQUAL:
+                weights, kish = 1.0, float(n * k)
+            else:
+                weights, _ = _draw_weights(rng, (n, k))
+                kish = float(batch_kish(weights).sum())
+            s2 = sample_component_variance(nu, rng, size=(n, k))
+            blocks.append((n, *batch_df_estimates(weights, s2, nu), kish))
+        r = sum(b[0] for b in blocks)
+
+        def moments(column):
+            stats = [(b[0], *_mean_m2(b[column])) for b in blocks]
+            mean = math.fsum(n * m for n, m, _ in stats) / r
+            m2 = math.fsum([*(m2 for _, _, m2 in stats),
+                            *(n * (m - mean) ** 2 for n, m, _ in stats)])
+            return mean, math.sqrt(m2 / (r - 1))
+
+        (mean_satt, sd_satt), (mean_corr, sd_corr) = moments(1), moments(2)
+        mean_kish, expected = math.fsum(b[3] for b in blocks) / r, k * nu
+        cells.append(SimCell(k, nu, mean_satt, sd_satt, mean_corr, sd_corr, mean_kish,
+                             expected, mean_kish / k, mean_satt / expected,
+                             mean_corr / expected))
+    return cells
 
 
 class TestSampler:
@@ -133,6 +167,16 @@ class TestSampler:
         for nu in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="nu"):
                 sample_component_variance(nu, rng)
+
+    @pytest.mark.parametrize("nu", [1e-310, 5e-324])
+    def test_subnormal_nu_is_an_overflow(self, nu):
+        # 2 / nu is inf, and numpy's gamma at an infinite scale draws NaN
+        rng = np.random.Generator(np.random.Philox(4))
+        message = f"^overflow: the gamma scale 2 / nu is infinite at nu={nu!r}$"
+        with pytest.raises(FloatingPointError, match=message):
+            sample_component_variance(nu, rng, size=3)
+        # the smallest nu with a finite scale still draws
+        assert sample_component_variance(2.0 / 1.7e308, rng) >= 0.0
 
 
 class TestBatchAgainstScalar:
@@ -267,11 +311,18 @@ class TestBlockRng:
 class TestOverflow:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflow_raises_at_any_thread_count(self, threads):
-        # nu_bar * (sum of the K=2 variances)^2 overflows: the block raises
+        # nu_bar * R with R near K = 2 overflows: assembling the cell raises
         # instead of returning inf
         cfg = make_cfg(nu_values=(1e308,), replicates=5, block_size=2)
-        with pytest.raises(FloatingPointError, match="overflow"):
+        with pytest.raises(FloatingPointError,
+                           match=r"^overflow in the df moments of cell K=2, nu=1e\+308$"):
             run_grid_detailed(cfg, threads=threads)
+
+    def test_each_derived_value_is_checked_alone(self):
+        # the means are finite, though their product is not
+        cell = run_grid_detailed(make_cfg(nu_values=(1e300,), replicates=5)).cells[0]
+        assert cell.mean_satt * cell.mean_corr == math.inf
+        assert cell.ratio_satt == pytest.approx(1.0) and cell.ratio_corr == pytest.approx(1.0)
 
 
 class TestGrid:
@@ -300,22 +351,37 @@ class TestGrid:
 
 class TestAggregates:
     def test_pooled_sd_survives_a_large_offset(self):
-        # block values sit 1e4 away from K * nu_bar = 128 with SD ~3; pooling
-        # deviations from K * nu_bar would lose about seven digits here
+        # block ratios sit 1e4 away from K = 64 with SD ~3; pooling deviations
+        # from K would lose about seven digits here
         rng = np.random.default_rng(15)
         blocks = [rng.normal(loc, 3.0, size=n)
                   for loc, n in ((1e4, 1_000), (1e4 + 0.5, 1_000), (1e4 - 2.0, 500))]
-        partials = [_BlockSums(x.size, *_mean_m2(x), *_mean_m2(-x), 0.0, 0)
-                    for x in blocks]
-        cell = _assemble_cell(64, 2.0, partials)
+        partials = [_BlockSums(x.size, *_mean_m2(x), 0.0, 0) for x in blocks]
+        nu = 3.0
+        cell = _assemble_cell(64, nu, partials)
 
         exact = [Fraction(v) for x in blocks for v in x.tolist()]
         mean = sum(exact) / len(exact)
         sd = math.sqrt(sum((v - mean) ** 2 for v in exact) / (len(exact) - 1))
-        assert cell.mean_satt == pytest.approx(float(mean), rel=1e-15)
-        assert cell.mean_corr == pytest.approx(-float(mean), rel=1e-15)
-        assert cell.sd_satt == pytest.approx(sd, rel=1e-13)
-        assert cell.sd_corr == pytest.approx(sd, rel=1e-13)
+        assert cell.mean_satt == pytest.approx(float(nu * mean), rel=1e-15)
+        assert cell.mean_corr == pytest.approx(float((nu + 2) * mean - 2), rel=1e-15)
+        assert cell.sd_satt == pytest.approx(nu * sd, rel=1e-13)
+        assert cell.sd_corr == pytest.approx((nu + 2) * sd, rel=1e-13)
+
+    @pytest.mark.parametrize("mode", list(WeightMode))
+    def test_agrees_with_the_two_estimator_reduction(self, mode):
+        # pooling R and scaling it moves the cells by last bits only; the
+        # rendered tables do not change
+        cfg = make_cfg(k_values=(2, 3, 16, 64), nu_values=(1.0, 2.5, 8.0, 32.0),
+                       replicates=6_000, block_size=2_500, seed=12345, weight_mode=mode)
+        cells, reference = run_grid_detailed(cfg).cells, two_estimator_cells(cfg)
+        for cell, ref in zip(cells, reference, strict=True):
+            for name in ("mean_satt", "sd_satt", "mean_corr", "sd_corr", "mean_kish",
+                         "ratio_kish_k", "ratio_satt", "ratio_corr"):
+                assert getattr(cell, name) == pytest.approx(getattr(ref, name), rel=1e-14)
+            assert (cell.k, cell.nu_bar, cell.expected) == (ref.k, ref.nu_bar, ref.expected)
+        for ratios in (False, True):
+            assert render_cells(cells, 3, ratios) == render_cells(reference, 3, ratios)
 
     def test_kish_is_exactly_k_in_equal_mode(self):
         cfg = make_cfg(k_values=(3, 16), nu_values=(2.0,), replicates=500)
