@@ -23,8 +23,8 @@ from .errors import *  # noqa: F403
 from .estimators import *  # noqa: F403
 
 # montecarlo.__all__, spelled out so listing the names does not load the module
-_MONTECARLO_NAMES = ("WeightMode", "SimConfig", "SimCell", "GridResult",
-                     "sample_component_variance", "run_grid_detailed")
+_MONTECARLO_NAMES = ("SimConfig", "SimCell", "GridResult", "sample_component_variance",
+                     "run_grid_detailed")
 
 __all__ = ["__version__", *errors.__all__, *estimators.__all__, *applications.__all__,
            *_MONTECARLO_NAMES]

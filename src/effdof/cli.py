@@ -267,8 +267,7 @@ def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> d
     from .montecarlo import RNG_DESCRIPTION
 
     return {
-        # JSON writes the tuples as lists, the str enum as its value;
-        # SimConfig(**manifest["config"]) rebuilds the config
+        # JSON writes the tuples as lists; SimConfig(**manifest["config"]) rebuilds the config
         "config": asdict(cfg),
         "library_version": __version__,
         "rng": RNG_DESCRIPTION,
@@ -305,7 +304,7 @@ def _simulate_config(args) -> SimConfig:
     if args.nu is not None:
         base["nu_values"] = tuple(args.nu)
     if args.weights is not None:
-        base["weight_mode"] = args.weights  # SimConfig converts it to a WeightMode
+        base["weight_mode"] = args.weights
     if "k_values" not in base or "nu_values" not in base:
         raise ValueError("simulate needs --preset or both --k and --nu")
     if args.seed is not None:

@@ -151,6 +151,8 @@ class DfEstimate(_Record):
     sets with a single contributing component, to floating precision
     otherwise), where the numerator is ``(sum_k w_k S_k^2)^2`` and the
     denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + variant.dof_offset)``.
+    A ``value`` beyond the float range raises ``OverflowError``; one that is
+    NaN or not positive raises ``DegenerateComponents``.
     """
 
     __slots__ = ("variant", "value", "numerator", "denominator")
@@ -162,6 +164,8 @@ class DfEstimate(_Record):
     def __init__(self, variant: Variant, value: float, numerator: float,
                  denominator: float):
         if value <= 0 or not math.isfinite(value):
+            if value == math.inf:
+                raise OverflowError(f"{variant.value} df estimate overflows a float")
             raise DegenerateComponents(
                 f"{variant.value} df estimate is not positive "
                 f"({value!r}); input components are degenerate"

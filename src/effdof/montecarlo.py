@@ -31,7 +31,6 @@ is first used or ``effdof simulate`` runs.
 
 from __future__ import annotations
 
-import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,7 +40,6 @@ import numpy as np
 from .errors import DegenerateComponents, FieldError, check_int, check_real
 
 __all__ = [
-    "WeightMode",
     "SimConfig",
     "SimCell",
     "GridResult",
@@ -57,7 +55,9 @@ RNG_DESCRIPTION = (
 
 _MAX_SEED = 2**64
 
-# standard deviation of the random Normal(1, sd) weights
+# the paper's two weight schemes: "equal" (w_k = 1) and "random" (w_k ~
+# Normal(1, _WEIGHT_SD) per replicate, redrawn while <= 0)
+_WEIGHT_MODES = ("equal", "random")
 _WEIGHT_SD = 0.3
 
 # floats in one block's (replicates x K) variance array: 2**24 is 128 MiB,
@@ -66,13 +66,6 @@ _MAX_BLOCK_VALUES = 2**24
 
 # cap on worker threads: each is an OS thread, and CPU-bound blocks gain nothing past the cores
 _MAX_THREADS = 256
-
-
-class WeightMode(str, enum.Enum):
-    """The paper's two weight schemes, applied to every simulated replicate."""
-
-    EQUAL = "equal"            # w_k = 1
-    RANDOM_NORMAL = "random"   # w_k ~ Normal(1, 0.3) per replicate, redrawn while <= 0
 
 
 @dataclass(frozen=True)
@@ -85,16 +78,17 @@ class SimConfig:
     block draws ``min(block_size, replicates) x max(k_values)`` values, at
     most 2**24 (a 128 MiB array; a random-weight block holds two); a larger
     block raises ``ValueError``.
-    ``weight_mode`` picks equal weights or Normal(1, 0.3) weights redrawn for
-    every replicate. Equal weights are 1 and every component's true variance
-    is 1: the df estimators are scale invariant, so neither value can change
-    a result.
+    ``weight_mode`` is the string ``"equal"`` or ``"random"`` (Normal(1, 0.3)
+    weights redrawn for every replicate); a ``str`` subclass such as a str
+    enum member is stored as its plain value. Equal weights are 1 and every
+    component's true variance is 1: the df estimators are scale invariant, so
+    neither value can change a result.
     """
 
     k_values: tuple[int, ...]
     nu_values: tuple[float, ...]
     seed: int
-    weight_mode: WeightMode = WeightMode.EQUAL
+    weight_mode: str = "equal"
     replicates: int = 100_000
     block_size: int = 10_000
 
@@ -105,9 +99,9 @@ class SimConfig:
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
         try:
-            mode = WeightMode(self.weight_mode)
+            mode = _WEIGHT_MODES[_WEIGHT_MODES.index(self.weight_mode)]
         except ValueError:
-            allowed = " or ".join(repr(m.value) for m in WeightMode)
+            allowed = " or ".join(map(repr, _WEIGHT_MODES))
             raise FieldError("weight_mode", f"weight_mode must be {allowed}, "
                              f"got {self.weight_mode!r}") from None
         object.__setattr__(self, "weight_mode", mode)
@@ -284,15 +278,16 @@ def _block_sums(
     block_index: int,
     n: int,
 ) -> _BlockSums:
-    """One block's partial sums. An overflow or an invalid operation (say
-    inf - inf) raises ``FloatingPointError`` rather than leaving an inf or a NaN
-    in the cell; numpy's error state is per thread, so it is set here, in the
-    worker."""
+    """One block's partial sums. With ``cfg.weight_mode == "equal"`` it draws
+    only the variances; with ``"random"`` it first draws the block's weights.
+    An overflow or an invalid operation (say inf - inf) raises
+    ``FloatingPointError`` rather than leaving an inf or a NaN in the cell;
+    numpy's error state is per thread, so it is set here, in the worker."""
     with np.errstate(over="raise", invalid="raise"):
         # block b draws from substream 1 + b; substream 0 once drew a fixed
         # weight row and stays unused, so fixed-seed output keeps its bytes
         rng = _block_rng(cfg.seed, cell, 1 + block_index)
-        if cfg.weight_mode is WeightMode.EQUAL:
+        if cfg.weight_mode == "equal":
             rejections = 0
             kish_sum = float(n * k)  # n_eff is exactly K per replicate
             s2 = sample_component_variance(nu_bar, rng, size=(n, k))

@@ -18,7 +18,6 @@ from effdof import (
     MiVariance,
     SimConfig,
     TwoSampleSummary,
-    WeightMode,
     boardman_df,
     corrected_df,
     design_effect,
@@ -80,7 +79,7 @@ def test_criterion_2_large_k_large_dof_cell():
 
 def test_criterion_3_random_weight_ratios():
     cfg = SimConfig(k_values=(16,), nu_values=(1.0, 5.0, 500.0), seed=SEED,
-                    replicates=10_000, weight_mode=WeightMode.RANDOM_NORMAL)
+                    replicates=10_000, weight_mode="random")
     cells = run_grid_detailed(cfg).cells
     reference_corr = {1.0: 1.03, 5.0: 0.94, 500.0: 0.92}
     details = []

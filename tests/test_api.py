@@ -20,13 +20,13 @@ PUBLIC = {
     "MiVariance", "TwoSampleSummary", "jackknife_df", "leave_one_out_pseudo_values",
     "mi_total_df", "mi_total_variance", "welch_corrected_df", "welch_satterthwaite_df",
     # montecarlo
-    "GridResult", "SimCell", "SimConfig", "WeightMode", "run_grid_detailed",
+    "GridResult", "SimCell", "SimConfig", "run_grid_detailed",
     "sample_component_variance",
 }
 
 
 def test_public_names_are_exactly_the_paper_and_cli_surface():
-    assert len(effdof.__all__) == len(set(effdof.__all__)) == 28
+    assert len(effdof.__all__) == len(set(effdof.__all__)) == 27
     assert set(effdof.__all__) == PUBLIC
 
 

@@ -108,6 +108,11 @@ class TestJackknife:
         with pytest.raises(DegenerateComponents):
             leave_one_out_pseudo_values(lambda xs: 1.0, [1, 2, 3])
 
+    @pytest.mark.parametrize("observations", [[], [1.0]])
+    def test_leave_one_out_needs_two_observations(self, observations):
+        with pytest.raises(ValueError, match="^need at least two observations to jackknife$"):
+            leave_one_out_pseudo_values(sum, observations)
+
 
 class TestMultipleImputation:
     def test_total_variance(self):
@@ -124,6 +129,13 @@ class TestMultipleImputation:
     def test_total_variance_overflow_raises(self):
         with pytest.raises(OverflowError, match="total variance"):
             mi_total_variance(MiVariance(1e308, 10, 1e308, 2))
+
+    def test_unused_classic_denominator_is_never_formed(self):
+        # the classic denominator of these components overflows in fsum; the
+        # corrected one does not, so MI succeeds only while each denominator
+        # is formed when an estimator first needs it (exact: within 7e-18)
+        mi = MiVariance(1.22e150, 1e-8, 4.7e153, 2)
+        assert mi_total_df(mi) == 1.001038252906434
 
     def test_no_imputation_variance_returns_sampling_dof(self):
         assert mi_total_df(MiVariance(1.0, 50.0, 0.0, 5)) == 50.0

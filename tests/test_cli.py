@@ -139,12 +139,19 @@ class TestEstimate:
         assert code == 3
 
     def test_arithmetic_error_exit_code(self, capsys, tmp_path):
-        # (sum w_k S_k^2)^2 of weights near 1e200 overflows the float range
-        path = write(tmp_path, "huge.csv", "weight,variance,dof\n1e200,1,4\n1e200,2,4\n")
-        code, out, err = run_cli(capsys, "estimate", "--input", path)
-        assert code == 4
-        assert out == ""
-        assert err.startswith("effdof: arithmetic error: ")
+        for rows, detail in (
+            # (sum w_k S_k^2)^2 of weights near 1e200 overflows the float range
+            ("1e200,1,4\n1e200,2,4\n", None),
+            # a valid set whose df, about 2e308, exceeds the largest float
+            ("1,1,1e308\n1,1,1e308\n", "satterthwaite df estimate overflows a float"),
+        ):
+            path = write(tmp_path, "huge.csv", "weight,variance,dof\n" + rows)
+            code, out, err = run_cli(capsys, "estimate", "--input", path)
+            assert code == 4
+            assert out == ""
+            assert err.startswith("effdof: arithmetic error: ")
+            if detail is not None:
+                assert err == f"effdof: arithmetic error: {detail}\n"
 
 
     def test_non_finite_cell_gets_the_library_message(self, capsys, tmp_path):

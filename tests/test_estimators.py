@@ -115,6 +115,14 @@ class TestDfEstimators:
         with pytest.raises(DegenerateComponents):
             cset([0, 1], [1, 0], [4, 4])
 
+    @pytest.mark.parametrize("fn", [satterthwaite_df, corrected_df, boardman_df])
+    def test_estimate_beyond_the_float_range_is_an_overflow(self, fn):
+        # a valid set whose df, about 2e308, exceeds the largest float
+        cs = cset([1, 1], [1, 1], [1e308, 1e308])
+        variant = fn.__name__.removesuffix("_df")
+        with pytest.raises(OverflowError, match=f"^{variant} df estimate overflows a float$"):
+            fn(cs)
+
 
 DF_ESTIMATORS = (satterthwaite_df, corrected_df, boardman_df)
 
