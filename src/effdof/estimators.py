@@ -233,6 +233,11 @@ def _single_positive(a: Sequence[float]) -> int | None:
     return found
 
 
+def _overflow(variant: Variant, part: str) -> OverflowError:
+    """The error for a ratio sum of ``variant`` beyond the float range."""
+    return OverflowError(f"{variant.value} df {part} overflows a float")
+
+
 def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
     minus the shift, with both constants taken from ``variant``.
@@ -242,7 +247,8 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     set make one numerator pass, one squares pass and two denominator passes
     (corrected and Boardman share an offset). The sums wait for first use
     because they may overflow: building a set never raises it, and a sum that
-    raises is not stored.
+    raises is not stored. Its ``OverflowError`` names the variant and the sum,
+    e.g. ``satterthwaite df denominator overflows a float``.
     """
     offset = variant.dof_offset
     a = cs._products
@@ -250,15 +256,21 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     if only is not None:
         # ratio is exactly nu + offset here; evaluating it directly keeps
         # single-component sets (and K=1 in particular) free of rounding
-        aa = a[only] ** 2
+        try:
+            aa = a[only] ** 2
+        except OverflowError:
+            raise _overflow(variant, "numerator") from None
         dof = cs.dofs[only]
         value = dof + (offset - variant.shift)
         return DfEstimate(variant, value, aa, aa / (dof + offset))
     memo = cs._memo
     numerator = memo.get(None)
     if numerator is None:
-        # ** 2, not *: a sum too large to square raises OverflowError, not inf
-        numerator = memo[None] = math.fsum(a) ** 2
+        try:
+            # ** 2, not *: a sum too large to square raises OverflowError, not inf
+            numerator = memo[None] = math.fsum(a) ** 2
+        except OverflowError:
+            raise _overflow(variant, "numerator") from None
     denominator = memo.get(offset)
     if denominator is None:
         squares = memo.get("squares")
@@ -266,7 +278,10 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
             squares = memo["squares"] = tuple(map(operator.mul, a, a))
         # d + 0.0 == d for every dof d > 0, so the classic form skips the add
         dofs = map(operator.add, cs.dofs, repeat(offset)) if offset else cs.dofs
-        denominator = memo[offset] = math.fsum(map(operator.truediv, squares, dofs))
+        try:
+            denominator = memo[offset] = math.fsum(map(operator.truediv, squares, dofs))
+        except OverflowError:  # fsum's partial sums left the float range
+            raise _overflow(variant, "denominator") from None
     if denominator == 0.0:
         raise DegenerateComponents(
             "all weighted variances are zero; df estimators are undefined"

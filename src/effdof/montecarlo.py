@@ -8,18 +8,28 @@ reference results. Every true component variance is 1 and equal weights are
 1: the df estimators are scale invariant, so other constants would not change
 them.
 
-Reproducibility contract: every parallel unit draws from an independent
-substream derived from ``(seed, cell index, block index)`` via
-``numpy.random.SeedSequence`` spawn keys, so output depends only on the
-configuration, never on scheduling or thread count. The bit generator is
-SFC64 (Small Fast Chaotic, 256-bit state). The spawn keys, not the generator,
-make the substreams independent, so the draws need no counter-based generator
-such as Philox and take the cheapest one measured. A chi-square(1) variate is
-a squared standard normal, which is exactly its distribution and about three
-times cheaper than a gamma draw of shape 1/2; other df come from numpy's
-``gamma`` with the scale folded in (Marsaglia-Tsang squeeze method for
-shape >= 1, Ahrens-Dieter GS for shape < 1, which covers component df below 2
-other than 1).
+Reproducibility contract: one parallel unit is one (nu column, block) pair,
+and it draws from an independent substream derived from ``(seed, nu index,
+block index)`` via ``numpy.random.SeedSequence`` spawn keys, so output depends
+only on the configuration, never on scheduling or thread count. The bit
+generator is SFC64 (Small Fast Chaotic, 256-bit state). The spawn keys, not
+the generator, make the substreams independent, so the draws need no
+counter-based generator such as Philox and take the cheapest one measured. A
+chi-square(1) variate is a squared standard normal, which is exactly its
+distribution and about three times cheaper than a gamma draw of shape 1/2;
+other df come from numpy's ``gamma`` with the scale folded in (Marsaglia-Tsang
+squeeze method for shape >= 1, Ahrens-Dieter GS for shape < 1, which covers
+component df below 2 other than 1).
+
+The cells of one nu share their replicates (common random numbers): a
+replicate draws max(K) components, and the cell of each K takes its first K.
+A block draws them segment by segment, [0, K_1), [K_1, K_2), ... up the sorted
+K values (in random mode each segment's weights first, then its variances), and
+keeps running sums over the components, so it emits a cell's block moments as
+soon as its K is reached. Each cell's distribution, and so its mean, SD and
+standard error, is that of independent replicates of its own; only cells of
+the same nu covary. A grid draws max(K), not sum(K), components per replicate
+and nu, and no live array is larger than one segment.
 
 Every component of a cell shares nu, so a replicate reduces to one ratio
 R = (sum a)^2 / sum a^2 of its weighted variances a: the classic df is nu * R
@@ -48,8 +58,9 @@ __all__ = [
 ]
 
 RNG_DESCRIPTION = (
-    "sfc64 generator on SeedSequence(seed, spawn_key=(cell, index)) substreams; "
-    "chi-square(1) as a squared numpy standard_normal, other df via numpy gamma "
+    "sfc64 generator on SeedSequence(seed, spawn_key=(nu index, block)) substreams; "
+    "one replicate of max(k_values) components per nu, whose first K form cell K's "
+    "replicate; chi-square(1) as a squared numpy standard_normal, other df via numpy gamma "
     "(Marsaglia-Tsang for shape >= 1, Ahrens-Dieter GS for shape < 1)"
 )
 
@@ -60,8 +71,8 @@ _MAX_SEED = 2**64
 _WEIGHT_MODES = ("equal", "random")
 _WEIGHT_SD = 0.3
 
-# floats in one block's (replicates x K) variance array: 2**24 is 128 MiB,
-# and a random-weight block holds two arrays of that shape at once
+# floats one block draws, replicates x max(K): 2**24 is 128 MiB. The block
+# draws them in segments, so its live arrays are smaller (two in random mode)
 _MAX_BLOCK_VALUES = 2**24
 
 # cap on worker threads: each is an OS thread, and CPU-bound blocks gain nothing past the cores
@@ -74,10 +85,13 @@ class SimConfig:
 
     ``k_values`` x ``nu_values`` defines the cells; each cell runs
     ``replicates`` independent replicates split into blocks of ``block_size``
-    (the parallel/substream unit, so changing it changes the draws). One
-    block draws ``min(block_size, replicates) x max(k_values)`` values, at
-    most 2**24 (a 128 MiB array; a random-weight block holds two); a larger
-    block raises ``ValueError``.
+    (the parallel/substream unit, so changing it changes the draws). The
+    cells of one nu share their replicates: each draws max(k_values)
+    components and cell K uses the first K of them, so adding a larger K
+    leaves the smaller cells' bytes unchanged. One block of one nu draws
+    ``min(block_size, replicates) x max(k_values)`` values, at most 2**24
+    (128 MiB), segment by segment up the sorted ``k_values``; a larger block
+    raises ``ValueError``.
     ``weight_mode`` is the string ``"equal"`` or ``"random"`` (Normal(1, 0.3)
     weights redrawn for every replicate); a ``str`` subclass such as a str
     enum member is stored as its plain value. Equal weights are 1 and every
@@ -155,7 +169,11 @@ class SimCell:
 class GridResult:
     """Cells of a grid run plus the telemetry the run manifest records.
 
-    ``cell_weight_rejections`` counts each cell's weight redraws, in grid order.
+    ``cell_weight_rejections`` holds, per cell in grid order, the weight
+    redraws among the cell's first K components. The cells of one nu share
+    their replicates, so within a nu the count never decreases as K grows, and
+    ``weight_rejections``, the redraws actually made, is the sum over nu of the
+    largest-K cell's count rather than the sum of the per-cell counts.
     """
 
     cells: list[SimCell]
@@ -184,35 +202,6 @@ def sample_component_variance(nu, rng: np.random.Generator, size=None):
     return rng.gamma(nu / 2.0, 2.0 / nu, size)
 
 
-def batch_df_estimates(weights, s2, nu):
-    """Vectorized classic and corrected df over replicate rows.
-
-    ``weights`` broadcasts against ``s2`` (rows = replicates, columns =
-    components); ``nu`` is the df shared by all components of a cell. Agrees
-    with the scalar estimators row by row (covered by tests). A scalar weight
-    of 1 is not multiplied in, and the row sum of squares needs no temporary
-    array. At ``nu == 1`` the classic estimate is the ratio R = (sum a)^2 /
-    sum a^2 itself: the simulation weights its variances in place and calls
-    this with weight 1 and nu 1 to get R.
-    """
-    a = np.asarray(s2, dtype=float)
-    if not (np.ndim(weights) == 0 and weights == 1.0):
-        a = np.asarray(weights, dtype=float) * a
-    num = a.sum(axis=-1) ** 2
-    sq_sum = np.einsum("...k,...k->...", a, a)
-    if np.any(sq_sum == 0.0):
-        raise DegenerateComponents("a replicate drew all-zero weighted variances")
-    satt = nu * num / sq_sum
-    corr = (nu + 2.0) * num / sq_sum - 2.0
-    return satt, corr
-
-
-def batch_kish(weights):
-    """Vectorized Kish effective sample size over weight rows."""
-    w = np.asarray(weights, dtype=float)
-    return w.sum(axis=-1) ** 2 / (w * w).sum(axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # block execution
 # ---------------------------------------------------------------------------
@@ -239,11 +228,11 @@ def _mean_m2(x: np.ndarray) -> tuple[float, float]:
     return float(mean), float((d * d).sum())
 
 
-def _block_rng(seed: int, cell: int, index: int) -> np.random.Generator:
-    """SFC64 generator of substream ``index`` of grid cell ``cell``."""
+def _block_rng(seed: int, column: int, index: int) -> np.random.Generator:
+    """SFC64 generator of block ``index`` of the nu column ``column``."""
     # explicit spawn key: pure, and independent of how many children a
     # parent sequence has handed out before
-    stream = np.random.SeedSequence(entropy=seed, spawn_key=(cell, index))
+    stream = np.random.SeedSequence(entropy=seed, spawn_key=(column, index))
     return np.random.Generator(np.random.SFC64(stream))
 
 
@@ -270,34 +259,46 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [cfg.block_size] * full + ([rest] if rest else [])
 
 
-def _block_sums(
-    k: int,
-    nu_bar: float,
-    cfg: SimConfig,
-    cell: int,
-    block_index: int,
-    n: int,
-) -> _BlockSums:
-    """One block's partial sums. With ``cfg.weight_mode == "equal"`` it draws
-    only the variances; with ``"random"`` it first draws the block's weights.
-    An overflow or an invalid operation (say inf - inf) raises
-    ``FloatingPointError`` rather than leaving an inf or a NaN in the cell;
-    numpy's error state is per thread, so it is set here, in the worker."""
+def _column_sums(cfg: SimConfig, column: int, block_index: int, n: int) -> list[_BlockSums]:
+    """Block ``block_index`` (``n`` replicates) of the column
+    ``cfg.nu_values[column]``: the partial sums of each K's cell, in
+    ``cfg.k_values`` order.
+
+    Each replicate (a column of the ``(segment, n)`` arrays) draws its
+    components segment by segment up the sorted K values; with
+    ``cfg.weight_mode == "random"`` a segment draws its weights first, then
+    its variances. Running sums over the components give each cell's R and
+    Kish values once its K is reached, and each count of redraws covers the
+    cell's first K components. An overflow or an invalid operation (say
+    inf - inf) raises ``FloatingPointError`` rather than leaving an inf or a
+    NaN in the cell; numpy's error state is per thread, so it is set here, in
+    the worker.
+    """
+    nu_bar, equal = cfg.nu_values[column], cfg.weight_mode == "equal"
+    a_sum, a_sq, w_sum, w_sq = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+    rejections, done, sums = 0, 0, []
     with np.errstate(over="raise", invalid="raise"):
-        # block b draws from substream 1 + b; substream 0 once drew a fixed
-        # weight row and stays unused, so fixed-seed output keeps its bytes
-        rng = _block_rng(cfg.seed, cell, 1 + block_index)
-        if cfg.weight_mode == "equal":
-            rejections = 0
-            kish_sum = float(n * k)  # n_eff is exactly K per replicate
-            s2 = sample_component_variance(nu_bar, rng, size=(n, k))
-        else:
-            weights, rejections = _draw_weights(rng, (n, k))
-            kish_sum = float(batch_kish(weights).sum())
-            s2 = sample_component_variance(nu_bar, rng, size=(n, k))
-            s2 *= weights  # the weighted variances, without a third array
-        ratio, _ = batch_df_estimates(1.0, s2, 1.0)  # at nu = 1 the classic df is R
-        return _BlockSums(n, *_mean_m2(ratio), kish_sum, rejections)
+        rng = _block_rng(cfg.seed, column, block_index)
+        for k in cfg.k_values:
+            shape = (k - done, n)
+            if equal:
+                a = sample_component_variance(nu_bar, rng, size=shape)
+            else:
+                w, redraws = _draw_weights(rng, shape)
+                rejections += redraws
+                w_sum += w.sum(axis=0)
+                w_sq += np.einsum("ij,ij->j", w, w)
+                a = sample_component_variance(nu_bar, rng, size=shape)
+                a *= w  # the weighted variances, without a third array
+            a_sum += a.sum(axis=0)
+            a_sq += np.einsum("ij,ij->j", a, a)
+            if not a_sq.all():
+                raise DegenerateComponents("a replicate drew all-zero weighted variances")
+            # n_eff is exactly K per replicate with equal weights
+            kish = float(n * k) if equal else float((w_sum * w_sum / w_sq).sum())
+            sums.append(_BlockSums(n, *_mean_m2(a_sum * a_sum / a_sq), kish, rejections))
+            done = k
+    return sums
 
 
 def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell:
@@ -344,33 +345,32 @@ def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell
 def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     """Run every cell of the grid; also reports weight-redraw telemetry.
 
-    Per replicate: draw weights according to ``cfg.weight_mode``, draw K
-    component variances, reduce them to the ratio R and the Kish effective
-    sample size, then derive both df estimators' means/SDs and the ratio
-    columns per cell. ``threads`` only controls scheduling: blocks are seeded
-    by (seed, cell index, block index), so any thread count yields identical
-    cells. ``threads`` must lie in 1..256.
+    Per replicate of a nu: draw max(K) components (weights according to
+    ``cfg.weight_mode``, then variances), reduce the first K of them to the
+    ratio R and the Kish effective sample size for each K, then derive both
+    df estimators' means/SDs and the ratio columns per cell. ``threads`` only
+    controls scheduling: blocks are seeded by (seed, nu index, block index),
+    so any thread count yields identical cells. ``threads`` must lie in
+    1..256.
     """
     if not 1 <= threads <= _MAX_THREADS:
         raise ValueError(f"threads must be between 1 and {_MAX_THREADS}, got {threads}")
-    grid = cfg.grid
+    nus = cfg.nu_values
     sizes = _block_sizes(cfg)
-    tasks = [
-        (ci, bi, n)
-        for ci in range(len(grid))
-        for bi, n in enumerate(sizes)
-    ]
+    tasks = [(vi, bi, n) for vi in range(len(nus)) for bi, n in enumerate(sizes)]
 
-    def work(task: tuple[int, int, int]) -> _BlockSums:
-        ci, bi, n = task
-        k, nu = grid[ci]
-        return _block_sums(k, nu, cfg, ci, bi, n)
+    def work(task: tuple[int, int, int]) -> list[_BlockSums]:
+        return _column_sums(cfg, *task)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, tasks))  # map keeps task order
 
     b = len(sizes)
-    parts = [results[ci * b:(ci + 1) * b] for ci in range(len(grid))]
-    cells = [_assemble_cell(k, nu, part) for (k, nu), part in zip(grid, parts)]
+    # the grid is K-major: cell (k_values[ki], nu_values[vi]) takes entry ki
+    # of each block of column vi
+    parts = [[results[vi * b + bi][ki] for bi in range(b)]
+             for ki in range(len(cfg.k_values)) for vi in range(len(nus))]
+    cells = [_assemble_cell(k, nu, part) for (k, nu), part in zip(cfg.grid, parts)]
     per_cell = tuple(sum(p.rejections for p in part) for part in parts)
-    return GridResult(cells, sum(per_cell), per_cell)
+    # a column's largest-K cell, last in the grid, counts every redraw it made
+    return GridResult(cells, sum(per_cell[-len(nus):]), per_cell)

@@ -153,6 +153,21 @@ class TestEstimate:
             if detail is not None:
                 assert err == f"effdof: arithmetic error: {detail}\n"
 
+    @pytest.mark.parametrize("rows, detail", [
+        # (sum w_k S_k^2)^2 of weights near 1e200 overflows when squared
+        ("1e200,1,4\n1e200,2,4\n", "satterthwaite df numerator overflows a float"),
+        # (w_k S_k^2)^2 / nu_k sums to about 2e308 in fsum
+        ("1,1.22e150,1e-8\n1.5,4.7e153,1\n", "satterthwaite df denominator overflows a float"),
+        # a single component's square
+        ("1e200,1,4\n", "satterthwaite df numerator overflows a float"),
+    ])
+    def test_overflowing_sum_names_the_estimator_and_the_sum(self, capsys, tmp_path,
+                                                             rows, detail):
+        path = write(tmp_path, "huge.csv", "weight,variance,dof\n" + rows)
+        code, out, err = run_cli(capsys, "estimate", "--input", path)
+        assert (code, out) == (4, "")
+        assert err == f"effdof: arithmetic error: {detail}\n"
+
 
     def test_non_finite_cell_gets_the_library_message(self, capsys, tmp_path):
         path = write(tmp_path, "inf.csv", "weight,variance,dof\n1,inf,4\n")
@@ -423,7 +438,9 @@ class TestSimulateCommand:
             manifests.append(json.loads(err))
         per_cell = manifests[0]["cell_weight_rejections"]
         assert len(per_cell) == 2 and all(isinstance(n, int) for n in per_cell)
-        assert sum(per_cell) == manifests[0]["weight_rejections"] > 0
+        # the K=4 cell counts the redraws among the first 4 of the K=32
+        # cell's components, and the K=32 cell every redraw made
+        assert per_cell[0] <= per_cell[1] == manifests[0]["weight_rejections"] > 0
         assert manifests[1]["cell_weight_rejections"] == per_cell
 
     def test_out_dir_and_manifest_round_trip(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Simulation harness: sampler distribution, determinism, and aggregate behavior."""
 
+import dataclasses
 import enum
 import math
 from fractions import Fraction
@@ -18,7 +19,7 @@ from effdof import (
     sample_component_variance,
     satterthwaite_df,
 )
-from effdof.cli import render_cells
+from effdof.cli import cells_csv_full_precision, render_cells
 from effdof.errors import FieldError
 from effdof.estimators import ComponentSet
 from effdof.montecarlo import (
@@ -27,10 +28,9 @@ from effdof.montecarlo import (
     _block_rng,
     _block_sizes,
     _BlockSums,
+    _column_sums,
     _draw_weights,
     _mean_m2,
-    batch_df_estimates,
-    batch_kish,
 )
 
 
@@ -53,38 +53,69 @@ def reference_draw_weights(rng, shape):
         w[bad] = rng.normal(1.0, montecarlo._WEIGHT_SD, size=n_bad)
 
 
+def segment_draws(cfg, column, block, n, draw_weights=reference_draw_weights):
+    """Block ``block`` of nu column ``column`` as full (max K, n) weight and
+    variance arrays, drawn from its substream segment by segment up the K
+    values, and the redraw count after each segment. Equal weights are ones."""
+    rng = _block_rng(cfg.seed, column, block)
+    nu = cfg.nu_values[column]
+    weights, s2, redraws, done = [], [], [0], 0
+    for k in cfg.k_values:
+        shape = (k - done, n)
+        if cfg.weight_mode == "equal":
+            w, r = np.ones(shape), 0
+        else:
+            w, r = draw_weights(rng, shape)
+        weights.append(w)
+        s2.append(sample_component_variance(nu, rng, size=shape))
+        redraws.append(redraws[-1] + r)
+        done = k
+    return np.concatenate(weights), np.concatenate(s2), redraws[1:]
+
+
+def column_blocks(cfg, draw_weights=reference_draw_weights):
+    """``segment_draws`` of every block, per nu column."""
+    return [[segment_draws(cfg, vi, bi, n, draw_weights)
+             for bi, n in enumerate(_block_sizes(cfg))]
+            for vi in range(len(cfg.nu_values))]
+
+
 def reference_cells(cfg):
-    """Random-weight cells with a separate weighted-variance array, block by block."""
+    """Cells of the shared-replicate layout, naively: each block's full arrays
+    sliced to the cell's first K components, with a separate weighted-variance
+    array; returns the cells and per-cell redraw counts in grid order."""
+    blocks = column_blocks(cfg)
     cells, rejections = [], []
-    for ci, (k, nu) in enumerate(cfg.grid):
-        partials = []
-        for bi, n in enumerate(_block_sizes(cfg)):
-            rng = _block_rng(cfg.seed, ci, 1 + bi)
-            weights, redraws = reference_draw_weights(rng, (n, k))
-            s2 = sample_component_variance(nu, rng, size=(n, k))
-            ratio = batch_df_estimates(weights, s2, 1.0)[0]
-            partials.append(_BlockSums(n, *_mean_m2(ratio),
-                                       float(batch_kish(weights).sum()), redraws))
-        cells.append(_assemble_cell(k, nu, partials))
-        rejections.append(sum(p.rejections for p in partials))
+    for ki, k in enumerate(cfg.k_values):
+        for vi, nu in enumerate(cfg.nu_values):
+            partials = []
+            for weights, s2, redraws in blocks[vi]:
+                w = weights[:k]
+                a = w * s2[:k]
+                ratio = a.sum(axis=0) ** 2 / (a * a).sum(axis=0)
+                kish = (w.sum(axis=0) ** 2 / (w * w).sum(axis=0)).sum()
+                partials.append(_BlockSums(ratio.size, *_mean_m2(ratio), float(kish),
+                                           redraws[ki]))
+            cells.append(_assemble_cell(k, nu, partials))
+            rejections.append(sum(p.rejections for p in partials))
     return cells, tuple(rejections)
 
 
 def two_estimator_cells(cfg):
     """Cells reduced the earlier way: both df estimators per replicate, each
-    with its own block moments and its own pooling."""
+    with its own block moments and its own pooling, over the first K
+    components of each block's full arrays."""
+    columns = column_blocks(cfg, _draw_weights)
     cells = []
-    for ci, (k, nu) in enumerate(cfg.grid):
+    for k, nu in cfg.grid:
         blocks = []
-        for bi, n in enumerate(_block_sizes(cfg)):
-            rng = _block_rng(cfg.seed, ci, 1 + bi)
-            if cfg.weight_mode == "equal":
-                weights, kish = 1.0, float(n * k)
-            else:
-                weights, _ = _draw_weights(rng, (n, k))
-                kish = float(batch_kish(weights).sum())
-            s2 = sample_component_variance(nu, rng, size=(n, k))
-            blocks.append((n, *batch_df_estimates(weights, s2, nu), kish))
+        for weights, s2, _ in columns[cfg.nu_values.index(nu)]:
+            w = weights[:k]
+            a = w * s2[:k]
+            num, sq_sum = a.sum(axis=0) ** 2, (a * a).sum(axis=0)
+            kish = float((w.sum(axis=0) ** 2 / (w * w).sum(axis=0)).sum())
+            blocks.append((a.shape[1], nu * num / sq_sum,
+                           (nu + 2.0) * num / sq_sum - 2.0, kish))
         r = sum(b[0] for b in blocks)
 
         def moments(column):
@@ -100,6 +131,15 @@ def two_estimator_cells(cfg):
                              expected, mean_kish / k, mean_satt / expected,
                              mean_corr / expected))
     return cells
+
+
+def assert_cells_close(cells, reference):
+    """Equal up to summation order: every statistic to rel 1e-14, the rest exactly."""
+    for cell, ref in zip(cells, reference, strict=True):
+        for name in ("mean_satt", "sd_satt", "mean_corr", "sd_corr", "mean_kish",
+                     "ratio_kish_k", "ratio_satt", "ratio_corr"):
+            assert getattr(cell, name) == pytest.approx(getattr(ref, name), rel=1e-14)
+        assert (cell.k, cell.nu_bar, cell.expected) == (ref.k, ref.nu_bar, ref.expected)
 
 
 class TestSampler:
@@ -180,36 +220,53 @@ class TestSampler:
 
 
 class TestBatchAgainstScalar:
+    """A block's per-cell sums against the scalar estimators on the same draws."""
+
+    CFG = dict(k_values=(2, 5), nu_values=(3.5,), replicates=40, weight_mode="random")
+
     def test_df_estimates_match_scalar_path(self):
-        rng = np.random.default_rng(12)
-        nu = 3.5
-        weights = rng.uniform(0.1, 2.0, size=(40, 5))
-        s2 = rng.uniform(0.1, 4.0, size=(40, 5))
-        satt, corr = batch_df_estimates(weights, s2, nu)
-        for i in range(40):
-            cs = ComponentSet.from_arrays(weights[i], s2[i], [nu] * 5)
-            assert satt[i] == pytest.approx(satterthwaite_df(cs).value, rel=1e-12)
-            assert corr[i] == pytest.approx(corrected_df(cs).value, rel=1e-12)
+        cfg = make_cfg(**self.CFG)
+        sums = _column_sums(cfg, 0, 0, 40)
+        weights, s2, redraws = segment_draws(cfg, 0, 0, 40)
+        for k, block, count in zip(cfg.k_values, sums, redraws, strict=True):
+            columns = [(weights[:k, j], s2[:k, j]) for j in range(40)]
+            # at nu = 1 the classic df is the ratio R itself
+            ratio = [satterthwaite_df(ComponentSet.from_arrays(w, v, [1.0] * k)).value
+                     for w, v in columns]
+            mean = math.fsum(ratio) / len(ratio)
+            assert (block.n, block.rejections) == (40, count)
+            assert block.mean == pytest.approx(mean, rel=1e-12)
+            assert block.m2 == pytest.approx(math.fsum((x - mean) ** 2 for x in ratio),
+                                             rel=1e-12)
+            # the cell derives both estimators at nu_bar from R's moments
+            cell = _assemble_cell(k, 3.5, [block])
+            for estimator, field in ((satterthwaite_df, "mean_satt"),
+                                     (corrected_df, "mean_corr")):
+                values = [estimator(ComponentSet.from_arrays(w, v, [3.5] * k)).value
+                          for w, v in columns]
+                assert getattr(cell, field) == pytest.approx(math.fsum(values) / 40,
+                                                             rel=1e-12)
 
     def test_kish_matches_scalar_path(self):
-        rng = np.random.default_rng(13)
-        weights = rng.uniform(0.05, 3.0, size=(40, 6))
-        batch = batch_kish(weights)
-        for i in range(40):
-            assert batch[i] == pytest.approx(kish_neff(weights[i]), rel=1e-12)
+        cfg = make_cfg(**self.CFG)
+        sums = _column_sums(cfg, 0, 0, 40)
+        weights, _, _ = segment_draws(cfg, 0, 0, 40)
+        for k, block in zip(cfg.k_values, sums, strict=True):
+            scalar = math.fsum(kish_neff(weights[:k, j]) for j in range(40))
+            assert block.kish == pytest.approx(scalar, rel=1e-12)
 
-    def test_unit_scalar_weight_equals_a_ones_array(self):
-        rng = np.random.default_rng(14)
-        s2 = rng.uniform(0.1, 4.0, size=(40, 7))
-        for a, b in zip(batch_df_estimates(1.0, s2, 3.0),
-                        batch_df_estimates(np.ones_like(s2), s2, 3.0)):
-            assert np.array_equal(a, b)
+    def test_all_zero_replicate_is_a_hard_error(self, monkeypatch):
+        # replicate 1 draws zeros in the first segment only: cell K=2 has an
+        # all-zero replicate although the K=3 one does not
+        def zeros_in_one_replicate(nu, rng, size=None):
+            s2 = sample_component_variance(nu, rng, size)
+            if size[0] == 2:
+                s2[:, 1] = 0.0
+            return s2
 
-    def test_all_zero_replicate_is_a_hard_error(self):
-        weights = np.ones((3, 2))
-        s2 = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 2.0]])
-        with pytest.raises(DegenerateComponents):
-            batch_df_estimates(weights, s2, 2.0)
+        monkeypatch.setattr(montecarlo, "sample_component_variance", zeros_in_one_replicate)
+        with pytest.raises(DegenerateComponents, match="all-zero weighted variances"):
+            run_grid_detailed(make_cfg(k_values=(2, 3), replicates=3))
 
 
 class TestWeightDraw:
@@ -242,9 +299,12 @@ class TestWeightDraw:
                        block_size=5_000, weight_mode="random")
         result = run_grid_detailed(cfg)
         cells, rejections = reference_cells(cfg)
-        assert result.cells == cells
+        # the block sums its segments one at a time, the reference each K's
+        # components in one pass: only the summation order differs
+        assert_cells_close(result.cells, cells)
         assert result.cell_weight_rejections == rejections
-        assert result.weight_rejections == sum(rejections)
+        # the K=16 cells, last in the grid, count every redraw of their column
+        assert result.weight_rejections == sum(rejections[-2:])
 
 
 class TestDeterminism:
@@ -374,11 +434,7 @@ class TestAggregates:
         cfg = make_cfg(k_values=(2, 3, 16, 64), nu_values=(1.0, 2.5, 8.0, 32.0),
                        replicates=6_000, block_size=2_500, seed=12345, weight_mode=mode)
         cells, reference = run_grid_detailed(cfg).cells, two_estimator_cells(cfg)
-        for cell, ref in zip(cells, reference, strict=True):
-            for name in ("mean_satt", "sd_satt", "mean_corr", "sd_corr", "mean_kish",
-                         "ratio_kish_k", "ratio_satt", "ratio_corr"):
-                assert getattr(cell, name) == pytest.approx(getattr(ref, name), rel=1e-14)
-            assert (cell.k, cell.nu_bar, cell.expected) == (ref.k, ref.nu_bar, ref.expected)
+        assert_cells_close(cells, reference)
         for ratios in (False, True):
             assert render_cells(cells, 3, ratios) == render_cells(reference, 3, ratios)
 
@@ -436,9 +492,25 @@ class TestAggregates:
         result = run_grid_detailed(cfg, threads=2)
         per_cell = result.cell_weight_rejections
         assert len(per_cell) == len(cfg.grid)
-        assert sum(per_cell) == result.weight_rejections
-        # P(w <= 0) ~ 4.3e-4 per draw: K=32 cells draw 8x the weights of K=4 cells
+        # grid order (4, 1), (4, 8), (32, 1), (32, 8): a K=32 cell counts the
+        # redraws among all 32 components of its column, the K=4 cell those
+        # among the first 4, so the K=32 cells hold every redraw made
+        assert result.weight_rejections == per_cell[2] + per_cell[3]
+        # P(w <= 0) ~ 4.3e-4 per draw: K=32 cells see 8x the weights of K=4 cells
         assert per_cell[2] > per_cell[0] and per_cell[3] > per_cell[1]
+
+    @pytest.mark.parametrize("mode", ["equal", "random"])
+    def test_a_larger_k_leaves_the_smaller_cells_unchanged(self, mode):
+        # cell K uses the first K components of its column's replicates, which
+        # are drawn before any larger K's
+        small = make_cfg(k_values=(3, 16), nu_values=(1.0, 5.0), replicates=5_000,
+                         block_size=2_000, weight_mode=mode)
+        large = dataclasses.replace(small, k_values=(3, 16, 64))
+        a, b = run_grid_detailed(small), run_grid_detailed(large, threads=2)
+        assert b.cells[:4] == a.cells
+        assert b.cell_weight_rejections[:4] == a.cell_weight_rejections
+        csv_small = cells_csv_full_precision(a.cells)
+        assert cells_csv_full_precision(b.cells).startswith(csv_small)
 
     def test_no_weight_rejections_in_equal_mode(self):
         cfg = make_cfg(k_values=(2, 8), nu_values=(1.0, 4.0), replicates=600)
