@@ -176,12 +176,8 @@ def _fmt(x: float, precision: int) -> str:
 
 
 def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: str) -> str:
-    if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
-        return out.getvalue()
+    if fmt == "csv":  # no cell holds a comma, a quote or a newline
+        return "".join(",".join(row) + "\n" for row in (headers, *rows))
     lines = [
         "| " + " | ".join(headers) + " |",
         "|" + "|".join(" --- " for _ in headers) + "|",

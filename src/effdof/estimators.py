@@ -19,10 +19,11 @@ The module also provides Kish's effective sample size ``(sum w)^2 / sum w^2``
 and the weight summaries beside it (relvariance and design effect).
 
 Inputs are plain numbers: the df estimators take a :class:`ComponentSet`
-(see :meth:`ComponentSet.from_arrays` for its checks), the weight summaries
-any sequence of weights. A bad entry raises an :class:`~effdof.errors.FieldError`
-carrying its ``field`` and 0-based ``index``, e.g. ``index 1: weight must be
->= 0, got -1.0``.
+(its docstring lists the checks), the weight summaries any sequence of
+weights. A bad entry raises an :class:`~effdof.errors.FieldError` carrying its
+``field`` and 0-based ``index``, e.g. ``index 1: weight must be >= 0, got
+-1.0``. A set memoises only the ratio sums that can overflow: the numerator
+and one denominator per dof offset.
 
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
@@ -62,18 +63,28 @@ class ComponentSet(_Record):
 
     ``weights[k]``, ``variances[k]`` and ``dofs[k]`` belong to component k:
     ``variances[k]`` is the estimate S_k^2 (or a known sigma_k^2) with
-    ``dofs[k]`` degrees of freedom behind it. Construction checks every entry
-    (see :meth:`from_arrays`) and stores the three tuples as floats.
+    ``dofs[k]`` degrees of freedom behind it. Construction checks the three
+    equal-length sequences and stores them as tuples of floats. Every weight
+    and variance must be a finite real number >= 0 and every dof a finite
+    real number > 0 (``bool`` and strings are refused). The weights are
+    checked first, then the variances, then the dofs; the first bad entry
+    raises a :class:`~effdof.errors.FieldError` whose ``field`` is
+    ``"weight"``, ``"variance"`` or ``"dof"`` and whose ``index`` is the
+    0-based component, with the message ``component 3: dof must be > 0, got
+    0.0`` for example. Components with ``weight * variance == 0`` are
+    permitted and drop out of the sums, but at least one must be positive,
+    else :class:`DegenerateComponents`. Sequences of different lengths raise
+    :class:`LengthMismatch`.
 
-    A set forms its weighted variances w_k S_k^2 once, when it is built, and
-    the rest of the df estimators' ratio on first use: the numerator once, the
-    squares (w_k S_k^2)^2 once, and each denominator once per
-    ``Variant.dof_offset``. Every df estimator on the set reuses them. Any
-    caller would compute the same values, so sharing a set between threads is
-    safe.
+    A set forms its weighted variances w_k S_k^2 and their squares when it is
+    built, since a float product never raises. The sums of the df
+    estimators' ratio can overflow, so they wait for first use: the numerator
+    once, and each denominator once per ``Variant.dof_offset``. Every df
+    estimator on the set reuses them. Any caller would compute the same
+    values, so sharing a set between threads is safe.
     """
 
-    __slots__ = ("weights", "variances", "dofs", "_products", "_memo")
+    __slots__ = ("weights", "variances", "dofs", "_products", "_squares", "_memo")
     weights: tuple[float, ...]
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
@@ -95,8 +106,9 @@ class ComponentSet(_Record):
             )
         self._freeze(weights, variances, dofs)
         object.__setattr__(self, "_products", products)
-        # the ratio memo: None -> numerator, "squares" -> the squared
-        # products, a dof offset -> its denominator
+        object.__setattr__(self, "_squares", tuple(map(operator.mul, products, products)))
+        # the ratio memo, of the sums that can overflow: None -> numerator,
+        # a dof offset -> its denominator
         object.__setattr__(self, "_memo", {})
 
     @classmethod
@@ -106,21 +118,7 @@ class ComponentSet(_Record):
         variances: Sequence[float],
         dofs: Sequence[float],
     ) -> "ComponentSet":
-        """Check the three equal-length sequences and build the set.
-
-        Every weight and variance must be a finite real number >= 0 and every
-        dof a finite real number > 0 (``bool`` and strings are refused). The
-        weights are checked first, then the variances, then the dofs; the
-        first bad entry raises a :class:`~effdof.errors.FieldError` whose
-        ``field`` is ``"weight"``, ``"variance"`` or ``"dof"`` and whose
-        ``index`` is the 0-based component, with the message
-        ``component 3: dof must be > 0, got 0.0`` for example. Components with
-        ``weight * variance == 0`` are permitted and drop out of the sums,
-        but at least one must be positive, else :class:`DegenerateComponents`.
-
-        Raises:
-            LengthMismatch: if the sequences differ in length.
-        """
+        """The constructor under another name; the class docstring lists its checks."""
         return cls(weights, variances, dofs)
 
     def __len__(self) -> int:
@@ -233,55 +231,43 @@ def _single_positive(a: Sequence[float]) -> int | None:
     return found
 
 
-def _overflow(variant: Variant, part: str) -> OverflowError:
-    """The error for a ratio sum of ``variant`` beyond the float range."""
-    return OverflowError(f"{variant.value} df {part} overflows a float")
-
-
 def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
     minus the shift, with both constants taken from ``variant``.
 
-    The products, their squares and the sums come from ``cs``: each is
-    computed once per set and stored there, so the three estimators on one
-    set make one numerator pass, one squares pass and two denominator passes
-    (corrected and Boardman share an offset). The sums wait for first use
-    because they may overflow: building a set never raises it, and a sum that
-    raises is not stored. Its ``OverflowError`` names the variant and the sum,
-    e.g. ``satterthwaite df denominator overflows a float``.
+    The products and their squares come from ``cs``, and so do the sums: each
+    is computed once per set and stored there, so the three estimators on one
+    set make one numerator pass and two denominator passes (corrected and
+    Boardman share an offset). The sums wait for first use because they may
+    overflow: building a set never raises it, and a sum that raises is not
+    stored. Its ``OverflowError`` names the variant and the sum, e.g.
+    ``satterthwaite df denominator overflows a float``.
     """
     offset = variant.dof_offset
-    a = cs._products
-    only = _single_positive(a)
-    if only is not None:
-        # ratio is exactly nu + offset here; evaluating it directly keeps
-        # single-component sets (and K=1 in particular) free of rounding
-        try:
-            aa = a[only] ** 2
-        except OverflowError:
-            raise _overflow(variant, "numerator") from None
-        dof = cs.dofs[only]
-        value = dof + (offset - variant.shift)
-        return DfEstimate(variant, value, aa, aa / (dof + offset))
     memo = cs._memo
     numerator = memo.get(None)
     if numerator is None:
         try:
             # ** 2, not *: a sum too large to square raises OverflowError, not inf
-            numerator = memo[None] = math.fsum(a) ** 2
+            numerator = memo[None] = math.fsum(cs._products) ** 2
         except OverflowError:
-            raise _overflow(variant, "numerator") from None
+            raise OverflowError(f"{variant.value} df numerator overflows a float") from None
+    only = _single_positive(cs._products)
+    if only is not None:
+        # fsum of one positive entry among zeros is that entry, and the ratio
+        # is exactly nu + offset: single-component sets (K=1 in particular)
+        # are free of rounding
+        dof = cs.dofs[only]
+        return DfEstimate(variant, dof + (offset - variant.shift), numerator,
+                          numerator / (dof + offset))
     denominator = memo.get(offset)
     if denominator is None:
-        squares = memo.get("squares")
-        if squares is None:
-            squares = memo["squares"] = tuple(map(operator.mul, a, a))
         # d + 0.0 == d for every dof d > 0, so the classic form skips the add
         dofs = map(operator.add, cs.dofs, repeat(offset)) if offset else cs.dofs
         try:
-            denominator = memo[offset] = math.fsum(map(operator.truediv, squares, dofs))
+            denominator = memo[offset] = math.fsum(map(operator.truediv, cs._squares, dofs))
         except OverflowError:  # fsum's partial sums left the float range
-            raise _overflow(variant, "denominator") from None
+            raise OverflowError(f"{variant.value} df denominator overflows a float") from None
     if denominator == 0.0:
         raise DegenerateComponents(
             "all weighted variances are zero; df estimators are undefined"

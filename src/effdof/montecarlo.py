@@ -191,8 +191,7 @@ def sample_component_variance(nu, rng: np.random.Generator, size=None):
     tuple gives an array, built in place without a second array. A nu so
     small that ``2 / nu`` overflows raises ``FloatingPointError``.
     """
-    if not nu > 0:
-        raise ValueError("nu must be > 0")
+    nu = check_real("nu", nu, 0.0, strict=True)
     if nu == 1:
         x = rng.standard_normal(size)
         x *= x
@@ -353,8 +352,8 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     so any thread count yields identical cells. ``threads`` must lie in
     1..256.
     """
-    if not 1 <= threads <= _MAX_THREADS:
-        raise ValueError(f"threads must be between 1 and {_MAX_THREADS}, got {threads}")
+    if check_int("threads", threads, 1) > _MAX_THREADS:
+        raise FieldError("threads", f"threads must be between 1 and {_MAX_THREADS}, got {threads}")
     nus = cfg.nu_values
     sizes = _block_sizes(cfg)
     tasks = [(vi, bi, n) for vi in range(len(nus)) for bi, n in enumerate(sizes)]

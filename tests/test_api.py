@@ -99,7 +99,7 @@ def test_records_behave_as_frozen_dataclasses(cls, args, text, other_last):
 def test_component_set_private_state_stays_out_of_the_record_protocol():
     cs = estimators.ComponentSet((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
     private = [name for name in cs.__slots__ if name.startswith("_")]
-    assert private  # the products and the memo of ratio sums
+    assert private  # the products, their squares and the memo of ratio sums
     payload = cs.__reduce__()[1]
     assert payload == ((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
     for name in private:

@@ -73,6 +73,24 @@ class TestEstimate:
         assert out.startswith("| estimator |")
         assert "| satterthwaite | 7.200 |" in out
 
+    def test_csv_and_markdown_text_is_pinned(self, capsys, tmp_path):
+        path = write(tmp_path, "two.csv", TWO_COMPONENTS)
+        _, out, _ = run_cli(capsys, "estimate", "--input", path)
+        assert out == ("estimator,value,numerator,denominator\n"
+                       "satterthwaite,7.200,9.000,1.250\n"
+                       "corrected,8.800,9.000,0.833\n"
+                       "boardman,10.800,9.000,0.833\n"
+                       "kish_neff,2.000,,\n"
+                       "design_effect,1.000,,\n")
+        _, out, _ = run_cli(capsys, "estimate", "--input", path, "--format", "markdown")
+        assert out == ("| estimator | value | numerator | denominator |\n"
+                       "| --- | --- | --- | --- |\n"
+                       "| satterthwaite | 7.200 | 9.000 | 1.250 |\n"
+                       "| corrected | 8.800 | 9.000 | 0.833 |\n"
+                       "| boardman | 10.800 | 9.000 | 0.833 |\n"
+                       "| kish_neff | 2.000 |  |  |\n"
+                       "| design_effect | 1.000 |  |  |\n")
+
     def test_json_format_carries_intermediates(self, capsys, tmp_path):
         path = write(tmp_path, "two.csv", TWO_COMPONENTS)
         code, out, _ = run_cli(capsys, "estimate", "--input", path,

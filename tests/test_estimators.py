@@ -123,6 +123,12 @@ class TestDfEstimators:
         with pytest.raises(OverflowError, match=f"^{variant} df estimate overflows a float$"):
             fn(cs)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_record_refuses_a_value_that_is_not_positive(self, value):
+        with pytest.raises(DegenerateComponents,
+                           match=rf"^corrected df estimate is not positive \({value!r}\)"):
+            estimators.DfEstimate(Variant.CORRECTED, value, 1.0, 0.5)
+
 
 DF_ESTIMATORS = (satterthwaite_df, corrected_df, boardman_df)
 
@@ -190,6 +196,8 @@ class TestSharedRatioSums:
         for fn in DF_ESTIMATORS:
             fn(cs)
         assert len(calls) == 3
+        # the memo holds the sums that can overflow, and nothing else
+        assert set(cs._memo) == {None, 0.0, 2.0}
 
 
 class TestHarmonicForm:

@@ -204,7 +204,7 @@ class TestSampler:
 
     def test_invalid_parameters(self):
         rng = np.random.Generator(np.random.Philox(4))
-        for nu in (0.0, -1.0, float("nan")):
+        for nu in (0.0, -1.0, float("nan"), float("inf"), True, "2"):
             with pytest.raises(ValueError, match="nu"):
                 sample_component_variance(nu, rng)
 
@@ -600,3 +600,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="between 1 and 256, got 257"):
             run_grid_detailed(make_cfg(replicates=10), threads=257)
         assert run_grid_detailed(make_cfg(replicates=10), threads=256).cells
+        for threads in (True, 1.5):
+            with pytest.raises(FieldError) as exc:
+                run_grid_detailed(make_cfg(replicates=10), threads=threads)
+            assert exc.value.field == "threads"
