@@ -94,8 +94,11 @@ def _read_text(path: str | Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # universal newlines, as the parsers read: \n, \r\n and \r each end a line
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ParseError(f"cannot decode byte {data[exc.start]:#04x} as UTF-8 ({exc.reason})",
-                         line=data.count(b"\n", 0, exc.start) + 1) from None
+                         line=line) from None
 
 
 def _parse_field(cell: str, line: int, column: int) -> float:
@@ -156,7 +159,7 @@ def parse_components_file(path: str | Path) -> ComponentSet:
 def parse_values_file(path: str | Path) -> tuple[list[float], list[int]]:
     """Read a file with one number per line: the values, parsed but not yet
     checked, and the line each came from."""
-    rows = _read_text(path).splitlines()
+    rows = list(io.StringIO(_read_text(path), newline=None))  # universal newlines
     values, lines = [], []
     for i, raw in enumerate(rows, start=1):
         if raw.strip():
@@ -466,9 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"effdof: degenerate input: {exc}", file=sys.stderr)
         return 4
     except ArithmeticError as exc:
-        # float ** raises OverflowError((errno, text)): report the text only
-        detail = exc.args[-1] if exc.args else type(exc).__name__
-        print(f"effdof: arithmetic error: {detail}", file=sys.stderr)
+        print(f"effdof: arithmetic error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"effdof: {exc}", file=sys.stderr)

@@ -89,10 +89,10 @@ class _Record:
     """Immutable record whose fields are the subclass's public ``__slots__``, in order.
 
     A subclass's ``__init__`` checks its arguments and passes the final values
-    to :meth:`_freeze`, which sets each field once. Equality, hashing, the repr
-    and pattern matching follow the fields as for a frozen dataclass;
-    assignment and deletion raise :class:`AttributeError`, and copies and
-    pickles are rebuilt through the constructor.
+    to :meth:`_freeze`, which sets each slot once, in ``__slots__`` order.
+    Equality, hashing, the repr and pattern matching follow the fields as for a
+    frozen dataclass; assignment and deletion raise :class:`AttributeError`,
+    and copies and pickles are rebuilt through the constructor.
 
     A slot whose name starts with ``_`` is not a field: it holds private state
     derived from the fields (such as :class:`~effdof.estimators.ComponentSet`'s
@@ -109,7 +109,7 @@ class _Record:
             name for name in cls.__slots__ if not name.startswith("_"))
 
     def _freeze(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

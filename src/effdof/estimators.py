@@ -22,8 +22,8 @@ Inputs are plain numbers: the df estimators take a :class:`ComponentSet`
 (its docstring lists the checks), the weight summaries any sequence of
 weights. A bad entry raises an :class:`~effdof.errors.FieldError` carrying its
 ``field`` and 0-based ``index``, e.g. ``index 1: weight must be >= 0, got
--1.0``. A set memoises only the ratio sums that can overflow: the numerator
-and one denominator per dof offset.
+-1.0``. A set forms the sums of the df estimators' ratio when it is built,
+and only an estimator that needs a sum beyond the float range raises.
 
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, _Record, check_reals
@@ -76,15 +76,13 @@ class ComponentSet(_Record):
     else :class:`DegenerateComponents`. Sequences of different lengths raise
     :class:`LengthMismatch`.
 
-    A set forms its weighted variances w_k S_k^2 and their squares when it is
-    built, since a float product never raises. The sums of the df
-    estimators' ratio can overflow, so they wait for first use: the numerator
-    once, and each denominator once per ``Variant.dof_offset``. Every df
-    estimator on the set reuses them. Any caller would compute the same
-    values, so sharing a set between threads is safe.
+    A set forms its ratio's numerator and one denominator per
+    ``Variant.dof_offset`` when it is built, and is never written to again, so
+    threads may share it. A sum beyond the float range is kept as None: only
+    an estimator that needs it raises.
     """
 
-    __slots__ = ("weights", "variances", "dofs", "_products", "_squares", "_memo")
+    __slots__ = ("weights", "variances", "dofs", "_numerator", "_denominators", "_only")
     weights: tuple[float, ...]
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
@@ -104,12 +102,13 @@ class ComponentSet(_Record):
             raise DegenerateComponents(
                 "all weighted variances are zero; df estimators are undefined"
             )
-        self._freeze(weights, variances, dofs)
-        object.__setattr__(self, "_products", products)
-        object.__setattr__(self, "_squares", tuple(map(operator.mul, products, products)))
-        # the ratio memo, of the sums that can overflow: None -> numerator,
-        # a dof offset -> its denominator
-        object.__setattr__(self, "_memo", {})
+        squares = tuple(map(operator.mul, products, products))
+        # d + 0.0 == d for every dof d > 0, so the classic form skips the add
+        denominators = {0.0: _fsum_or_none(map(operator.truediv, squares, dofs)),
+                        2.0: _fsum_or_none(map(operator.truediv, squares,
+                                               map(operator.add, dofs, repeat(2.0))))}
+        self._freeze(weights, variances, dofs, _fsum_or_none(products, square=True),
+                     denominators, _single_positive(products))
 
     @classmethod
     def from_arrays(
@@ -231,43 +230,38 @@ def _single_positive(a: Sequence[float]) -> int | None:
     return found
 
 
+def _fsum_or_none(xs: Iterable[float], square: bool = False) -> float | None:
+    """``math.fsum(xs)``, squared if ``square``, or None if that leaves the float range."""
+    try:
+        total = math.fsum(xs)
+        # ** 2, not *: a sum too large to square raises OverflowError, not inf
+        return total ** 2 if square else total
+    except OverflowError:
+        return None
+
+
 def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
     minus the shift, with both constants taken from ``variant``.
 
-    The products and their squares come from ``cs``, and so do the sums: each
-    is computed once per set and stored there, so the three estimators on one
-    set make one numerator pass and two denominator passes (corrected and
-    Boardman share an offset). The sums wait for first use because they may
-    overflow: building a set never raises it, and a sum that raises is not
-    stored. Its ``OverflowError`` names the variant and the sum, e.g.
+    Both sums come from ``cs``. One it holds as None left the float range and
+    raises an ``OverflowError`` naming the variant and the sum, e.g.
     ``satterthwaite df denominator overflows a float``.
     """
     offset = variant.dof_offset
-    memo = cs._memo
-    numerator = memo.get(None)
+    numerator = cs._numerator
     if numerator is None:
-        try:
-            # ** 2, not *: a sum too large to square raises OverflowError, not inf
-            numerator = memo[None] = math.fsum(cs._products) ** 2
-        except OverflowError:
-            raise OverflowError(f"{variant.value} df numerator overflows a float") from None
-    only = _single_positive(cs._products)
-    if only is not None:
+        raise OverflowError(f"{variant.value} df numerator overflows a float")
+    if cs._only is not None:
         # fsum of one positive entry among zeros is that entry, and the ratio
         # is exactly nu + offset: single-component sets (K=1 in particular)
         # are free of rounding
-        dof = cs.dofs[only]
+        dof = cs.dofs[cs._only]
         return DfEstimate(variant, dof + (offset - variant.shift), numerator,
                           numerator / (dof + offset))
-    denominator = memo.get(offset)
+    denominator = cs._denominators[offset]
     if denominator is None:
-        # d + 0.0 == d for every dof d > 0, so the classic form skips the add
-        dofs = map(operator.add, cs.dofs, repeat(offset)) if offset else cs.dofs
-        try:
-            denominator = memo[offset] = math.fsum(map(operator.truediv, cs._squares, dofs))
-        except OverflowError:  # fsum's partial sums left the float range
-            raise OverflowError(f"{variant.value} df denominator overflows a float") from None
+        raise OverflowError(f"{variant.value} df denominator overflows a float")
     if denominator == 0.0:
         raise DegenerateComponents(
             "all weighted variances are zero; df estimators are undefined"

@@ -99,7 +99,7 @@ def test_records_behave_as_frozen_dataclasses(cls, args, text, other_last):
 def test_component_set_private_state_stays_out_of_the_record_protocol():
     cs = estimators.ComponentSet((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
     private = [name for name in cs.__slots__ if name.startswith("_")]
-    assert private  # the products, their squares and the memo of ratio sums
+    assert private  # the ratio's sums and the index of a single positive component
     payload = cs.__reduce__()[1]
     assert payload == ((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
     for name in private:
@@ -108,7 +108,7 @@ def test_component_set_private_state_stays_out_of_the_record_protocol():
         assert name not in dataclasses.asdict(cs)
         with pytest.raises(AttributeError):
             setattr(cs, name, getattr(cs, name))
-    # estimating fills one set's memo only: equality and hash ignore it
+    # equality and hash ignore the private sums, before and after an estimate
     twin = estimators.ComponentSet((1.0, 2.0), (1.0, 0.5), (4.0, 4.0))
     estimators.corrected_df(cs)
     assert cs == twin and hash(cs) == hash(twin)

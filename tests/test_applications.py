@@ -132,8 +132,8 @@ class TestMultipleImputation:
 
     def test_unused_classic_denominator_is_never_formed(self):
         # the classic denominator of these components overflows in fsum; the
-        # corrected one does not, so MI succeeds only while each denominator
-        # is formed when an estimator first needs it (exact: within 7e-18)
+        # corrected one does not, so MI succeeds only while the set keeps that
+        # overflow for the classic estimator alone (exact: within 7e-18)
         mi = MiVariance(1.22e150, 1e-8, 4.7e153, 2)
         assert mi_total_df(mi) == 1.001038252906434
 

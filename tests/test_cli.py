@@ -221,6 +221,15 @@ class TestEstimate:
         assert err == ("effdof: parse error: line 2: cannot decode byte 0xff as UTF-8 "
                        "(invalid start byte)\n")
 
+    def test_decode_error_counts_carriage_return_lines(self, capsys, tmp_path):
+        # a CR-only file: the bad byte sits on line 3, as a parse error there would
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"weight,variance,dof\r1,1,4\r\xff,2,4\r")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("effdof: parse error: line 3: cannot decode byte 0xff as UTF-8 "
+                       "(invalid start byte)\n")
+
     def test_malformed_csv_is_a_parse_error(self, capsys, tmp_path):
         cell = "1" * (csv.field_size_limit() + 1)
         path = write(tmp_path, "long.csv", f"weight,variance,dof\n1,1,4\n1,{cell},4\n")
@@ -283,6 +292,20 @@ class TestJackknifeCommand:
         assert err == ("effdof: parse error: line 3: cannot decode byte 0xe9 as UTF-8 "
                        "(invalid continuation byte)\n")
 
+
+    @pytest.mark.parametrize("data, detail", [
+        # \f and \u2028 end a line for str.splitlines, not for universal newlines
+        (b"1\f2\nx\n", "line 1, column 1: could not parse '1\\x0c2' as a number"),
+        ("1\u20282\n3\n".encode(), "line 1, column 1: could not parse '1\\u20282' as a number"),
+        # a CR-only file: the bad byte sits on line 3
+        (b"1\r2\r\xff3\r", "line 3: cannot decode byte 0xff as UTF-8 (invalid start byte)"),
+    ])
+    def test_lines_are_universal_newlines(self, capsys, tmp_path, data, detail):
+        path = tmp_path / "pv.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "jackknife", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"effdof: parse error: {detail}\n"
 
     def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
         plain = write(tmp_path, "pv.txt", "0\n0\n2\n2\n")

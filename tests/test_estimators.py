@@ -123,6 +123,24 @@ class TestDfEstimators:
         with pytest.raises(OverflowError, match=f"^{variant} df estimate overflows a float$"):
             fn(cs)
 
+    @pytest.mark.parametrize("fn", [satterthwaite_df, corrected_df, boardman_df])
+    def test_overflowing_sum_names_the_estimator_and_the_sum(self, fn):
+        variant = fn.__name__.removesuffix("_df")
+        # (sum w_k S_k^2)^2 overflows when squared, for two components or one
+        for cs in (cset([1e200, 1e200], [1, 2], [4, 4]), cset([1e200], [1], [4])):
+            with pytest.raises(OverflowError,
+                               match=f"^{variant} df numerator overflows a float$"):
+                fn(cs)
+        # only the classic denominator, sum (w_k S_k^2)^2 / nu_k, leaves the float range
+        cs = cset([1, 1.5], [1.22e150, 4.7e153], [1e-8, 1])
+        if fn is satterthwaite_df:
+            with pytest.raises(OverflowError,
+                               match="^satterthwaite df denominator overflows a float$"):
+                fn(cs)
+        else:
+            expected = {corrected_df: 1.001038252906434, boardman_df: 3.001038252906434}
+            assert fn(cs).value == expected[fn]
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_record_refuses_a_value_that_is_not_positive(self, value):
         with pytest.raises(DegenerateComponents,
@@ -163,7 +181,7 @@ class TestSharedRatioSums:
             assert _hexes(twin) == expected
 
     def test_threads_sharing_one_set_agree_with_a_serial_run(self, columns):
-        # racing threads may each compute a sum the memo lacks; they store the same bits
+        # a set is never written to after it is built, so racing threads only read it
         expected = _hexes(ComponentSet(*columns))
         shared = ComponentSet(*columns)
 
@@ -181,7 +199,6 @@ class TestSharedRatioSums:
 
     def test_three_estimators_make_one_numerator_and_two_denominator_sums(
             self, monkeypatch):
-        cs = cset([1.0, 2.0, 0.5], [1.0, 0.5, 3.0], [4.0, 9.0, 2.5])
         calls = []
         fsum = estimators.math.fsum
 
@@ -190,14 +207,13 @@ class TestSharedRatioSums:
             return fsum(xs)
 
         monkeypatch.setattr(estimators.math, "fsum", counting)
-        for fn in DF_ESTIMATORS:
-            fn(cs)
+        cs = cset([1.0, 2.0, 0.5], [1.0, 0.5, 3.0], [4.0, 9.0, 2.5])
         assert len(calls) == 3  # the numerator, nu_k + 0 and nu_k + 2
-        for fn in DF_ESTIMATORS:
+        for fn in DF_ESTIMATORS + DF_ESTIMATORS:
             fn(cs)
         assert len(calls) == 3
-        # the memo holds the sums that can overflow, and nothing else
-        assert set(cs._memo) == {None, 0.0, 2.0}
+        # the sums are formed once, when the set is built, and kept in no memo
+        assert not hasattr(cs, "_memo")
 
 
 class TestHarmonicForm:
