@@ -261,7 +261,10 @@ def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
 # ---------------------------------------------------------------------------
 
 def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> dict:
+    import platform
     from dataclasses import asdict
+
+    import numpy
 
     from .montecarlo import RNG_DESCRIPTION
 
@@ -269,6 +272,9 @@ def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> d
         # JSON writes the tuples as lists; SimConfig(**manifest["config"]) rebuilds the config
         "config": asdict(cfg),
         "library_version": __version__,
+        # random-mode bytes rest on numpy's normal and gamma samplers
+        "numpy_version": numpy.__version__,
+        "python_version": platform.python_version(),
         "rng": RNG_DESCRIPTION,
         "weight_rejections": weight_rejections,
         "duration_seconds": duration,
@@ -341,6 +347,7 @@ def _cmd_simulate(args) -> int:
     table = render_cells(result.cells, args.precision, ratios)
     manifest = build_manifest(cfg, result.weight_rejections, duration)
     manifest["cell_weight_rejections"] = list(result.cell_weight_rejections)  # grid order
+    manifest["threads"] = args.threads  # scheduling only: the cells do not depend on it
     manifest_text = json.dumps(manifest, indent=2) + "\n"
     # the files before stdout, so a failure leaves stdout empty
     if out:

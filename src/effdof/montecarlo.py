@@ -8,28 +8,35 @@ reference results. Every true component variance is 1 and equal weights are
 1: the df estimators are scale invariant, so other constants would not change
 them.
 
-Reproducibility contract: one parallel unit is one (nu column, block) pair,
-and it draws from an independent substream derived from ``(seed, nu index,
-block index)`` via ``numpy.random.SeedSequence`` spawn keys, so output depends
-only on the configuration, never on scheduling or thread count. The bit
-generator is SFC64 (Small Fast Chaotic, 256-bit state). The spawn keys, not
-the generator, make the substreams independent, so the draws need no
-counter-based generator such as Philox and take the cheapest one measured. A
-chi-square(1) variate is a squared standard normal, which is exactly its
-distribution and about three times cheaper than a gamma draw of shape 1/2;
-other df come from numpy's ``gamma`` with the scale folded in (Marsaglia-Tsang
-squeeze method for shape >= 1, Ahrens-Dieter GS for shape < 1, which covers
-component df below 2 other than 1).
+Reproducibility contract: the variances of one (nu column, block) pair come
+from an independent substream derived from ``(seed, nu index, block index)``,
+and the random weights of one block from a substream of its own derived from
+``(seed, block index)``, both via ``numpy.random.SeedSequence`` spawn keys, so
+output depends only on the configuration, never on scheduling or thread
+count. One parallel unit is one block of every nu column in random mode (its
+weights are drawn once and shared by the columns) and one (nu column, block)
+pair in equal mode. The bit generator is SFC64 (Small Fast Chaotic, 256-bit
+state). The spawn keys, not the generator, make the substreams independent,
+so the draws need no counter-based generator such as Philox and take the
+cheapest one measured. A chi-square(1) variate is a squared standard normal,
+which is exactly its distribution and about three times cheaper than a gamma
+draw of shape 1/2; other df come from numpy's ``gamma`` with the scale folded
+in (Marsaglia-Tsang squeeze method for shape >= 1, Ahrens-Dieter GS for shape
+< 1, which covers component df below 2 other than 1).
 
 The cells of one nu share their replicates (common random numbers): a
 replicate draws max(K) components, and the cell of each K takes its first K.
 A block draws them segment by segment, [0, K_1), [K_1, K_2), ... up the sorted
-K values (in random mode each segment's weights first, then its variances), and
-keeps running sums over the components, so it emits a cell's block moments as
-soon as its K is reached. Each cell's distribution, and so its mean, SD and
-standard error, is that of independent replicates of its own; only cells of
-the same nu covary. A grid draws max(K), not sum(K), components per replicate
-and nu, and no live array is larger than one segment.
+K values (in random mode each segment's weights once, then each column's
+variances), and keeps running sums over the components, so it emits a cell's
+block moments as soon as its K is reached. The weights, and so the Kish
+effective sample size, do not depend on nu, so every nu column of a block
+shares them: a cell's Kish mean is the same for every nu. Each cell's
+distribution, and so its mean, SD and standard error, is that of independent
+replicates of its own; cells of the same nu covary, and with random weights
+so do cells of different nu. A grid draws max(K), not sum(K), components per
+replicate and nu (and max(K) weights per replicate), and no live array is
+larger than one segment.
 
 Every component of a cell shares nu, so a replicate reduces to one ratio
 R = (sum a)^2 / sum a^2 of its weighted variances a: the classic df is nu * R
@@ -58,10 +65,12 @@ __all__ = [
 ]
 
 RNG_DESCRIPTION = (
-    "sfc64 generator on SeedSequence(seed, spawn_key=(nu index, block)) substreams; "
-    "one replicate of max(k_values) components per nu, whose first K form cell K's "
-    "replicate; chi-square(1) as a squared numpy standard_normal, other df via numpy gamma "
-    "(Marsaglia-Tsang for shape >= 1, Ahrens-Dieter GS for shape < 1)"
+    "sfc64 generator on SeedSequence(seed, spawn_key=(nu index, block)) variance "
+    "substreams and SeedSequence(seed, spawn_key=(block,)) weight substreams; one "
+    "replicate of max(k_values) components per nu, whose first K form cell K's "
+    "replicate, with random weights shared by every nu; chi-square(1) as a squared "
+    "numpy standard_normal, other df via numpy gamma (Marsaglia-Tsang for shape >= 1, "
+    "Ahrens-Dieter GS for shape < 1)"
 )
 
 _MAX_SEED = 2**64
@@ -88,7 +97,9 @@ class SimConfig:
     (the parallel/substream unit, so changing it changes the draws). The
     cells of one nu share their replicates: each draws max(k_values)
     components and cell K uses the first K of them, so adding a larger K
-    leaves the smaller cells' bytes unchanged. One block of one nu draws
+    leaves the smaller cells' bytes unchanged. Random weights are drawn once
+    per block and shared by every nu, so each K's Kish columns are equal
+    across nu, and adding a nu leaves them unchanged. One block of one nu draws
     ``min(block_size, replicates) x max(k_values)`` values, at most 2**24
     (128 MiB), segment by segment up the sorted ``k_values``; a larger block
     raises ``ValueError``.
@@ -170,10 +181,10 @@ class GridResult:
     """Cells of a grid run plus the telemetry the run manifest records.
 
     ``cell_weight_rejections`` holds, per cell in grid order, the weight
-    redraws among the cell's first K components. The cells of one nu share
-    their replicates, so within a nu the count never decreases as K grows, and
-    ``weight_rejections``, the redraws actually made, is the sum over nu of the
-    largest-K cell's count rather than the sum of the per-cell counts.
+    redraws among the cell's first K components. Every nu shares the weights,
+    so the count of a K is the same for each of its nu cells, and it never
+    decreases as K grows; ``weight_rejections``, the redraws actually made, is
+    the count of the largest-K cells (the last entry), not a sum over cells.
     """
 
     cells: list[SimCell]
@@ -227,11 +238,13 @@ def _mean_m2(x: np.ndarray) -> tuple[float, float]:
     return float(mean), float((d * d).sum())
 
 
-def _block_rng(seed: int, column: int, index: int) -> np.random.Generator:
-    """SFC64 generator of block ``index`` of the nu column ``column``."""
+def _block_rng(seed: int, *key: int) -> np.random.Generator:
+    """SFC64 generator of one substream: ``(nu column, block)`` keys a block's
+    variances, ``(block,)`` its random weights."""
     # explicit spawn key: pure, and independent of how many children a
-    # parent sequence has handed out before
-    stream = np.random.SeedSequence(entropy=seed, spawn_key=(column, index))
+    # parent sequence has handed out before; a one-word key never equals a
+    # two-word one
+    stream = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.SFC64(stream))
 
 
@@ -258,44 +271,51 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
     return [cfg.block_size] * full + ([rest] if rest else [])
 
 
-def _column_sums(cfg: SimConfig, column: int, block_index: int, n: int) -> list[_BlockSums]:
-    """Block ``block_index`` (``n`` replicates) of the column
-    ``cfg.nu_values[column]``: the partial sums of each K's cell, in
-    ``cfg.k_values`` order.
+def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
+                n: int) -> list[list[_BlockSums]]:
+    """Block ``block_index`` (``n`` replicates) of the nu columns ``columns``
+    (indices into ``cfg.nu_values``): per column, the partial sums of each K's
+    cell, in ``cfg.k_values`` order.
 
     Each replicate (a column of the ``(segment, n)`` arrays) draws its
-    components segment by segment up the sorted K values; with
-    ``cfg.weight_mode == "random"`` a segment draws its weights first, then
-    its variances. Running sums over the components give each cell's R and
-    Kish values once its K is reached, and each count of redraws covers the
-    cell's first K components. An overflow or an invalid operation (say
+    components segment by segment up the sorted K values. With
+    ``cfg.weight_mode == "random"`` a segment draws its weights once, from the
+    block's weight substream, and every nu column then draws its variances
+    from its own substream and weights them. Running sums over the components
+    give each cell's R and Kish values once its K is reached, and each count of
+    redraws covers the cell's first K components; the Kish sums and the counts
+    are the same for every column. An overflow or an invalid operation (say
     inf - inf) raises ``FloatingPointError`` rather than leaving an inf or a
     NaN in the cell; numpy's error state is per thread, so it is set here, in
     the worker.
     """
-    nu_bar, equal = cfg.nu_values[column], cfg.weight_mode == "equal"
-    a_sum, a_sq, w_sum, w_sq = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
-    rejections, done, sums = 0, 0, []
+    equal = cfg.weight_mode == "equal"
+    a_sums = [(np.zeros(n), np.zeros(n)) for _ in columns]
+    w_sum, w_sq = np.zeros(n), np.zeros(n)
+    rejections, done, sums = 0, 0, [[] for _ in columns]
     with np.errstate(over="raise", invalid="raise"):
-        rng = _block_rng(cfg.seed, column, block_index)
+        rngs = [_block_rng(cfg.seed, column, block_index) for column in columns]
+        weight_rng = _block_rng(cfg.seed, block_index)
         for k in cfg.k_values:
             shape = (k - done, n)
             if equal:
-                a = sample_component_variance(nu_bar, rng, size=shape)
+                kish = float(n * k)  # n_eff is exactly K per replicate with equal weights
             else:
-                w, redraws = _draw_weights(rng, shape)
+                w, redraws = _draw_weights(weight_rng, shape)
                 rejections += redraws
                 w_sum += w.sum(axis=0)
                 w_sq += np.einsum("ij,ij->j", w, w)
-                a = sample_component_variance(nu_bar, rng, size=shape)
-                a *= w  # the weighted variances, without a third array
-            a_sum += a.sum(axis=0)
-            a_sq += np.einsum("ij,ij->j", a, a)
-            if not a_sq.all():
-                raise DegenerateComponents("a replicate drew all-zero weighted variances")
-            # n_eff is exactly K per replicate with equal weights
-            kish = float(n * k) if equal else float((w_sum * w_sum / w_sq).sum())
-            sums.append(_BlockSums(n, *_mean_m2(a_sum * a_sum / a_sq), kish, rejections))
+                kish = float((w_sum * w_sum / w_sq).sum())
+            for column, rng, (a_sum, a_sq), out in zip(columns, rngs, a_sums, sums):
+                a = sample_component_variance(cfg.nu_values[column], rng, size=shape)
+                if not equal:
+                    a *= w  # the weighted variances, without a third array
+                a_sum += a.sum(axis=0)
+                a_sq += np.einsum("ij,ij->j", a, a)
+                del a  # before the next column draws its own segment
+                if not a_sq.all():
+                    raise DegenerateComponents("a replicate drew all-zero weighted variances")
+                out.append(_BlockSums(n, *_mean_m2(a_sum * a_sum / a_sq), kish, rejections))
             done = k
     return sums
 
@@ -344,32 +364,44 @@ def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell
 def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     """Run every cell of the grid; also reports weight-redraw telemetry.
 
-    Per replicate of a nu: draw max(K) components (weights according to
-    ``cfg.weight_mode``, then variances), reduce the first K of them to the
-    ratio R and the Kish effective sample size for each K, then derive both
-    df estimators' means/SDs and the ratio columns per cell. ``threads`` only
-    controls scheduling: blocks are seeded by (seed, nu index, block index),
-    so any thread count yields identical cells. ``threads`` must lie in
-    1..256.
+    Per replicate: draw max(K) weights according to ``cfg.weight_mode``,
+    shared by every nu, and per nu max(K) variances; reduce the first K
+    components to the ratio R and the Kish effective sample size for each K,
+    then derive both df estimators' means/SDs and the ratio columns per cell.
+    A task is one block of every nu column in random mode and one (nu column,
+    block) pair in equal mode. ``threads`` only controls scheduling: variances
+    are seeded by (seed, nu index, block index) and weights by (seed, block
+    index), so any thread count yields identical cells. ``threads`` must lie
+    in 1..256.
     """
     if check_int("threads", threads, 1) > _MAX_THREADS:
         raise FieldError("threads", f"threads must be between 1 and {_MAX_THREADS}, got {threads}")
     nus = cfg.nu_values
     sizes = _block_sizes(cfg)
-    tasks = [(vi, bi, n) for vi in range(len(nus)) for bi, n in enumerate(sizes)]
+    # random weights are drawn once per block and shared by every nu column;
+    # equal weights have nothing to share, so each column is a task of its own
+    if cfg.weight_mode == "random":
+        groups = [tuple(range(len(nus)))]
+    else:
+        groups = [(vi,) for vi in range(len(nus))]
+    tasks = [(group, bi, n) for group in groups for bi, n in enumerate(sizes)]
 
-    def work(task: tuple[int, int, int]) -> list[_BlockSums]:
-        return _column_sums(cfg, *task)
+    def work(task: tuple[tuple[int, ...], int, int]) -> list[list[_BlockSums]]:
+        return _block_sums(cfg, *task)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, tasks))  # map keeps task order
 
-    b = len(sizes)
+    # per nu column, its blocks in order, each a list of per-K partial sums
+    blocks: list[list[list[_BlockSums]]] = [[] for _ in nus]
+    for (group, _, _), sums in zip(tasks, results):
+        for vi, column_sums in zip(group, sums):
+            blocks[vi].append(column_sums)
     # the grid is K-major: cell (k_values[ki], nu_values[vi]) takes entry ki
     # of each block of column vi
-    parts = [[results[vi * b + bi][ki] for bi in range(b)]
+    parts = [[block[ki] for block in blocks[vi]]
              for ki in range(len(cfg.k_values)) for vi in range(len(nus))]
     cells = [_assemble_cell(k, nu, part) for (k, nu), part in zip(cfg.grid, parts)]
     per_cell = tuple(sum(p.rejections for p in part) for part in parts)
-    # a column's largest-K cell, last in the grid, counts every redraw it made
-    return GridResult(cells, sum(per_cell[-len(nus):]), per_cell)
+    # the largest-K cells, last in the grid, count every redraw made
+    return GridResult(cells, per_cell[-1], per_cell)

@@ -3,15 +3,18 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -469,20 +472,29 @@ class TestSimulateCommand:
         assert "sfc64" in manifest["rng"]
         assert manifest["library_version"]
         assert manifest["cell_weight_rejections"] == [0]
+        # random-mode bytes rest on numpy's samplers; the thread count is only scheduling
+        assert manifest["numpy_version"] == numpy.__version__
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["threads"] == 1
+        # none of them enters the config, which rebuilds the run
+        assert set(manifest["config"]) == {f.name for f in dataclasses.fields(effdof.SimConfig)}
 
     def test_manifest_counts_redraws_per_cell(self, capsys):
-        argv = ("simulate", "--k", "4", "32", "--nu", "1", "--weights", "random",
+        argv = ("simulate", "--k", "4", "32", "--nu", "1", "5", "--weights", "random",
                 "--replicates", "6000", "--seed", "7")
         manifests = []
         for threads in ("1", "2"):
             _, _, err = run_cli(capsys, *argv, "--threads", threads)
             manifests.append(json.loads(err))
         per_cell = manifests[0]["cell_weight_rejections"]
-        assert len(per_cell) == 2 and all(isinstance(n, int) for n in per_cell)
-        # the K=4 cell counts the redraws among the first 4 of the K=32
-        # cell's components, and the K=32 cell every redraw made
-        assert per_cell[0] <= per_cell[1] == manifests[0]["weight_rejections"] > 0
+        assert len(per_cell) == 4 and all(isinstance(n, int) for n in per_cell)
+        # grid order (4, 1), (4, 5), (32, 1), (32, 5): both nu share the
+        # weights; a K=4 cell counts the redraws among the first 4 of the K=32
+        # cells' weights, and each K=32 cell every redraw made
+        assert per_cell[0] == per_cell[1] <= per_cell[2] == per_cell[3]
+        assert per_cell[-1] == manifests[0]["weight_rejections"] > 0
         assert manifests[1]["cell_weight_rejections"] == per_cell
+        assert [m["threads"] for m in manifests] == [1, 2]
 
     def test_out_dir_and_manifest_round_trip(self, capsys, tmp_path):
         out_dir = tmp_path / "run"

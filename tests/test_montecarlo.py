@@ -27,8 +27,8 @@ from effdof.montecarlo import (
     _assemble_cell,
     _block_rng,
     _block_sizes,
+    _block_sums,
     _BlockSums,
-    _column_sums,
     _draw_weights,
     _mean_m2,
 )
@@ -55,9 +55,10 @@ def reference_draw_weights(rng, shape):
 
 def segment_draws(cfg, column, block, n, draw_weights=reference_draw_weights):
     """Block ``block`` of nu column ``column`` as full (max K, n) weight and
-    variance arrays, drawn from its substream segment by segment up the K
-    values, and the redraw count after each segment. Equal weights are ones."""
-    rng = _block_rng(cfg.seed, column, block)
+    variance arrays, drawn segment by segment up the K values (the weights from
+    the block's weight substream, the variances from the column's), and the
+    redraw count after each segment. Equal weights are ones."""
+    rng, weight_rng = _block_rng(cfg.seed, column, block), _block_rng(cfg.seed, block)
     nu = cfg.nu_values[column]
     weights, s2, redraws, done = [], [], [0], 0
     for k in cfg.k_values:
@@ -65,7 +66,7 @@ def segment_draws(cfg, column, block, n, draw_weights=reference_draw_weights):
         if cfg.weight_mode == "equal":
             w, r = np.ones(shape), 0
         else:
-            w, r = draw_weights(rng, shape)
+            w, r = draw_weights(weight_rng, shape)
         weights.append(w)
         s2.append(sample_component_variance(nu, rng, size=shape))
         redraws.append(redraws[-1] + r)
@@ -226,7 +227,7 @@ class TestBatchAgainstScalar:
 
     def test_df_estimates_match_scalar_path(self):
         cfg = make_cfg(**self.CFG)
-        sums = _column_sums(cfg, 0, 0, 40)
+        (sums,) = _block_sums(cfg, (0,), 0, 40)
         weights, s2, redraws = segment_draws(cfg, 0, 0, 40)
         for k, block, count in zip(cfg.k_values, sums, redraws, strict=True):
             columns = [(weights[:k, j], s2[:k, j]) for j in range(40)]
@@ -249,7 +250,7 @@ class TestBatchAgainstScalar:
 
     def test_kish_matches_scalar_path(self):
         cfg = make_cfg(**self.CFG)
-        sums = _column_sums(cfg, 0, 0, 40)
+        (sums,) = _block_sums(cfg, (0,), 0, 40)
         weights, _, _ = segment_draws(cfg, 0, 0, 40)
         for k, block in zip(cfg.k_values, sums, strict=True):
             scalar = math.fsum(kish_neff(weights[:k, j]) for j in range(40))
@@ -303,8 +304,9 @@ class TestWeightDraw:
         # components in one pass: only the summation order differs
         assert_cells_close(result.cells, cells)
         assert result.cell_weight_rejections == rejections
-        # the K=16 cells, last in the grid, count every redraw of their column
-        assert result.weight_rejections == sum(rejections[-2:])
+        # every nu shares the weights: the K=16 cells, last in the grid, each
+        # count every redraw made
+        assert result.weight_rejections == rejections[-1] == rejections[-2]
 
 
 class TestDeterminism:
@@ -354,6 +356,14 @@ class TestBlockRng:
         base = _block_rng(7, 2, 3).random(16)
         assert not np.array_equal(_block_rng(7, 1, 3).random(16), base)
         assert not np.array_equal(_block_rng(7, 2, 4).random(16), base)
+
+    def test_weight_stream_differs_from_every_variance_stream(self):
+        # a block's weights are keyed (block,), its variances (nu index, block)
+        variance_streams = [_block_rng(7, c, b).random(16) for c in range(4) for b in range(4)]
+        for b in range(4):
+            weights = _block_rng(7, b).random(16)
+            assert np.array_equal(weights, _block_rng(7, b).random(16))
+            assert not any(np.array_equal(weights, v) for v in variance_streams)
 
     def test_chi_square_moment_across_substreams(self):
         # chi2(4) variances from several substreams: E[S^2] = 1 and
@@ -480,11 +490,13 @@ class TestAggregates:
             assert ratio == pytest.approx(0.92, abs=0.01)
 
     def test_weight_rejections_are_counted(self):
-        cfg = make_cfg(k_values=(16,), nu_values=(1.0,), replicates=50_000,
+        cfg = make_cfg(k_values=(16,), nu_values=(1.0, 5.0), replicates=50_000,
                        weight_mode="random")
         result = run_grid_detailed(cfg)
-        # P(w <= 0) ~ 4.3e-4 per draw over 800k draws
-        assert 200 < result.weight_rejections < 500
+        # P(w <= 0) ~ 4.3e-4 per draw over 800k draws, shared by both nu: about
+        # 343 redraws with an SD of about 19, where a count per nu would
+        # give about 686
+        assert 250 < result.weight_rejections < 440
 
     def test_weight_rejections_per_cell(self):
         cfg = make_cfg(k_values=(4, 32), nu_values=(1.0, 8.0), replicates=9_000,
@@ -492,12 +504,14 @@ class TestAggregates:
         result = run_grid_detailed(cfg, threads=2)
         per_cell = result.cell_weight_rejections
         assert len(per_cell) == len(cfg.grid)
-        # grid order (4, 1), (4, 8), (32, 1), (32, 8): a K=32 cell counts the
-        # redraws among all 32 components of its column, the K=4 cell those
-        # among the first 4, so the K=32 cells hold every redraw made
-        assert result.weight_rejections == per_cell[2] + per_cell[3]
+        # grid order (4, 1), (4, 8), (32, 1), (32, 8): both nu share the
+        # weights, a K=32 cell counts the redraws among all 32 of them and a
+        # K=4 cell those among the first 4, so each K=32 cell holds every
+        # redraw made
+        assert per_cell[0] == per_cell[1] and per_cell[2] == per_cell[3]
+        assert result.weight_rejections == per_cell[-1]
         # P(w <= 0) ~ 4.3e-4 per draw: K=32 cells see 8x the weights of K=4 cells
-        assert per_cell[2] > per_cell[0] and per_cell[3] > per_cell[1]
+        assert per_cell[2] > per_cell[0]
 
     @pytest.mark.parametrize("mode", ["equal", "random"])
     def test_a_larger_k_leaves_the_smaller_cells_unchanged(self, mode):
@@ -511,6 +525,36 @@ class TestAggregates:
         assert b.cell_weight_rejections[:4] == a.cell_weight_rejections
         csv_small = cells_csv_full_precision(a.cells)
         assert cells_csv_full_precision(b.cells).startswith(csv_small)
+
+    def test_random_weights_are_shared_across_nu(self):
+        # Kish n_eff is a function of the weights alone, and every nu column of
+        # a block uses the same weights
+        cfg = make_cfg(k_values=(3, 16), nu_values=(1.0, 5.0, 50.0), replicates=5_000,
+                       block_size=2_000, weight_mode="random")
+        result = run_grid_detailed(cfg, threads=2)
+        for k in cfg.k_values:
+            at_k = [(c.mean_kish, c.ratio_kish_k, count)
+                    for c, count in zip(result.cells, result.cell_weight_rejections)
+                    if c.k == k]
+            assert len(at_k) == 3 and len(set(at_k)) == 1
+        # the variances are not shared: columns drawing the same R would give
+        # the same Satt / (K nu)
+        assert len({c.ratio_satt for c in result.cells}) == len(result.cells)
+
+    def test_adding_a_nu_leaves_the_kish_columns_unchanged(self):
+        # 0.5 sorts first, so every earlier column moves to a new nu index and
+        # a new variance substream; the weights are keyed by block alone
+        small = make_cfg(k_values=(3, 16), nu_values=(2.5, 8.0), replicates=5_000,
+                         block_size=2_000, weight_mode="random")
+        large = dataclasses.replace(small, nu_values=(0.5, 2.5, 8.0, 32.0))
+        a, b = run_grid_detailed(small), run_grid_detailed(large, threads=2)
+
+        def per_k(result):
+            return {(c.k, c.mean_kish, c.ratio_kish_k, count)
+                    for c, count in zip(result.cells, result.cell_weight_rejections)}
+
+        assert per_k(a) == per_k(b) and len(per_k(a)) == 2
+        assert a.weight_rejections == b.weight_rejections > 0
 
     def test_no_weight_rejections_in_equal_mode(self):
         cfg = make_cfg(k_values=(2, 8), nu_values=(1.0, 4.0), replicates=600)
