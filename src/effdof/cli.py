@@ -189,60 +189,52 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: st
     return "\n".join(lines) + "\n"
 
 
-def _estimate_payload(cs: ComponentSet) -> dict:
-    return {
-        "estimators": [
-            {"variant": est.variant.value, "value": est.value,
-             "numerator": est.numerator, "denominator": est.denominator}
-            for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
-        ],
-        "weights": {
-            # cs.weights are checked: skip the public functions' second pass
-            "kish_neff": _kish_neff(cs.weights),
-            "design_effect": 1.0 + _relvariance(cs.weights),
-        },
+def render_estimate(cs: ComponentSet, fmt: str, precision: int) -> str:
+    estimators = [
+        {"variant": est.variant.value, "value": est.value,
+         "numerator": est.numerator, "denominator": est.denominator}
+        for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
+    ]
+    weights = {
+        # cs.weights are checked: skip the public functions' second pass
+        "kish_neff": _kish_neff(cs.weights),
+        "design_effect": 1.0 + _relvariance(cs.weights),
     }
-
-
-def render_estimate(payload: dict, fmt: str, precision: int) -> str:
     if fmt == "json":
         import json
 
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps({"estimators": estimators, "weights": weights}, indent=2) + "\n"
     headers = ("estimator", "value", "numerator", "denominator")
-    rows = [[e["variant"], *(_fmt(e[h], precision) for h in headers[1:])]
-            for e in payload["estimators"]]
-    for name in ("kish_neff", "design_effect"):
-        rows.append([name, _fmt(payload["weights"][name], precision), "", ""])
+    rows = [[e["variant"], *(_fmt(e[h], precision) for h in headers[1:])] for e in estimators]
+    rows += [[name, _fmt(value, precision), "", ""] for name, value in weights.items()]
     return _render_table(headers, rows, fmt)
 
 
-_CLASSIC_HEADERS = ("K", "df", "mean unc", "SD unc", "mean corr", "SD corr", "K x nu")
-_RATIO_HEADERS = ("K", "nu", "M(Kish)", "M(Satt)", "M(Corr)", "K x nu",
-                  "Kish/K", "Satt/(K nu)", "Corr/(K nu)")
+# (header, SimCell field, format spec) per column; a spec of None means
+# --precision decimals
+_CLASSIC_COLUMNS = (
+    ("K", "k", "d"), ("df", "nu_bar", "g"),
+    ("mean unc", "mean_satt", None), ("SD unc", "sd_satt", None),
+    ("mean corr", "mean_corr", None), ("SD corr", "sd_corr", None),
+    ("K x nu", "expected", "g"),
+)
+_RATIO_COLUMNS = (
+    ("K", "k", "d"), ("nu", "nu_bar", "g"),
+    ("M(Kish)", "mean_kish", None), ("M(Satt)", "mean_satt", None),
+    ("M(Corr)", "mean_corr", None), ("K x nu", "expected", "g"),
+    ("Kish/K", "ratio_kish_k", None), ("Satt/(K nu)", "ratio_satt", None),
+    ("Corr/(K nu)", "ratio_corr", None),
+)
 
 
 def render_cells(cells: Sequence[SimCell], precision: int, ratios: bool) -> str:
     """The cells as the paper's markdown table: the Kish and ratio columns if
     ``ratios``, else the classic mean/SD columns (every field at full precision:
     :func:`cells_csv_full_precision`)."""
-    p = precision
-    if ratios:
-        headers = _RATIO_HEADERS
-        rows = [
-            [str(c.k), f"{c.nu_bar:g}", _fmt(c.mean_kish, p), _fmt(c.mean_satt, p),
-             _fmt(c.mean_corr, p), f"{c.expected:g}", _fmt(c.ratio_kish_k, p),
-             _fmt(c.ratio_satt, p), _fmt(c.ratio_corr, p)]
-            for c in cells
-        ]
-    else:
-        headers = _CLASSIC_HEADERS
-        rows = [
-            [str(c.k), f"{c.nu_bar:g}", _fmt(c.mean_satt, p), _fmt(c.sd_satt, p),
-             _fmt(c.mean_corr, p), _fmt(c.sd_corr, p), f"{c.expected:g}"]
-            for c in cells
-        ]
-    return _render_table(headers, rows, "markdown")
+    columns = _RATIO_COLUMNS if ratios else _CLASSIC_COLUMNS
+    rows = [[format(getattr(c, field), spec or f".{precision}f") for _, field, spec in columns]
+            for c in cells]
+    return _render_table([header for header, _, _ in columns], rows, "markdown")
 
 
 def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
@@ -252,8 +244,7 @@ def cells_csv_full_precision(cells: Sequence[SimCell]) -> str:
     from .montecarlo import SimCell
 
     names = [f.name for f in fields(SimCell)]
-    lines = [",".join(names)] + [",".join(repr(getattr(c, n)) for n in names) for c in cells]
-    return "\n".join(lines) + "\n"
+    return _render_table(names, [[repr(getattr(c, n)) for n in names] for c in cells], "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +288,8 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
 
 
 def _cmd_estimate(args) -> int:
-    payload = _estimate_payload(parse_components_file(args.input))
-    sys.stdout.write(render_estimate(payload, args.format, args.precision))
+    cs = parse_components_file(args.input)
+    sys.stdout.write(render_estimate(cs, args.format, args.precision))
     return 0
 
 

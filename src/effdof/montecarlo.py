@@ -36,7 +36,8 @@ distribution, and so its mean, SD and standard error, is that of independent
 replicates of its own; cells of the same nu covary, and with random weights
 so do cells of different nu. A grid draws max(K), not sum(K), components per
 replicate and nu (and max(K) weights per replicate), and no live array is
-larger than one segment.
+larger than one segment. So adding a larger K leaves the smaller cells' bytes
+unchanged, and adding a nu leaves every cell's Kish columns unchanged.
 
 Every component of a cell shares nu, so a replicate reduces to one ratio
 R = (sum a)^2 / sum a^2 of its weighted variances a: the classic df is nu * R
@@ -93,16 +94,11 @@ class SimConfig:
     """Description of one simulation grid.
 
     ``k_values`` x ``nu_values`` defines the cells; each cell runs
-    ``replicates`` independent replicates split into blocks of ``block_size``
-    (the parallel/substream unit, so changing it changes the draws). The
-    cells of one nu share their replicates: each draws max(k_values)
-    components and cell K uses the first K of them, so adding a larger K
-    leaves the smaller cells' bytes unchanged. Random weights are drawn once
-    per block and shared by every nu, so each K's Kish columns are equal
-    across nu, and adding a nu leaves them unchanged. One block of one nu draws
+    ``replicates`` replicates split into blocks of ``block_size`` (the
+    substream unit, so changing it changes the draws; the module docstring
+    gives the seeding and sharing rules). One block of one nu draws
     ``min(block_size, replicates) x max(k_values)`` values, at most 2**24
-    (128 MiB), segment by segment up the sorted ``k_values``; a larger block
-    raises ``ValueError``.
+    (128 MiB); a larger block raises ``ValueError``.
     ``weight_mode`` is the string ``"equal"`` or ``"random"`` (Normal(1, 0.3)
     weights redrawn for every replicate); a ``str`` subclass such as a str
     enum member is stored as its plain value. Equal weights are 1 and every
@@ -183,13 +179,17 @@ class GridResult:
     ``cell_weight_rejections`` holds, per cell in grid order, the weight
     redraws among the cell's first K components. Every nu shares the weights,
     so the count of a K is the same for each of its nu cells, and it never
-    decreases as K grows; ``weight_rejections``, the redraws actually made, is
-    the count of the largest-K cells (the last entry), not a sum over cells.
+    decreases as K grows.
     """
 
     cells: list[SimCell]
-    weight_rejections: int
     cell_weight_rejections: tuple[int, ...]
+
+    @property
+    def weight_rejections(self) -> int:
+        """The redraws actually made: the count of the largest-K cells (the
+        last entry), not a sum over cells."""
+        return self.cell_weight_rejections[-1]
 
 
 def sample_component_variance(nu, rng: np.random.Generator, size=None):
@@ -275,19 +275,13 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
                 n: int) -> list[list[_BlockSums]]:
     """Block ``block_index`` (``n`` replicates) of the nu columns ``columns``
     (indices into ``cfg.nu_values``): per column, the partial sums of each K's
-    cell, in ``cfg.k_values`` order.
+    cell, in ``cfg.k_values`` order, drawn as the module docstring describes.
 
-    Each replicate (a column of the ``(segment, n)`` arrays) draws its
-    components segment by segment up the sorted K values. With
-    ``cfg.weight_mode == "random"`` a segment draws its weights once, from the
-    block's weight substream, and every nu column then draws its variances
-    from its own substream and weights them. Running sums over the components
-    give each cell's R and Kish values once its K is reached, and each count of
-    redraws covers the cell's first K components; the Kish sums and the counts
-    are the same for every column. An overflow or an invalid operation (say
-    inf - inf) raises ``FloatingPointError`` rather than leaving an inf or a
-    NaN in the cell; numpy's error state is per thread, so it is set here, in
-    the worker.
+    A replicate is a column of the ``(segment, n)`` arrays. Each count of
+    redraws covers the cell's first K components. An overflow or an invalid
+    operation (say inf - inf) raises ``FloatingPointError`` rather than
+    leaving an inf or a NaN in the cell; numpy's error state is per thread, so
+    it is set here, in the worker.
     """
     equal = cfg.weight_mode == "equal"
     a_sums = [(np.zeros(n), np.zeros(n)) for _ in columns]
@@ -364,15 +358,8 @@ def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell
 def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     """Run every cell of the grid; also reports weight-redraw telemetry.
 
-    Per replicate: draw max(K) weights according to ``cfg.weight_mode``,
-    shared by every nu, and per nu max(K) variances; reduce the first K
-    components to the ratio R and the Kish effective sample size for each K,
-    then derive both df estimators' means/SDs and the ratio columns per cell.
-    A task is one block of every nu column in random mode and one (nu column,
-    block) pair in equal mode. ``threads`` only controls scheduling: variances
-    are seeded by (seed, nu index, block index) and weights by (seed, block
-    index), so any thread count yields identical cells. ``threads`` must lie
-    in 1..256.
+    Tasks, seeding and sharing follow the module docstring. ``threads``, in
+    1..256, only controls scheduling: any thread count yields identical cells.
     """
     if check_int("threads", threads, 1) > _MAX_THREADS:
         raise FieldError("threads", f"threads must be between 1 and {_MAX_THREADS}, got {threads}")
@@ -392,16 +379,12 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, tasks))  # map keeps task order
 
-    # per nu column, its blocks in order, each a list of per-K partial sums
-    blocks: list[list[list[_BlockSums]]] = [[] for _ in nus]
-    for (group, _, _), sums in zip(tasks, results):
-        for vi, column_sums in zip(group, sums):
-            blocks[vi].append(column_sums)
     # the grid is K-major: cell (k_values[ki], nu_values[vi]) takes entry ki
     # of each block of column vi
-    parts = [[block[ki] for block in blocks[vi]]
-             for ki in range(len(cfg.k_values)) for vi in range(len(nus))]
+    parts: list[list[_BlockSums]] = [[] for _ in cfg.grid]
+    for (group, _, _), sums in zip(tasks, results):
+        for vi, column_sums in zip(group, sums):
+            for ki, block in enumerate(column_sums):
+                parts[ki * len(nus) + vi].append(block)
     cells = [_assemble_cell(k, nu, part) for (k, nu), part in zip(cfg.grid, parts)]
-    per_cell = tuple(sum(p.rejections for p in part) for part in parts)
-    # the largest-K cells, last in the grid, count every redraw made
-    return GridResult(cells, per_cell[-1], per_cell)
+    return GridResult(cells, tuple(sum(p.rejections for p in part) for part in parts))

@@ -556,16 +556,25 @@ class TestSimulateCommand:
         ratios = ("k", "nu_bar", "mean_kish", "mean_satt", "mean_corr", "expected",
                   "ratio_kish_k", "ratio_satt", "ratio_corr")
         plain = {"k", "nu_bar", "expected"}  # printed with :g, the rest at --precision
-        for i, (precision, columns, ks, argv) in enumerate((
-            (3, classic, ["2"], self.BASE[1:]),
-            (5, classic, ["2", "2", "5", "5"],
+        classic_head = ["| K | df | mean unc | SD unc | mean corr | SD corr | K x nu |",
+                        "|" + " --- |" * 7]
+        ratios_head = ["| K | nu | M(Kish) | M(Satt) | M(Corr) | K x nu | Kish/K | "
+                       "Satt/(K nu) | Corr/(K nu) |", "|" + " --- |" * 9]
+        csv_head = ("k,nu_bar,mean_satt,sd_satt,mean_corr,sd_corr,mean_kish,expected,"
+                    "ratio_kish_k,ratio_satt,ratio_corr")
+        for i, (precision, columns, head, ks, argv) in enumerate((
+            (3, classic, classic_head, ["2"], self.BASE[1:]),
+            (5, classic, classic_head, ["2", "2", "5", "5"],
              ("--k", "2", "5", "--nu", "1", "2.5", "--replicates", "300", "--seed", "7",
               "--precision", "5")),
-            (2, ratios, ["3", "3", "16", "16"],
+            (2, ratios, ratios_head, ["3", "3", "16", "16"],
              ("--k", "3", "16", "--nu", "0.5", "50", "--weights", "random",
               "--replicates", "300", "--seed", "7", "--precision", "2")),
         )):
             out, cells = self.out_cells(capsys, tmp_path / str(i), *argv)
+            assert out.splitlines()[:2] == head
+            csv_text = (tmp_path / str(i) / "run" / "cells.csv").read_text(encoding="utf-8")
+            assert csv_text.splitlines()[0] == csv_head
             rows = out.splitlines()[2:]
             assert [c["k"] for c in cells] == ks and len(rows) == len(cells)
             for row, cell in zip(rows, cells):

@@ -10,6 +10,7 @@ import pytest
 
 from effdof import (
     DegenerateComponents,
+    GridResult,
     SimCell,
     SimConfig,
     corrected_df,
@@ -510,6 +511,11 @@ class TestAggregates:
         # redraw made
         assert per_cell[0] == per_cell[1] and per_cell[2] == per_cell[3]
         assert result.weight_rejections == per_cell[-1]
+        # the total is derived from the per-cell counts, not stored beside them,
+        # so replacing the cells (as a wrapper of the grid call may) keeps it
+        assert ([f.name for f in dataclasses.fields(GridResult)]
+                == ["cells", "cell_weight_rejections"])
+        assert dataclasses.replace(result, cells=[]).weight_rejections == per_cell[-1]
         # P(w <= 0) ~ 4.3e-4 per draw: K=32 cells see 8x the weights of K=4 cells
         assert per_cell[2] > per_cell[0]
 
