@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 validation error, 3 parse error (also a file that is
 not UTF-8, a leading byte-order mark aside, or not well-formed CSV, and a cell
 the library's :class:`~effdof.errors.FieldError` rejects, at its line and
 column), 4 degenerate input or an arithmetic error (a floating-point overflow
-or division by zero while evaluating an estimator, e.g. from weights near
-1e200, or an overflow in a simulation grid, e.g. at nu 1e308).
+or underflow while evaluating an estimator, e.g. from weights near 1e200 or
+1e-200, or in a simulation grid, e.g. at nu 1e308 or 0.005).
 All simulation randomness flows from ``--seed``; without the flag a seed is
 drawn from system entropy and recorded in the run manifest. Simulation tables
 go to stdout and are byte-identical across reruns and thread counts for a
@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import csv
 import io
+import math
 import sys
 import time
 from collections.abc import Sequence
@@ -203,6 +204,8 @@ def render_estimate(cs: ComponentSet, fmt: str, precision: int) -> str:
     if fmt == "json":
         import json
 
+        for e in estimators:  # strict JSON has no Infinity: write a non-finite sum as null
+            e.update({k: None for k in ("numerator", "denominator") if not math.isfinite(e[k])})
         return json.dumps({"estimators": estimators, "weights": weights}, indent=2) + "\n"
     headers = ("estimator", "value", "numerator", "denominator")
     rows = [[e["variant"], *(_fmt(e[h], precision) for h in headers[1:])] for e in estimators]

@@ -23,7 +23,7 @@ Inputs are plain numbers: the df estimators take a :class:`ComponentSet`
 weights. A bad entry raises an :class:`~effdof.errors.FieldError` carrying its
 ``field`` and 0-based ``index``, e.g. ``index 1: weight must be >= 0, got
 -1.0``. A set forms the sums of the df estimators' ratio when it is built,
-and only an estimator that needs a sum beyond the float range raises.
+and only an estimator that needs a sum that over- or underflows raises.
 
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
@@ -41,7 +41,7 @@ import enum
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from itertools import repeat
+from itertools import compress, count, repeat
 
 from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, _Record, check_reals
 
@@ -71,15 +71,15 @@ class ComponentSet(_Record):
     raises a :class:`~effdof.errors.FieldError` whose ``field`` is
     ``"weight"``, ``"variance"`` or ``"dof"`` and whose ``index`` is the
     0-based component, with the message ``component 3: dof must be > 0, got
-    0.0`` for example. Components with ``weight * variance == 0`` are
-    permitted and drop out of the sums, but at least one must be positive,
-    else :class:`DegenerateComponents`. Sequences of different lengths raise
-    :class:`LengthMismatch`.
+    0.0`` for example. Components with a zero weight or variance are
+    permitted and drop out of the sums, but at least one must have both
+    positive, else :class:`DegenerateComponents`. Sequences of different
+    lengths raise :class:`LengthMismatch`.
 
     A set forms its ratio's numerator and one denominator per
     ``Variant.dof_offset`` when it is built, and is never written to again, so
-    threads may share it. A sum beyond the float range is kept as None: only
-    an estimator that needs it raises.
+    threads may share it. Each sum is kept as the float it rounds to (``inf``
+    or ``0.0`` outside the float range): only an estimator that needs it raises.
     """
 
     __slots__ = ("weights", "variances", "dofs", "_numerator", "_denominators", "_only")
@@ -98,16 +98,17 @@ class ComponentSet(_Record):
         if not weights:
             raise ValueError("a ComponentSet needs at least one component")
         products = tuple(map(operator.mul, weights, variances))
-        if not any(products):
+        # a product may underflow: only a set with no positive (w, v) pair is degenerate
+        if not any(products) and not any(map(min, weights, variances)):
             raise DegenerateComponents(
                 "all weighted variances are zero; df estimators are undefined"
             )
         squares = tuple(map(operator.mul, products, products))
         # d + 0.0 == d for every dof d > 0, so the classic form skips the add
-        denominators = {0.0: _fsum_or_none(map(operator.truediv, squares, dofs)),
-                        2.0: _fsum_or_none(map(operator.truediv, squares,
-                                               map(operator.add, dofs, repeat(2.0))))}
-        self._freeze(weights, variances, dofs, _fsum_or_none(products, square=True),
+        denominators = {0.0: _fsum(map(operator.truediv, squares, dofs)),
+                        2.0: _fsum(map(operator.truediv, squares,
+                                       map(operator.add, dofs, repeat(2.0))))}
+        self._freeze(weights, variances, dofs, _fsum(products, square=True),
                      denominators, _single_positive(products))
 
     @classmethod
@@ -144,12 +145,13 @@ class Variant(enum.Enum):
 class DfEstimate(_Record):
     """A df estimate together with the ratio it came from.
 
-    ``value`` equals ``numerator / denominator - variant.shift`` (exactly for
-    sets with a single contributing component, to floating precision
-    otherwise), where the numerator is ``(sum_k w_k S_k^2)^2`` and the
-    denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + variant.dof_offset)``.
-    A ``value`` beyond the float range raises ``OverflowError``; one that is
-    NaN or not positive raises ``DegenerateComponents``.
+    ``value`` equals ``numerator / denominator - variant.shift`` to floating
+    precision, where the numerator is ``(sum_k w_k S_k^2)^2`` and the
+    denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + variant.dof_offset)``. With a
+    single contributing component ``value`` is exact, and the two sums may read
+    ``inf`` or ``0.0``. A ``value`` beyond the float range raises
+    ``OverflowError``; one that is NaN or not positive raises
+    ``DegenerateComponents``.
     """
 
     __slots__ = ("variant", "value", "numerator", "denominator")
@@ -220,38 +222,33 @@ def _scaled_if_needed(ws: tuple[float, ...]) -> Sequence[float]:
 
 
 def _single_positive(a: Sequence[float]) -> int | None:
-    """Index of the only positive entry of ``a``, if there is exactly one."""
-    found = None
-    for k, x in enumerate(a):
-        if x > 0.0:
-            if found is not None:
-                return None
-            found = k
-    return found
+    """Index of the only positive entry of ``a`` (all >= 0), if there is exactly one."""
+    positive = compress(count(), a)
+    first = next(positive, None)
+    return first if next(positive, None) is None else None
 
 
-def _fsum_or_none(xs: Iterable[float], square: bool = False) -> float | None:
-    """``math.fsum(xs)``, squared if ``square``, or None if that leaves the float range."""
+def _fsum(xs: Iterable[float], square: bool = False) -> float:
+    """``math.fsum(xs)``, squared if ``square``; ``inf`` where that overflows."""
     try:
         total = math.fsum(xs)
-        # ** 2, not *: a sum too large to square raises OverflowError, not inf
+        # ** 2, not *: * moves the last bit of some typical estimates (ROADMAP, Settled)
         return total ** 2 if square else total
     except OverflowError:
-        return None
+        return math.inf
 
 
 def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
     minus the shift, with both constants taken from ``variant``.
 
-    Both sums come from ``cs``. One it holds as None left the float range and
-    raises an ``OverflowError`` naming the variant and the sum, e.g.
-    ``satterthwaite df denominator overflows a float``.
+    Both sums come from ``cs``. Unless a single component contributes, whose
+    estimate is exact, a sum outside (0, inf) raises an ``OverflowError``
+    naming the variant and the sum, e.g. ``satterthwaite df denominator
+    overflows a float`` or ``corrected df numerator underflows to zero``.
     """
     offset = variant.dof_offset
-    numerator = cs._numerator
-    if numerator is None:
-        raise OverflowError(f"{variant.value} df numerator overflows a float")
+    numerator, denominator = cs._numerator, cs._denominators[offset]
     if cs._only is not None:
         # fsum of one positive entry among zeros is that entry, and the ratio
         # is exactly nu + offset: single-component sets (K=1 in particular)
@@ -259,13 +256,10 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
         dof = cs.dofs[cs._only]
         return DfEstimate(variant, dof + (offset - variant.shift), numerator,
                           numerator / (dof + offset))
-    denominator = cs._denominators[offset]
-    if denominator is None:
-        raise OverflowError(f"{variant.value} df denominator overflows a float")
-    if denominator == 0.0:
-        raise DegenerateComponents(
-            "all weighted variances are zero; df estimators are undefined"
-        )
+    for name, total in (("numerator", numerator), ("denominator", denominator)):
+        if not 0.0 < total < math.inf:
+            fault = "overflows a float" if total else "underflows to zero"
+            raise OverflowError(f"{variant.value} df {name} {fault}")
     return DfEstimate(variant, numerator / denominator - variant.shift,
                       numerator, denominator)
 
@@ -278,7 +272,7 @@ def satterthwaite_df(cs: ComponentSet) -> DfEstimate:
     underestimate the effective df when the nu_k are small.
 
     Raises:
-        DegenerateComponents: if every weighted variance is zero.
+        OverflowError: if a sum or the estimate leaves the float range.
     """
     return _ratio_estimate(cs, Variant.SATTERTHWAITE)
 
@@ -294,7 +288,8 @@ def corrected_df(cs: ComponentSet) -> DfEstimate:
     :func:`satterthwaite_df` as the component df grow.
 
     Raises:
-        DegenerateComponents: if every weighted variance is zero.
+        OverflowError: if a sum or the estimate leaves the float range.
+        DegenerateComponents: if the ``- 2`` leaves no positive estimate.
     """
     return _ratio_estimate(cs, Variant.CORRECTED)
 

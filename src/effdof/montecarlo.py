@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateComponents, FieldError, check_int, check_real
+from .errors import FieldError, check_int, check_real
 
 __all__ = [
     "SimConfig",
@@ -278,10 +278,10 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
     cell, in ``cfg.k_values`` order, drawn as the module docstring describes.
 
     A replicate is a column of the ``(segment, n)`` arrays. Each count of
-    redraws covers the cell's first K components. An overflow or an invalid
-    operation (say inf - inf) raises ``FloatingPointError`` rather than
-    leaving an inf or a NaN in the cell; numpy's error state is per thread, so
-    it is set here, in the worker.
+    redraws covers the cell's first K components. An overflow, an invalid
+    operation (say inf - inf) or a replicate whose weighted variances all
+    underflow to zero raises ``FloatingPointError``; numpy's error state is
+    per thread, so it is set here, in the worker.
     """
     equal = cfg.weight_mode == "equal"
     a_sums = [(np.zeros(n), np.zeros(n)) for _ in columns]
@@ -308,7 +308,7 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
                 a_sq += np.einsum("ij,ij->j", a, a)
                 del a  # before the next column draws its own segment
                 if not a_sq.all():
-                    raise DegenerateComponents("a replicate drew all-zero weighted variances")
+                    raise FloatingPointError("a replicate's weighted variances underflow to zero")
                 out.append(_BlockSums(n, *_mean_m2(a_sum * a_sum / a_sq), kish, rejections))
             done = k
     return sums

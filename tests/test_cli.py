@@ -179,15 +179,26 @@ class TestEstimate:
         ("1e200,1,4\n1e200,2,4\n", "satterthwaite df numerator overflows a float"),
         # (w_k S_k^2)^2 / nu_k sums to about 2e308 in fsum
         ("1,1.22e150,1e-8\n1.5,4.7e153,1\n", "satterthwaite df denominator overflows a float"),
-        # a single component's square
-        ("1e200,1,4\n", "satterthwaite df numerator overflows a float"),
+        # (sum w_k S_k^2)^2 of weights near 1e-200 underflows
+        ("1e-200,1,3\n1e-200,2,4\n", "satterthwaite df numerator underflows to zero"),
+        # an infinite product w_k S_k^2
+        ("1e200,1e200,3\n1,1,4\n", "satterthwaite df numerator overflows a float"),
+        # (w_k S_k^2)^2 / nu_k is inf at a subnormal dof
+        ("1,1,5e-324\n1,1,5e-324\n", "satterthwaite df denominator overflows a float"),
+        # a single component's square overflows, yet its three dfs are exact
+        ("1e200,1,4\n", "satterthwaite,4.000,inf,inf\ncorrected,4.000,inf,inf\n"
+                        "boardman,6.000,inf,inf\n"),
     ])
     def test_overflowing_sum_names_the_estimator_and_the_sum(self, capsys, tmp_path,
                                                              rows, detail):
         path = write(tmp_path, "huge.csv", "weight,variance,dof\n" + rows)
         code, out, err = run_cli(capsys, "estimate", "--input", path)
-        assert (code, out) == (4, "")
-        assert err == f"effdof: arithmetic error: {detail}\n"
+        if detail.startswith("satterthwaite,"):  # the expected estimator rows
+            assert (code, err) == (0, "")
+            assert "".join(out.splitlines(keepends=True)[1:4]) == detail
+        else:
+            assert (code, out) == (4, "")
+            assert err == f"effdof: arithmetic error: {detail}\n"
 
 
     def test_non_finite_cell_gets_the_library_message(self, capsys, tmp_path):
@@ -417,6 +428,12 @@ class TestMiCommand:
         lines = dict(line.split(",") for line in out.splitlines())
         assert float(lines["total_df"]) == 2.0
 
+        # a single component is exact although its square overflows
+        code, out, _ = run_cli(capsys, "mi", "--var-sampling", "1e308",
+                               "--nu-sampling", "10", "--var-imputation", "0",
+                               "--m", "2")
+        assert (code, out.splitlines()[-1]) == (0, "total_df,10.000")
+
     def test_validation_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "mi", "--var-sampling", "1",
                              "--nu-sampling", "100", "--var-imputation", "0.2",
@@ -440,8 +457,8 @@ class TestMiCommand:
 
     def test_failure_leaves_stdout_empty(self, capsys):
         # the total variance is finite, but squaring it for the df overflows
-        code, out, err = run_cli(capsys, "mi", "--var-sampling", "1e308",
-                                 "--nu-sampling", "10", "--var-imputation", "0",
+        code, out, err = run_cli(capsys, "mi", "--var-sampling", "1e200",
+                                 "--nu-sampling", "10", "--var-imputation", "1e200",
                                  "--m", "2")
         assert (code, out) == (4, "")
         assert err.startswith("effdof: arithmetic error: ")

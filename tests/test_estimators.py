@@ -126,20 +126,34 @@ class TestDfEstimators:
     @pytest.mark.parametrize("fn", [satterthwaite_df, corrected_df, boardman_df])
     def test_overflowing_sum_names_the_estimator_and_the_sum(self, fn):
         variant = fn.__name__.removesuffix("_df")
-        # (sum w_k S_k^2)^2 overflows when squared, for two components or one
-        for cs in (cset([1e200, 1e200], [1, 2], [4, 4]), cset([1e200], [1], [4])):
-            with pytest.raises(OverflowError,
-                               match=f"^{variant} df numerator overflows a float$"):
+        for cs, fault in (
+            # (sum w_k S_k^2)^2 overflows when squared
+            (cset([1e200, 1e200], [1, 2], [4, 4]), "overflows a float"),
+            # an infinite product w_k S_k^2 makes the sum itself infinite
+            (cset([1e200, 1], [1e200, 1], [3, 4]), "overflows a float"),
+            # (sum w_k S_k^2)^2 of weights near 1e-200 underflows
+            (cset([1e-200, 1e-200], [1, 2], [3, 4]), "underflows to zero"),
+        ):
+            with pytest.raises(OverflowError, match=f"^{variant} df numerator {fault}$"):
                 fn(cs)
-        # only the classic denominator, sum (w_k S_k^2)^2 / nu_k, leaves the float range
-        cs = cset([1, 1.5], [1.22e150, 4.7e153], [1e-8, 1])
-        if fn is satterthwaite_df:
-            with pytest.raises(OverflowError,
-                               match="^satterthwaite df denominator overflows a float$"):
-                fn(cs)
-        else:
-            expected = {corrected_df: 1.001038252906434, boardman_df: 3.001038252906434}
-            assert fn(cs).value == expected[fn]
+        # a single component's df is exact although its square overflows
+        single = fn(cset([1e200], [1], [4]))
+        expected = {satterthwaite_df: 4.0, corrected_df: 4.0, boardman_df: 6.0}
+        assert (single.value, single.numerator, single.denominator) == (
+            expected[fn], math.inf, math.inf)
+        # only the classic denominator, sum (w_k S_k^2)^2 / nu_k, leaves the float
+        # range: in fsum, or already per component at a subnormal dof (1 / 5e-324)
+        for cs, expected in (
+            (cset([1, 1.5], [1.22e150, 4.7e153], [1e-8, 1]),
+             {corrected_df: 1.001038252906434, boardman_df: 3.001038252906434}),
+            (cset([1, 1], [1, 1], [5e-324, 5e-324]), {corrected_df: 2.0, boardman_df: 4.0}),
+        ):
+            if fn is satterthwaite_df:
+                with pytest.raises(OverflowError,
+                                   match="^satterthwaite df denominator overflows a float$"):
+                    fn(cs)
+            else:
+                assert fn(cs).value == expected[fn]
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_record_refuses_a_value_that_is_not_positive(self, value):

@@ -162,6 +162,29 @@ def test_estimate_record_consistency(cs):
         assert est.value > 0
 
 
+# any float > 0: subnormal, or 2**e times a mantissa for any exponent e
+any_positive = st.one_of(
+    st.floats(min_value=5e-324, max_value=2.0 ** -1022, exclude_max=True),
+    st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+              st.integers(-1073, 1024)))
+
+
+@settings(deadline=None)  # max_examples comes from the active profile
+@given(st.lists(st.tuples(st.one_of(st.just(0.0), any_positive),
+                          st.one_of(st.just(0.0), any_positive), any_positive),
+                min_size=1, max_size=8))
+def test_a_positive_pair_is_never_degenerate_at_any_magnitude(rows):
+    # the corrected form is left out: its - 2 can cancel to a value that is not positive
+    assume(any(w > 0 and v > 0 for w, v, _ in rows))
+    cs = ComponentSet(*zip(*rows))
+    for estimator in (satterthwaite_df, boardman_df):
+        try:
+            value = estimator(cs).value
+        except OverflowError:
+            continue
+        assert 0.0 < value < math.inf
+
+
 @settings(max_examples=300, deadline=None)
 @given(weight_vectors(), normal_exponents)
 def test_weight_summaries_power_of_two_scaling_is_exact(ws, e):
