@@ -105,7 +105,8 @@ class MiVariance(_Record):
     ``num_imputations`` is the number M of imputed datasets; the imputation
     variance carries M - 1 degrees of freedom. ``sampling_dof`` is supplied by
     the caller (it may itself come from :func:`jackknife_df` when the sampling
-    variance is a resampling estimate).
+    variance is a resampling estimate). Both variances may be zero: the total
+    variance is then 0.0, and :func:`mi_total_df` raises ``DegenerateComponents``.
     """
 
     __slots__ = ("sampling_variance", "sampling_dof", "imputation_variance",
@@ -121,10 +122,6 @@ class MiVariance(_Record):
         sampling_dof = check_real("sampling_dof", sampling_dof, 0.0, strict=True)
         imputation_variance = check_real("imputation_variance", imputation_variance, 0.0)
         num_imputations = check_int("num_imputations", num_imputations, 2)
-        if sampling_variance + imputation_variance <= 0:
-            raise DegenerateComponents(
-                "sampling and imputation variance are both zero"
-            )
         self._freeze(sampling_variance, sampling_dof, imputation_variance, num_imputations)
 
     @property
@@ -165,7 +162,8 @@ def mi_total_df(mi: MiVariance) -> float:
 
 
 class TwoSampleSummary(_Record):
-    """Sizes and sample variances of two independent samples."""
+    """Sizes and sample variances of two independent samples. Both variances
+    may be zero; the Welch df functions then raise ``DegenerateComponents``."""
 
     __slots__ = ("n1", "n2", "s1_sq", "s2_sq")
     n1: int
@@ -176,8 +174,6 @@ class TwoSampleSummary(_Record):
     def __init__(self, n1: int, n2: int, s1_sq: float, s2_sq: float):
         n1, n2 = check_int("n1", n1, 2), check_int("n2", n2, 2)
         s1_sq, s2_sq = check_real("s1_sq", s1_sq, 0.0), check_real("s2_sq", s2_sq, 0.0)
-        if s1_sq + s2_sq <= 0:
-            raise DegenerateComponents("both sample variances are zero")
         self._freeze(n1, n2, s1_sq, s2_sq)
 
 

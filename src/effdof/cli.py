@@ -11,8 +11,10 @@ mi          multiple-imputation total variance and df
 Exit codes: 0 success, 2 validation error, 3 parse error (also a file that is
 not UTF-8, a leading byte-order mark aside, or not well-formed CSV, and a cell
 the library's :class:`~effdof.errors.FieldError` rejects, at its line and
-column), 4 degenerate input or an arithmetic error (a floating-point overflow
-or underflow while evaluating an estimator, e.g. from weights near 1e200 or
+column), 4 degenerate input (no component with both a positive weight and a
+positive variance, two zero variances for ``welch`` or ``mi``, or identical
+pseudo-values) or an arithmetic error (a floating-point overflow, underflow or
+cancellation while evaluating an estimator, e.g. from weights near 1e200 or
 1e-200, or in a simulation grid, e.g. at nu 1e308 or 0.005).
 All simulation randomness flows from ``--seed``; without the flag a seed is
 drawn from system entropy and recorded in the run manifest. Simulation tables

@@ -28,8 +28,8 @@ __all__ = ["AllZeroWeights", "DegenerateComponents", "LengthMismatch", "ParseErr
 
 
 class DegenerateComponents(ValueError):
-    """Every weighted variance vanishes (or a form's positivity requirement fails),
-    so the requested degrees-of-freedom estimate is undefined."""
+    """No component has both a positive weight and a positive variance, or the
+    jackknife pseudo-values are all identical, so the df estimate is undefined."""
 
 
 class AllZeroWeights(ValueError):

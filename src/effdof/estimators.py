@@ -73,13 +73,15 @@ class ComponentSet(_Record):
     0-based component, with the message ``component 3: dof must be > 0, got
     0.0`` for example. Components with a zero weight or variance are
     permitted and drop out of the sums, but at least one must have both
-    positive, else :class:`DegenerateComponents`. Sequences of different
-    lengths raise :class:`LengthMismatch`.
+    positive, else :class:`DegenerateComponents` (the one degenerate-set
+    check). Sequences of different lengths raise :class:`LengthMismatch`.
 
     A set forms its ratio's numerator and one denominator per
     ``Variant.dof_offset`` when it is built, and is never written to again, so
     threads may share it. Each sum is kept as the float it rounds to (``inf``
     or ``0.0`` outside the float range): only an estimator that needs it raises.
+    A lone contributor (the only positive product, or where every product
+    underflows the only positive pair) has an exact df even if its sums read 0.0.
     """
 
     __slots__ = ("weights", "variances", "dofs", "_numerator", "_denominators", "_only")
@@ -98,18 +100,20 @@ class ComponentSet(_Record):
         if not weights:
             raise ValueError("a ComponentSet needs at least one component")
         products = tuple(map(operator.mul, weights, variances))
-        # a product may underflow: only a set with no positive (w, v) pair is degenerate
-        if not any(products) and not any(map(min, weights, variances)):
-            raise DegenerateComponents(
-                "all weighted variances are zero; df estimators are undefined"
-            )
+        # the contributors: the positive products, or, where every product
+        # underflows, the positive (w, v) pairs; a set with none is degenerate
+        contributors = compress(count(), products if any(products)
+                                else map(min, weights, variances))
+        only, second = next(contributors, None), next(contributors, None)
+        if only is None:
+            raise DegenerateComponents("all weighted variances are zero; df estimators are undefined")
         squares = tuple(map(operator.mul, products, products))
         # d + 0.0 == d for every dof d > 0, so the classic form skips the add
         denominators = {0.0: _fsum(map(operator.truediv, squares, dofs)),
                         2.0: _fsum(map(operator.truediv, squares,
                                        map(operator.add, dofs, repeat(2.0))))}
         self._freeze(weights, variances, dofs, _fsum(products, square=True),
-                     denominators, _single_positive(products))
+                     denominators, only if second is None else None)
 
     @classmethod
     def from_arrays(
@@ -148,10 +152,10 @@ class DfEstimate(_Record):
     ``value`` equals ``numerator / denominator - variant.shift`` to floating
     precision, where the numerator is ``(sum_k w_k S_k^2)^2`` and the
     denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + variant.dof_offset)``. With a
-    single contributing component ``value`` is exact, and the two sums may read
-    ``inf`` or ``0.0``. A ``value`` beyond the float range raises
-    ``OverflowError``; one that is NaN or not positive raises
-    ``DegenerateComponents``.
+    single contributing component ``value`` is exact, even when its product
+    underflows, and the two sums may read ``inf`` or ``0.0``. A ``value``
+    outside (0, inf) raises ``OverflowError``: it comes from an overflow, an
+    underflow or the ``- 2`` cancelling, never from degenerate input.
     """
 
     __slots__ = ("variant", "value", "numerator", "denominator")
@@ -162,13 +166,10 @@ class DfEstimate(_Record):
 
     def __init__(self, variant: Variant, value: float, numerator: float,
                  denominator: float):
-        if value <= 0 or not math.isfinite(value):
-            if value == math.inf:
-                raise OverflowError(f"{variant.value} df estimate overflows a float")
-            raise DegenerateComponents(
-                f"{variant.value} df estimate is not positive "
-                f"({value!r}); input components are degenerate"
-            )
+        if not 0.0 < value < math.inf:
+            raise OverflowError(f"{variant.value} df estimate overflows a float"
+                                if value == math.inf else
+                                f"{variant.value} df estimate is not positive ({value!r})")
         self._freeze(variant, value, numerator, denominator)
 
 
@@ -221,13 +222,6 @@ def _scaled_if_needed(ws: tuple[float, ...]) -> Sequence[float]:
     return _unit_scaled(ws)
 
 
-def _single_positive(a: Sequence[float]) -> int | None:
-    """Index of the only positive entry of ``a`` (all >= 0), if there is exactly one."""
-    positive = compress(count(), a)
-    first = next(positive, None)
-    return first if next(positive, None) is None else None
-
-
 def _fsum(xs: Iterable[float], square: bool = False) -> float:
     """``math.fsum(xs)``, squared if ``square``; ``inf`` where that overflows."""
     try:
@@ -250,9 +244,9 @@ def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
     offset = variant.dof_offset
     numerator, denominator = cs._numerator, cs._denominators[offset]
     if cs._only is not None:
-        # fsum of one positive entry among zeros is that entry, and the ratio
-        # is exactly nu + offset: single-component sets (K=1 in particular)
-        # are free of rounding
+        # with one contributor the ratio is exactly nu + offset, whatever its
+        # sums read: single-component sets (K=1 in particular) are free of
+        # rounding
         dof = cs.dofs[cs._only]
         return DfEstimate(variant, dof + (offset - variant.shift), numerator,
                           numerator / (dof + offset))
@@ -288,8 +282,8 @@ def corrected_df(cs: ComponentSet) -> DfEstimate:
     :func:`satterthwaite_df` as the component df grow.
 
     Raises:
-        OverflowError: if a sum or the estimate leaves the float range.
-        DegenerateComponents: if the ``- 2`` leaves no positive estimate.
+        OverflowError: if a sum or the estimate leaves the float range, or
+            the ``- 2`` cancels to an estimate that is not positive.
     """
     return _ratio_estimate(cs, Variant.CORRECTED)
 

@@ -183,8 +183,11 @@ class TestMultipleImputation:
         assert mi.imputation_weight == pytest.approx(1 + 1 / 7, rel=1e-15)
 
     def test_both_variances_zero_is_degenerate(self):
-        with pytest.raises(DegenerateComponents):
-            MiVariance(0.0, 5.0, 0.0, 3)
+        # a valid record; its component set is what has no positive pair
+        mi = MiVariance(0.0, 5.0, 0.0, 3)
+        assert mi_total_variance(mi) == 0.0
+        with pytest.raises(DegenerateComponents, match="^all weighted variances are zero"):
+            mi_total_df(mi)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -193,7 +196,6 @@ class TestMultipleImputation:
             dict(sampling_variance=1.0, sampling_dof=0.0, imputation_variance=1.0, num_imputations=3),
             dict(sampling_variance=1.0, sampling_dof=5.0, imputation_variance=-0.1, num_imputations=3),
             dict(sampling_variance=1.0, sampling_dof=5.0, imputation_variance=1.0, num_imputations=1),
-            dict(sampling_variance=0.0, sampling_dof=5.0, imputation_variance=0.0, num_imputations=3),
         ],
     )
     def test_validation(self, kwargs):
@@ -244,8 +246,11 @@ class TestWelch:
         assert welch_corrected_df(ts) == pytest.approx(4.0, rel=REL)
 
     def test_both_variances_zero_is_degenerate(self):
-        with pytest.raises(DegenerateComponents):
-            TwoSampleSummary(10, 10, 0.0, 0.0)
+        # a valid record; its component set is what has no positive pair
+        ts = TwoSampleSummary(10, 10, 0.0, 0.0)
+        for df in (welch_satterthwaite_df, welch_corrected_df):
+            with pytest.raises(DegenerateComponents, match="^all weighted variances are zero"):
+                df(ts)
 
     def test_symmetric_under_sample_swap(self):
         rng = np.random.default_rng(9)
@@ -293,8 +298,7 @@ class TestWelch:
 
     @pytest.mark.parametrize(
         "n1,n2,s1,s2",
-        [(1, 10, 1.0, 1.0), (10, 0, 1.0, 1.0), (10, 10, -1.0, 1.0),
-         (10, 10, 0.0, 0.0)],
+        [(1, 10, 1.0, 1.0), (10, 0, 1.0, 1.0), (10, 10, -1.0, 1.0)],
     )
     def test_validation(self, n1, n2, s1, s2):
         with pytest.raises(ValueError):

@@ -188,6 +188,11 @@ class TestEstimate:
         # a single component's square overflows, yet its three dfs are exact
         ("1e200,1,4\n", "satterthwaite,4.000,inf,inf\ncorrected,4.000,inf,inf\n"
                         "boardman,6.000,inf,inf\n"),
+        # a single component's product underflows, yet its three dfs are exact
+        ("1e-200,1e-200,3\n", "satterthwaite,3.000,0.000,0.000\ncorrected,3.000,0.000,0.000\n"
+                              "boardman,5.000,0.000,0.000\n"),
+        # the ratio rounds to 2.0, so the corrected - 2 cancels every digit
+        ("1,1,1e-300\n1e-20,1,1e-300\n", "corrected df estimate is not positive (0.0)"),
     ])
     def test_overflowing_sum_names_the_estimator_and_the_sum(self, capsys, tmp_path,
                                                              rows, detail):
@@ -392,9 +397,11 @@ class TestWelchCommand:
         assert code == 2
 
     def test_both_variances_zero_is_degenerate(self, capsys):
-        code, _, _ = run_cli(capsys, "welch", "--n1", "10", "--n2", "10",
-                             "--s1sq", "0", "--s2sq", "0")
-        assert code == 4
+        code, out, err = run_cli(capsys, "welch", "--n1", "10", "--n2", "10",
+                                 "--s1sq", "0", "--s2sq", "0")
+        assert (code, out) == (4, "")
+        assert err == ("effdof: degenerate input: all weighted variances are zero; "
+                       "df estimators are undefined\n")
 
     def test_size_too_large_for_a_float_is_a_validation_error(self, capsys):
         code, out, err = run_cli(capsys, "welch", "--n1", str(10**400), "--n2", "10",
@@ -433,6 +440,12 @@ class TestMiCommand:
                                "--nu-sampling", "10", "--var-imputation", "0",
                                "--m", "2")
         assert (code, out.splitlines()[-1]) == (0, "total_df,10.000")
+
+    def test_both_variances_zero_is_degenerate(self, capsys):
+        code, out, err = run_cli(capsys, "mi", "--var-sampling", "0", "--nu-sampling", "5",
+                                 "--var-imputation", "0", "--m", "3")
+        assert (code, out) == (4, "")
+        assert err.startswith("effdof: degenerate input: all weighted variances are zero")
 
     def test_validation_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "mi", "--var-sampling", "1",

@@ -157,8 +157,9 @@ class TestDfEstimators:
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     def test_record_refuses_a_value_that_is_not_positive(self, value):
-        with pytest.raises(DegenerateComponents,
-                           match=rf"^corrected df estimate is not positive \({value!r}\)"):
+        # an arithmetic fault, not degenerate input: only ComponentSet decides that
+        with pytest.raises(OverflowError,
+                           match=rf"^corrected df estimate is not positive \({value!r}\)$"):
             estimators.DfEstimate(Variant.CORRECTED, value, 1.0, 0.5)
 
 
