@@ -30,10 +30,10 @@ import contextlib
 import csv
 import io
 import math
+import os
 import sys
 import time
 from collections.abc import Sequence
-from pathlib import Path
 
 from . import __version__
 from .applications import (
@@ -86,11 +86,12 @@ PRESETS: dict[str, dict] = {
 # parsing
 # ---------------------------------------------------------------------------
 
-def _read_text(path: str | Path) -> str:
+def _read_text(path: str | os.PathLike[str]) -> str:
     """The file's text, without a leading UTF-8 byte-order mark (spreadsheets
     write one); a missing, unreadable or non-UTF-8 file is a ParseError."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     data = data.removeprefix(b"\xef\xbb\xbf")  # not utf-8-sig: its error offsets skip it
@@ -123,7 +124,7 @@ def _located(build, columns: Sequence, lines: Sequence[int], names: Sequence[str
                          column=names.index(exc.field) + 1) from None
 
 
-def parse_components_file(path: str | Path) -> ComponentSet:
+def parse_components_file(path: str | os.PathLike[str]) -> ComponentSet:
     """Read a components CSV (header ``weight,variance,dof``, one row per component).
 
     Cells are parsed as floats here and checked once, by :class:`ComponentSet`;
@@ -159,7 +160,7 @@ def parse_components_file(path: str | Path) -> ComponentSet:
     return _located(ComponentSet, columns, lines, COMPONENTS_HEADER)
 
 
-def parse_values_file(path: str | Path) -> tuple[list[float], list[int]]:
+def parse_values_file(path: str | os.PathLike[str]) -> tuple[list[float], list[int]]:
     """Read a file with one number per line: the values, parsed but not yet
     checked, and the line each came from."""
     rows = list(io.StringIO(_read_text(path), newline=None))  # universal newlines
@@ -194,7 +195,7 @@ def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]], fmt: st
 
 def render_estimate(cs: ComponentSet, fmt: str, precision: int) -> str:
     estimators = [
-        {"variant": est.variant.value, "value": est.value,
+        {"variant": est.variant, "value": est.value,
          "numerator": est.numerator, "denominator": est.denominator}
         for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
     ]
@@ -324,18 +325,18 @@ def _cmd_simulate(args) -> int:
     import json
 
     cfg = _simulate_config(args)
-    out = Path(args.out) if args.out else None
+    out = args.out
     created = False
     if out:  # before the grid, so an unusable directory fails at once
-        created = not out.exists()
-        out.mkdir(parents=True, exist_ok=True)
+        created = not os.path.exists(out)
+        os.makedirs(out, exist_ok=True)
     start = time.perf_counter()
     try:
         result = run_grid_detailed(cfg, threads=args.threads)
     except BaseException:
         if created:  # only the leaf this run made, and only while empty
             with contextlib.suppress(OSError):
-                out.rmdir()
+                os.rmdir(out)
         raise
     duration = time.perf_counter() - start
 
@@ -347,9 +348,10 @@ def _cmd_simulate(args) -> int:
     manifest_text = json.dumps(manifest, indent=2) + "\n"
     # the files before stdout, so a failure leaves stdout empty
     if out:
-        (out / "cells.csv").write_text(cells_csv_full_precision(result.cells),
-                                       encoding="utf-8")
-        (out / "manifest.json").write_text(manifest_text, encoding="utf-8")
+        for name, text in (("cells.csv", cells_csv_full_precision(result.cells)),
+                           ("manifest.json", manifest_text)):
+            with open(os.path.join(out, name), "w", encoding="utf-8") as f:
+                f.write(text)
     sys.stdout.write(table)
     if not out:
         sys.stderr.write(manifest_text)

@@ -37,7 +37,6 @@ integrality.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from collections.abc import Iterable, Sequence
@@ -47,7 +46,6 @@ from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, _Recor
 
 __all__ = [
     "ComponentSet",
-    "Variant",
     "DfEstimate",
     "satterthwaite_df",
     "corrected_df",
@@ -76,15 +74,17 @@ class ComponentSet(_Record):
     positive, else :class:`DegenerateComponents` (the one degenerate-set
     check). Sequences of different lengths raise :class:`LengthMismatch`.
 
-    A set forms its ratio's numerator and one denominator per
-    ``Variant.dof_offset`` when it is built, and is never written to again, so
-    threads may share it. Each sum is kept as the float it rounds to (``inf``
-    or ``0.0`` outside the float range): only an estimator that needs it raises.
-    A lone contributor (the only positive product, or where every product
-    underflows the only positive pair) has an exact df even if its sums read 0.0.
+    A set forms its ratio's numerator and both denominators, the classic one
+    over nu_k and the corrected one over nu_k + 2, when it is built, and is
+    never written to again, so threads may share it. Each sum is kept as the
+    float it rounds to (``inf`` or ``0.0`` outside the float range): only an
+    estimator that needs it raises. A lone contributor (the only positive
+    product, or where every product underflows the only positive pair) has an
+    exact df even if its sums read 0.0.
     """
 
-    __slots__ = ("weights", "variances", "dofs", "_numerator", "_denominators", "_only")
+    __slots__ = ("weights", "variances", "dofs", "_numerator", "_classic", "_corrected",
+                 "_only")
     weights: tuple[float, ...]
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
@@ -108,12 +108,11 @@ class ComponentSet(_Record):
         if only is None:
             raise DegenerateComponents("all weighted variances are zero; df estimators are undefined")
         squares = tuple(map(operator.mul, products, products))
-        # d + 0.0 == d for every dof d > 0, so the classic form skips the add
-        denominators = {0.0: _fsum(map(operator.truediv, squares, dofs)),
-                        2.0: _fsum(map(operator.truediv, squares,
-                                       map(operator.add, dofs, repeat(2.0))))}
         self._freeze(weights, variances, dofs, _fsum(products, square=True),
-                     denominators, only if second is None else None)
+                     # d + 0.0 == d for every dof d > 0, so the classic form skips the add
+                     _fsum(map(operator.truediv, squares, dofs)),
+                     _fsum(map(operator.truediv, squares, map(operator.add, dofs, repeat(2.0)))),
+                     only if second is None else None)
 
     @classmethod
     def from_arrays(
@@ -129,47 +128,32 @@ class ComponentSet(_Record):
         return len(self.weights)
 
 
-class Variant(enum.Enum):
-    """Which df estimator produced a :class:`DfEstimate`, with the two constants
-    that define it: ``dof_offset`` added to each nu_k in the denominator and
-    ``shift`` subtracted from the ratio."""
-
-    SATTERTHWAITE = ("satterthwaite", 0.0, 0.0)
-    CORRECTED = ("corrected", 2.0, 2.0)
-    BOARDMAN = ("boardman", 2.0, 0.0)
-
-    def __new__(cls, value: str, dof_offset: float, shift: float):
-        member = object.__new__(cls)
-        member._value_ = value
-        member.dof_offset = dof_offset
-        member.shift = shift
-        return member
-
-
 class DfEstimate(_Record):
     """A df estimate together with the ratio it came from.
 
-    ``value`` equals ``numerator / denominator - variant.shift`` to floating
-    precision, where the numerator is ``(sum_k w_k S_k^2)^2`` and the
-    denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + variant.dof_offset)``. With a
-    single contributing component ``value`` is exact, even when its product
-    underflows, and the two sums may read ``inf`` or ``0.0``. A ``value``
-    outside (0, inf) raises ``OverflowError``: it comes from an overflow, an
-    underflow or the ``- 2`` cancelling, never from degenerate input.
+    ``variant`` names the estimator: ``"satterthwaite"``, ``"corrected"`` or
+    ``"boardman"``. ``value`` equals ``numerator / denominator - shift`` to
+    floating precision, where the numerator is ``(sum_k w_k S_k^2)^2``, the
+    denominator is ``sum_k (w_k S_k^2)^2 / (nu_k + offset)``, and the offset
+    and shift are 0 and 0 (satterthwaite), 2 and 2 (corrected) or 2 and 0
+    (boardman). With a single contributing component ``value`` is exact, even
+    when its product underflows, and the two sums may read ``inf`` or ``0.0``.
+    A ``value`` outside (0, inf) raises ``OverflowError``: it comes from an
+    overflow, an underflow or the ``- 2`` cancelling, never from degenerate
+    input.
     """
 
     __slots__ = ("variant", "value", "numerator", "denominator")
-    variant: Variant
+    variant: str
     value: float
     numerator: float
     denominator: float
 
-    def __init__(self, variant: Variant, value: float, numerator: float,
-                 denominator: float):
+    def __init__(self, variant: str, value: float, numerator: float, denominator: float):
         if not 0.0 < value < math.inf:
-            raise OverflowError(f"{variant.value} df estimate overflows a float"
+            raise OverflowError(f"{variant} df estimate overflows a float"
                                 if value == math.inf else
-                                f"{variant.value} df estimate is not positive ({value!r})")
+                                f"{variant} df estimate is not positive ({value!r})")
         self._freeze(variant, value, numerator, denominator)
 
 
@@ -232,30 +216,30 @@ def _fsum(xs: Iterable[float], square: bool = False) -> float:
         return math.inf
 
 
-def _ratio_estimate(cs: ComponentSet, variant: Variant) -> DfEstimate:
-    """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + dof_offset),
-    minus the shift, with both constants taken from ``variant``.
+def _ratio_estimate(cs: ComponentSet, variant: str, denominator: float, offset: float,
+                    shift: float) -> DfEstimate:
+    """Shared core: (sum_k w_k S_k^2)^2 over sum_k (w_k S_k^2)^2 / (nu_k + offset),
+    minus ``shift``, as the :class:`DfEstimate` named ``variant``.
 
-    Both sums come from ``cs``. Unless a single component contributes, whose
+    The numerator comes from ``cs``, and ``denominator`` is the one of its two
+    sums that matches ``offset``. Unless a single component contributes, whose
     estimate is exact, a sum outside (0, inf) raises an ``OverflowError``
     naming the variant and the sum, e.g. ``satterthwaite df denominator
     overflows a float`` or ``corrected df numerator underflows to zero``.
     """
-    offset = variant.dof_offset
-    numerator, denominator = cs._numerator, cs._denominators[offset]
+    numerator = cs._numerator
     if cs._only is not None:
         # with one contributor the ratio is exactly nu + offset, whatever its
         # sums read: single-component sets (K=1 in particular) are free of
         # rounding
         dof = cs.dofs[cs._only]
-        return DfEstimate(variant, dof + (offset - variant.shift), numerator,
+        return DfEstimate(variant, dof + (offset - shift), numerator,
                           numerator / (dof + offset))
     for name, total in (("numerator", numerator), ("denominator", denominator)):
         if not 0.0 < total < math.inf:
             fault = "overflows a float" if total else "underflows to zero"
-            raise OverflowError(f"{variant.value} df {name} {fault}")
-    return DfEstimate(variant, numerator / denominator - variant.shift,
-                      numerator, denominator)
+            raise OverflowError(f"{variant} df {name} {fault}")
+    return DfEstimate(variant, numerator / denominator - shift, numerator, denominator)
 
 
 def satterthwaite_df(cs: ComponentSet) -> DfEstimate:
@@ -268,7 +252,7 @@ def satterthwaite_df(cs: ComponentSet) -> DfEstimate:
     Raises:
         OverflowError: if a sum or the estimate leaves the float range.
     """
-    return _ratio_estimate(cs, Variant.SATTERTHWAITE)
+    return _ratio_estimate(cs, "satterthwaite", cs._classic, 0.0, 0.0)
 
 
 def corrected_df(cs: ComponentSet) -> DfEstimate:
@@ -285,7 +269,7 @@ def corrected_df(cs: ComponentSet) -> DfEstimate:
         OverflowError: if a sum or the estimate leaves the float range, or
             the ``- 2`` cancels to an estimate that is not positive.
     """
-    return _ratio_estimate(cs, Variant.CORRECTED)
+    return _ratio_estimate(cs, "corrected", cs._corrected, 2.0, 2.0)
 
 
 def boardman_df(cs: ComponentSet) -> DfEstimate:
@@ -293,7 +277,7 @@ def boardman_df(cs: ComponentSet) -> DfEstimate:
 
     Definitionally ``boardman_df(cs).value == corrected_df(cs).value + 2``.
     """
-    return _ratio_estimate(cs, Variant.BOARDMAN)
+    return _ratio_estimate(cs, "boardman", cs._corrected, 2.0, 0.0)
 
 
 def kish_neff(weights) -> float:

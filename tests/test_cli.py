@@ -106,6 +106,18 @@ class TestEstimate:
         assert by_variant["corrected"]["value"] == 8.8
         assert payload["weights"]["kish_neff"] == 2.0
 
+    def test_estimator_names_are_the_strings_the_cli_prints(self, capsys, tmp_path):
+        path = write(tmp_path, "two.csv", TWO_COMPONENTS)
+        cs = parse_components_file(path)
+        names = [fn(cs).variant for fn in (estimators.satterthwaite_df,
+                                            estimators.corrected_df, estimators.boardman_df)]
+        assert names == ["satterthwaite", "corrected", "boardman"]
+        assert all(type(name) is str for name in names)
+        _, out, _ = run_cli(capsys, "estimate", "--input", path)
+        assert [row[0] for row in csv.reader(io.StringIO(out))][1:4] == names
+        _, out, _ = run_cli(capsys, "estimate", "--input", path, "--format", "json")
+        assert [e["variant"] for e in json.loads(out)["estimators"]] == names
+
     def test_csv_round_trip_at_precision_12(self, capsys, tmp_path):
         path = write(tmp_path, "mixed.csv",
                      "weight,variance,dof\n0.3,1.7,3.5\n1.1,0.9,12\n2.4,3.3,7\n")
@@ -712,10 +724,12 @@ _IMPORT_PROBE = """
 import sys
 
 WATCHED = ("concurrent.futures", "dataclasses", "effdof.montecarlo", "json", "numpy",
-           "secrets")
+           "pathlib", "secrets")
+# a .pth file may load some of them at startup: count only the ones effdof adds
+PRELOADED = set(sys.modules)
 
 def loaded():
-    return [m for m in WATCHED if m in sys.modules]
+    return [m for m in WATCHED if m in sys.modules and m not in PRELOADED]
 
 import effdof
 seen = {"import effdof": loaded()}
@@ -756,6 +770,14 @@ class TestModuleEntryPoint:
             "simulate": ["concurrent.futures", "dataclasses", "effdof.montecarlo", "json",
                          "numpy", "secrets"],
         }
+
+    def test_cli_import_leaves_pathlib_unloaded_without_site(self):
+        # -S runs no .pth file, so nothing can load pathlib before effdof does
+        src = str(Path(effdof.__file__).resolve().parents[1])
+        probe = "import sys, effdof.cli; print('pathlib' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("value", ["x", "1.5", "13"])
     def test_precision_must_be_an_integer_in_range(self, capsys, value):

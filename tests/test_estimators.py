@@ -5,12 +5,16 @@ independent direct-formula script before being asserted here.
 """
 
 import copy
+import dataclasses
+import importlib.util
 import itertools
 import math
 import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,6 @@ from effdof import (
     LengthMismatch,
     MiVariance,
     TwoSampleSummary,
-    Variant,
     boardman_df,
     corrected_df,
     design_effect,
@@ -62,13 +65,13 @@ class TestDfEstimators:
         """
         cs = cset([1, 1], [1, 2], [4, 4])
         satt = satterthwaite_df(cs)
-        assert satt.variant is Variant.SATTERTHWAITE
+        assert satt.variant == "satterthwaite"
         assert satt.numerator == pytest.approx(9.0, rel=REL)
         assert satt.denominator == pytest.approx(1.25, rel=REL)
         assert satt.value == pytest.approx(7.2, rel=REL)
 
         corr = corrected_df(cs)
-        assert corr.variant is Variant.CORRECTED
+        assert corr.variant == "corrected"
         assert corr.denominator == pytest.approx(5.0 / 6.0, rel=REL)
         assert corr.value == pytest.approx(8.8, rel=REL)
 
@@ -96,7 +99,7 @@ class TestDfEstimators:
             cs = cset(rng.uniform(0.1, 5, k), rng.uniform(0.1, 5, k),
                       rng.uniform(0.5, 50, k))
             for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs)):
-                shift = 2.0 if est.variant is Variant.CORRECTED else 0.0
+                shift = 2.0 if est.variant == "corrected" else 0.0
                 assert est.value == pytest.approx(
                     est.numerator / est.denominator - shift, rel=REL
                 )
@@ -160,7 +163,7 @@ class TestDfEstimators:
         # an arithmetic fault, not degenerate input: only ComponentSet decides that
         with pytest.raises(OverflowError,
                            match=rf"^corrected df estimate is not positive \({value!r}\)$"):
-            estimators.DfEstimate(Variant.CORRECTED, value, 1.0, 0.5)
+            estimators.DfEstimate("corrected", value, 1.0, 0.5)
 
 
 DF_ESTIMATORS = (satterthwaite_df, corrected_df, boardman_df)
@@ -460,7 +463,7 @@ def _golden_values() -> dict[str, str]:
         cs = ComponentSet(weights, variances, dofs)
         for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs)):
             for field in ("value", "numerator", "denominator"):
-                out[f"{name}/{est.variant.value}.{field}"] = getattr(est, field).hex()
+                out[f"{name}/{est.variant}.{field}"] = getattr(est, field).hex()
         for fn in (kish_neff, relvariance, design_effect):
             out[f"{name}/{fn.__name__}"] = fn(weights).hex()
     for name, values in pseudo_values.items():
@@ -549,3 +552,38 @@ GOLDEN = {
 
 def test_golden_results_are_bit_identical():
     assert _golden_values() == GOLDEN
+
+
+def _golden_exact() -> dict[str, Fraction]:
+    """The exact result behind every ``GOLDEN`` entry, from the benchmark's
+    rational oracle (``perfbench/oracle.py``, which imports nothing from effdof)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("_golden_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    sets, pseudo_values, mi, welch = _golden_inputs()
+    out = {}
+    for name, (weights, variances, dofs) in sets.items():
+        for variant, exact in oracle.df_estimates(weights, variances, dofs).items():
+            for field, value in zip(("value", "numerator", "denominator"), exact):
+                out[f"{name}/{variant}.{field}"] = value
+        kish, deff = oracle.kish_and_deff(weights)
+        out.update({f"{name}/kish_neff": kish, f"{name}/relvariance": deff - 1,
+                    f"{name}/design_effect": deff})
+    for name, values in pseudo_values.items():
+        out[f"jackknife/{name}"] = oracle.jackknife(values)
+    for name, m in mi.items():
+        out[f"mi/{name}"] = oracle.mi(*dataclasses.astuple(m))[1]
+    for name, ts in welch.items():
+        satt, corr = oracle.welch(*dataclasses.astuple(ts))
+        out[f"welch/{name}/satterthwaite"], out[f"welch/{name}/corrected"] = satt, corr
+    return out
+
+
+def test_golden_results_lie_within_3_ulps_of_the_exact_results():
+    exact = _golden_exact()
+    assert exact.keys() == GOLDEN.keys()
+    for name, text in GOLDEN.items():
+        ulps = abs(Fraction(float.fromhex(text)) - exact[name]) / Fraction(
+            math.ulp(float(exact[name])))
+        assert ulps <= 3, (name, float(ulps))
