@@ -5,7 +5,7 @@ names in ``__all__``:
 
 * :mod:`effdof.errors` -- the exception types the estimators raise.
 * :mod:`effdof.estimators` -- the df estimators, Kish effective sample size
-  and the weight summaries beside it.
+  and the design effect beside it.
 * :mod:`effdof.applications` -- jackknife, multiple-imputation and two-sample
   wrappers around the corrected estimator.
 * :mod:`effdof.montecarlo` -- the reproducible chi-square simulation harness.
@@ -23,8 +23,7 @@ from .errors import *  # noqa: F403
 from .estimators import *  # noqa: F403
 
 # montecarlo.__all__, spelled out so listing the names does not load the module
-_MONTECARLO_NAMES = ("SimConfig", "SimCell", "GridResult", "sample_component_variance",
-                     "run_grid_detailed")
+_MONTECARLO_NAMES = ("SimConfig", "SimCell", "GridResult", "run_grid_detailed")
 
 __all__ = ["__version__", *errors.__all__, *estimators.__all__, *applications.__all__,
            *_MONTECARLO_NAMES]

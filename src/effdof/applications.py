@@ -7,21 +7,20 @@ place. :func:`jackknife_df` evaluates the same formula in closed form on
 pseudo-values rescaled by a power of two; the tests check that it equals
 ``corrected_df`` on the induced one-df components.
 
-Inputs are plain numbers: :func:`jackknife_df` takes a sequence of
-pseudo-values (and :func:`leave_one_out_pseudo_values` returns them as a tuple
-of floats), while :class:`MiVariance` and :class:`TwoSampleSummary` hold the
-summary numbers of their setting. Every field goes through the shared checks
-in :mod:`effdof.errors`, so a string, a bool or a non-finite value raises a
-:class:`~effdof.errors.FieldError` naming the field (and, for a pseudo-value,
-its 0-based index); integer fields accept any ``numbers.Integral`` (numpy
-integers included) except ``bool``.
+Inputs are plain numbers: :func:`jackknife_df` takes the pseudo-values as
+given, computed by the caller from its statistic, while :class:`MiVariance`
+and :class:`TwoSampleSummary` hold the summary numbers of their setting. Every
+field goes through the shared checks in :mod:`effdof.errors`, so a string, a
+bool or a non-finite value raises a :class:`~effdof.errors.FieldError` naming
+the field (and, for a pseudo-value, its 0-based index); integer fields accept
+any ``numbers.Integral`` (numpy integers included) except ``bool``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import DegenerateComponents, _Record, check_int, check_real, check_reals
 from .estimators import (
@@ -36,25 +35,11 @@ __all__ = [
     "MiVariance",
     "TwoSampleSummary",
     "jackknife_df",
-    "leave_one_out_pseudo_values",
     "mi_total_variance",
     "mi_total_df",
     "welch_corrected_df",
     "welch_satterthwaite_df",
 ]
-
-
-def _checked_pseudo_values(values: Iterable[float]) -> tuple[float, ...]:
-    """Finite real pseudo-values as floats: at least two, not all identical
-    (a constant statistic leaves the jackknife df as 0/0)."""
-    ts = check_reals("pseudo-value", values)
-    if len(ts) < 2:
-        raise ValueError("need at least two pseudo-values")
-    if _all_equal(ts, ts[0]):
-        raise DegenerateComponents(
-            "all pseudo-values are identical; jackknife df is undefined"
-        )
-    return ts
 
 
 def jackknife_df(pv: Iterable[float]) -> float:
@@ -72,31 +57,18 @@ def jackknife_df(pv: Iterable[float]) -> float:
     are rescaled by a power of two first, so any finite magnitude gives the
     same value.
     """
-    ts = _unit_scaled(_checked_pseudo_values(pv))
+    ts = check_reals("pseudo-value", pv)
+    if len(ts) < 2:
+        raise ValueError("need at least two pseudo-values")
+    if _all_equal(ts, ts[0]):  # a constant statistic leaves the df as 0/0
+        raise DegenerateComponents("all pseudo-values are identical; jackknife df is undefined")
+    ts = _unit_scaled(ts)
     mean = math.fsum(ts) / len(ts)
     d2 = [(t - mean) ** 2 for t in ts]
     sum_d2 = math.fsum(d2)
     # > 0: the values are not all equal, and scaled so no deviation underflows
     sum_d4 = math.fsum(map(operator.mul, d2, d2))
     return 3.0 * sum_d2 * sum_d2 / sum_d4 - 2.0
-
-
-def leave_one_out_pseudo_values(
-    statistic: Callable[[Sequence[float]], float],
-    observations: Sequence[float],
-) -> tuple[float, ...]:
-    """The pseudo-values T_k = statistic(observations without the k-th), as floats.
-
-    Convenience plumbing for callers holding raw observations; the df formula
-    itself only consumes the T_k. They get the same checks as the input of
-    :func:`jackknife_df`.
-    """
-    obs = list(observations)
-    if len(obs) < 2:
-        raise ValueError("need at least two observations to jackknife")
-    return _checked_pseudo_values(
-        statistic(obs[:k] + obs[k + 1:]) for k in range(len(obs))
-    )
 
 
 class MiVariance(_Record):

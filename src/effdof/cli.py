@@ -8,7 +8,8 @@ jackknife   jackknife df from a file of pseudo-values
 welch       two-sample df, classic and corrected side by side
 mi          multiple-imputation total variance and df
 
-Exit codes: 0 success, 2 validation error, 3 parse error (also a file that is
+Exit codes: 0 success, 2 validation error or output failure (stdout closed,
+a broken pipe, a full device), 3 parse error (also a file that is
 not UTF-8, a leading byte-order mark aside, or not well-formed CSV, and a cell
 the library's :class:`~effdof.errors.FieldError` rejects, at its line and
 column), 4 degenerate input (no component with both a positive weight and a
@@ -293,10 +294,8 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     return run_grid_detailed(cfg, threads=threads)
 
 
-def _cmd_estimate(args) -> int:
-    cs = parse_components_file(args.input)
-    sys.stdout.write(render_estimate(cs, args.format, args.precision))
-    return 0
+def _cmd_estimate(args) -> str:
+    return render_estimate(parse_components_file(args.input), args.format, args.precision)
 
 
 def _simulate_config(args) -> SimConfig:
@@ -321,22 +320,26 @@ def _simulate_config(args) -> SimConfig:
                      **base)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     import json
 
     cfg = _simulate_config(args)
     out = args.out
-    created = False
+    made = []  # the levels of out that os.makedirs creates, deepest first
     if out:  # before the grid, so an unusable directory fails at once
-        created = not os.path.exists(out)
+        level = out
+        while level and not os.path.exists(level):
+            made.append(level)
+            level = os.path.dirname(level.rstrip(os.sep))
         os.makedirs(out, exist_ok=True)
     start = time.perf_counter()
     try:
         result = run_grid_detailed(cfg, threads=args.threads)
     except BaseException:
-        if created:  # only the leaf this run made, and only while empty
-            with contextlib.suppress(OSError):
-                os.rmdir(out)
+        # only the levels this run made, bottom up, and only while empty
+        with contextlib.suppress(OSError):
+            for level in made:
+                os.rmdir(level)
         raise
     duration = time.perf_counter() - start
 
@@ -346,40 +349,32 @@ def _cmd_simulate(args) -> int:
     manifest["cell_weight_rejections"] = list(result.cell_weight_rejections)  # grid order
     manifest["threads"] = args.threads  # scheduling only: the cells do not depend on it
     manifest_text = json.dumps(manifest, indent=2) + "\n"
-    # the files before stdout, so a failure leaves stdout empty
     if out:
         for name, text in (("cells.csv", cells_csv_full_precision(result.cells)),
                            ("manifest.json", manifest_text)):
             with open(os.path.join(out, name), "w", encoding="utf-8") as f:
                 f.write(text)
-    sys.stdout.write(table)
-    if not out:
+    else:
         sys.stderr.write(manifest_text)
-    return 0
+    return table
 
 
-def _cmd_jackknife(args) -> int:
+def _cmd_jackknife(args) -> str:
     values, lines = parse_values_file(args.input)
     df = _located(jackknife_df, (values,), lines, ("pseudo-value",))
-    print(_fmt(df, args.precision))
-    return 0
+    return _fmt(df, args.precision) + "\n"
 
 
-def _cmd_welch(args) -> int:
+def _cmd_welch(args) -> str:
     ts = TwoSampleSummary(args.n1, args.n2, args.s1sq, args.s2sq)
-    # both values before any output, so a failure leaves stdout empty
-    satt, corr = welch_satterthwaite_df(ts), welch_corrected_df(ts)
-    print(f"satterthwaite_df,{_fmt(satt, args.precision)}")
-    print(f"corrected_df,{_fmt(corr, args.precision)}")
-    return 0
+    return (f"satterthwaite_df,{_fmt(welch_satterthwaite_df(ts), args.precision)}\n"
+            f"corrected_df,{_fmt(welch_corrected_df(ts), args.precision)}\n")
 
 
-def _cmd_mi(args) -> int:
+def _cmd_mi(args) -> str:
     mi = MiVariance(args.var_sampling, args.nu_sampling, args.var_imputation, args.m)
-    variance, df = mi_total_variance(mi), mi_total_df(mi)
-    print(f"total_variance,{_fmt(variance, args.precision)}")
-    print(f"total_df,{_fmt(df, args.precision)}")
-    return 0
+    return (f"total_variance,{_fmt(mi_total_variance(mi), args.precision)}\n"
+            f"total_df,{_fmt(mi_total_df(mi), args.precision)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand. Its stdout text is written only once it is complete,
+    so a failed run leaves stdout empty, and after any files it writes."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
     except ParseError as exc:
         print(f"effdof: parse error: {exc}", file=sys.stderr)
         return 3
@@ -479,6 +476,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"effdof: {exc}", file=sys.stderr)
         return 2
+    stdout = sys.stdout
+    try:
+        if stdout is None:  # Python starts with no sys.stdout when fd 1 is closed
+            raise OSError("stdout is closed")
+        # flushed here: the interpreter's own flush at exit would fail outside main
+        stdout.write(text)
+        stdout.flush()
+    except OSError as exc:
+        if stdout is not None:
+            # a broken pipe or a full device keeps the text in stdout's buffer:
+            # point fd 1 at devnull so the flush at exit does not fail again
+            # (the Python docs' "Note on SIGPIPE")
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+        print(f"effdof: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ moment-matching answers are implemented:
 * ``boardman_df``       -- the corrected ratio without the ``- 2`` shift.
 
 The module also provides Kish's effective sample size ``(sum w)^2 / sum w^2``
-and the weight summaries beside it (relvariance and design effect).
+and the design effect ``1 + relvariance`` of the weights beside it.
 
 Inputs are plain numbers: the df estimators take a :class:`ComponentSet`
 (its docstring lists the checks), the weight summaries any sequence of
@@ -52,7 +52,6 @@ __all__ = [
     "boardman_df",
     "kish_neff",
     "design_effect",
-    "relvariance",
 ]
 
 
@@ -123,9 +122,6 @@ class ComponentSet(_Record):
     ) -> "ComponentSet":
         """The constructor under another name; the class docstring lists its checks."""
         return cls(weights, variances, dofs)
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 class DfEstimate(_Record):
@@ -306,22 +302,9 @@ def _kish_neff(ws: tuple[float, ...]) -> float:
     return total * total / math.fsum(map(operator.mul, ws, ws))
 
 
-def relvariance(weights) -> float:
-    """Relative variance of the weights: ``mean((w_k / wbar - 1)^2)``.
-
-    Zero exactly when all weights are equal (returned exactly in that case),
-    positive otherwise. Like :func:`kish_neff`, it scales the weights by a
-    power of two only when one lies outside [2**-250, 2**250] (or is zero),
-    so any finite magnitude gives the same value.
-
-    Raises:
-        AllZeroWeights: if every weight is zero.
-    """
-    return _relvariance(check_reals("weight", weights, 0.0))
-
-
 def _relvariance(ws: tuple[float, ...]) -> float:
-    """:func:`relvariance` of weights already through ``check_reals``."""
+    """Relative variance ``mean((w_k / wbar - 1)^2)`` of weights already through
+    ``check_reals``: exactly 0.0 when all are equal, positive otherwise."""
     _require_positive_weight(ws)
     if _all_equal(ws, ws[0]):
         return 0.0
@@ -331,9 +314,13 @@ def _relvariance(ws: tuple[float, ...]) -> float:
 
 
 def design_effect(weights) -> float:
-    """Variance inflation from unequal weighting: ``1 + relvariance(w)``.
+    """Variance inflation from unequal weighting: ``1 + relvariance(w)``, the
+    relvariance being ``mean((w_k / wbar - 1)^2)`` (Kish, 1965).
 
-    Satisfies ``design_effect(w) * kish_neff(w) == len(w)`` up to floating
-    tolerance.
+    Exactly 1.0 for equal weights; ``design_effect(w) * kish_neff(w) ==
+    len(w)`` up to floating tolerance. Scaled like :func:`kish_neff`.
+
+    Raises:
+        AllZeroWeights: if every weight is zero.
     """
-    return 1.0 + relvariance(weights)
+    return 1.0 + _relvariance(check_reals("weight", weights, 0.0))

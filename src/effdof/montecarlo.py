@@ -61,7 +61,6 @@ __all__ = [
     "SimConfig",
     "SimCell",
     "GridResult",
-    "sample_component_variance",
     "run_grid_detailed",
 ]
 

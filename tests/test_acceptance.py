@@ -25,11 +25,11 @@ from effdof import (
     kish_neff,
     mi_total_df,
     run_grid_detailed,
-    sample_component_variance,
     satterthwaite_df,
     welch_corrected_df,
     welch_satterthwaite_df,
 )
+from effdof.montecarlo import sample_component_variance
 from oracles import satterthwaite_df_harmonic
 
 SEED = 42

@@ -15,18 +15,17 @@ PUBLIC = {
     "AllZeroWeights", "DegenerateComponents", "LengthMismatch", "ParseError",
     # estimators
     "ComponentSet", "DfEstimate", "boardman_df", "corrected_df",
-    "design_effect", "kish_neff", "relvariance", "satterthwaite_df",
+    "design_effect", "kish_neff", "satterthwaite_df",
     # applications
-    "MiVariance", "TwoSampleSummary", "jackknife_df", "leave_one_out_pseudo_values",
+    "MiVariance", "TwoSampleSummary", "jackknife_df",
     "mi_total_df", "mi_total_variance", "welch_corrected_df", "welch_satterthwaite_df",
     # montecarlo
     "GridResult", "SimCell", "SimConfig", "run_grid_detailed",
-    "sample_component_variance",
 }
 
 
 def test_public_names_are_exactly_the_paper_and_cli_surface():
-    assert len(effdof.__all__) == len(set(effdof.__all__)) == 26
+    assert len(effdof.__all__) == len(set(effdof.__all__)) == 23
     assert set(effdof.__all__) == PUBLIC
 
 

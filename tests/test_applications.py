@@ -16,7 +16,6 @@ from effdof import (
     TwoSampleSummary,
     corrected_df,
     jackknife_df,
-    leave_one_out_pseudo_values,
     mi_total_df,
     mi_total_variance,
     satterthwaite_df,
@@ -92,26 +91,6 @@ class TestJackknife:
         bad = next(i for i, v in enumerate(values) if type(v) is not int)
         with pytest.raises(FieldError, match=f"^index {bad}: pseudo-value must be a real number"):
             jackknife_df(values)
-        # every leave-one-out sample has length 2, so each pseudo-value is values[1]
-        with pytest.raises(FieldError, match="^index 0: pseudo-value must be a real number"):
-            leave_one_out_pseudo_values(lambda xs: values[len(xs) - 1], [1, 2, 3])
-
-    def test_leave_one_out_helper(self):
-        # mean statistic on (0,0,2,2): pseudo-values (4/3,4/3,2/3,2/3),
-        # deviations scale out, same df as the observations themselves
-        pv = leave_one_out_pseudo_values(lambda xs: sum(xs) / len(xs), [0, 0, 2, 2])
-        assert pv == (4 / 3, 4 / 3, 2 / 3, 2 / 3)
-        assert all(type(t) is float for t in pv)
-        assert jackknife_df(pv) == pytest.approx(10.0, rel=REL)
-
-    def test_leave_one_out_constant_statistic(self):
-        with pytest.raises(DegenerateComponents):
-            leave_one_out_pseudo_values(lambda xs: 1.0, [1, 2, 3])
-
-    @pytest.mark.parametrize("observations", [[], [1.0]])
-    def test_leave_one_out_needs_two_observations(self, observations):
-        with pytest.raises(ValueError, match="^need at least two observations to jackknife$"):
-            leave_one_out_pseudo_values(sum, observations)
 
 
 class TestMultipleImputation:

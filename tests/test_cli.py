@@ -699,14 +699,15 @@ class TestSimulateCommand:
             assert f"unrecognized arguments: {flag[0]}" in captured.err
 
     def test_overflowing_grid_is_an_arithmetic_error(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "simulate", "--k", "2", "--nu", "1e308",
-                                 "--replicates", "5", "--seed", "1",
-                                 "--out", str(tmp_path / "run"))
-        assert (code, out) == (4, "")
-        assert err == ("effdof: arithmetic error: overflow in the df moments of cell "
-                       "K=2, nu=1e+308\n")
-        assert not (tmp_path / "run" / "cells.csv").exists()
-        assert not (tmp_path / "run").exists()
+        # every level of --out that the run made goes, a missing parent too
+        for out in ("run", os.path.join("missing", "run") + os.sep):
+            code, stdout, err = run_cli(capsys, "simulate", "--k", "2", "--nu", "1e308",
+                                        "--replicates", "5", "--seed", "1",
+                                        "--out", str(tmp_path / out))
+            assert (code, stdout) == (4, ""), out
+            assert err == ("effdof: arithmetic error: overflow in the df moments of cell "
+                           "K=2, nu=1e+308\n")
+            assert not any(tmp_path.iterdir()), out
 
     def test_failing_grid_keeps_an_existing_out_dir(self, capsys, tmp_path):
         (tmp_path / "run").mkdir()
@@ -716,6 +717,57 @@ class TestSimulateCommand:
         assert (code, out) == (4, "")
         assert (tmp_path / "run").is_dir()
         assert not any((tmp_path / "run").iterdir())
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 through sh")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["estimate", "simulate", "jackknife", "welch", "mi"])
+class TestOutputFailures:
+    """A stdout that cannot take the output exits 2 with one line on stderr, never
+    a traceback: with or without PYTHONUNBUFFERED, where Python's own flush at
+    exit would otherwise meet the failure after main has returned."""
+
+    def run(self, tmp_path, command, unbuffered, stdout, shell_redirect=""):
+        argv = {
+            "estimate": ["--input", write(tmp_path, "c.csv", TWO_COMPONENTS)],
+            "simulate": ["--k", "2", "--nu", "1", "--replicates", "50", "--seed", "1"],
+            "jackknife": ["--input", write(tmp_path, "pv.txt", "0\n1\n3\n")],
+            "welch": ["--n1", "10", "--n2", "12", "--s1sq", "1", "--s2sq", "2"],
+            "mi": ["--var-sampling", "1", "--nu-sampling", "100", "--var-imputation", "0.2",
+                   "--m", "5"],
+        }[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        src = str(Path(effdof.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(["sh", "-c", f'exec "$@" {shell_redirect}', "sh", sys.executable,
+                               "-m", "effdof", command, *argv],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        return proc
+
+    def test_closed_stdout(self, tmp_path, command, unbuffered):
+        # >&- closes fd 1 of the child only: the pipe read here stays empty
+        proc = self.run(tmp_path, command, unbuffered, subprocess.PIPE, ">&-")
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("effdof: cannot write output: stdout is closed\n")
+
+    def test_pipe_whose_reader_closed(self, tmp_path, command, unbuffered):
+        read, write_end = os.pipe()
+        os.close(read)
+        try:
+            proc = self.run(tmp_path, command, unbuffered, write_end)
+        finally:
+            os.close(write_end)
+        assert proc.stderr.endswith("effdof: cannot write output: Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device(self, tmp_path, command, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = self.run(tmp_path, command, unbuffered, full)
+        assert proc.stderr.endswith("effdof: cannot write output: No space left on device\n")
 
 
 # json is watched too, so the probe itself must not import it: runs come in as

@@ -33,12 +33,12 @@ from effdof import (
     jackknife_df,
     kish_neff,
     mi_total_df,
-    relvariance,
     satterthwaite_df,
     welch_corrected_df,
     welch_satterthwaite_df,
 )
-from effdof.errors import FieldError
+from effdof.errors import FieldError, check_reals
+from effdof.estimators import _relvariance
 from oracles import satterthwaite_df_harmonic
 
 REL = 1e-12
@@ -297,18 +297,19 @@ class TestKishNeff:
         w = [0.3, 1.7, 2.2, 0.9]
         scaled = [math.ldexp(x, exponent) for x in w]
         assert kish_neff(scaled) == kish_neff(w)
-        assert relvariance(scaled) == relvariance(w)
+        assert _relvariance(tuple(scaled)) == _relvariance(tuple(w))
 
 
 class TestWeightSummaries:
+    # the relvariance, which design_effect adds 1 to, on weights in checked form
     def test_relvariance_uniform_is_exactly_zero(self):
-        assert relvariance([3.3, 3.3, 3.3]) == 0.0
+        assert _relvariance((3.3, 3.3, 3.3)) == 0.0
 
     def test_relvariance_hand_cases(self):
         # (2,0): mean 1, deviations (1,-1), mean square 1
-        assert relvariance([2, 0]) == pytest.approx(1.0, rel=REL)
+        assert _relvariance((2.0, 0.0)) == pytest.approx(1.0, rel=REL)
         # (1,1,0,0): mean 0.5, ratios (2,2,0,0), deviations (1,1,-1,-1)
-        assert relvariance([1, 1, 0, 0]) == pytest.approx(1.0, rel=REL)
+        assert _relvariance((1.0, 1.0, 0.0, 0.0)) == pytest.approx(1.0, rel=REL)
 
     def test_design_effect(self):
         assert design_effect([5, 5, 5]) == 1.0
@@ -393,7 +394,7 @@ class TestValidation:
     @pytest.mark.parametrize("weights", [["1", "3"], [1, True]])
     def test_weight_summaries_refuse_strings_and_bools(self, weights):
         bad = next(i for i, w in enumerate(weights) if type(w) is not int)
-        for summary in (kish_neff, relvariance, design_effect):
+        for summary in (kish_neff, design_effect):
             with pytest.raises(FieldError, match=f"^index {bad}: weight must be a real number"):
                 summary(weights)
 
@@ -408,7 +409,7 @@ class TestValidation:
     def test_weight_vector_invariants(self):
         with pytest.raises(ValueError, match="at least one weight"):
             kish_neff([])
-        for summary in (kish_neff, relvariance, design_effect):
+        for summary in (kish_neff, design_effect):
             with pytest.raises(FieldError,
                                match=r"^index 1: weight must be >= 0, got -1\.0$") as exc:
                 summary([1, -1, 2])
@@ -423,7 +424,7 @@ class TestValidation:
         with pytest.raises(FieldError, match=f"^component 1: {reason}$") as exc:
             ComponentSet([1.0, 10**400], [1, 1], [1, 1])
         assert (exc.value.field, exc.value.index) == ("weight", 1)
-        for summary in (kish_neff, relvariance, design_effect):
+        for summary in (kish_neff, design_effect):
             with pytest.raises(FieldError, match=f"^index 1: {reason}$"):
                 summary([1, 10**400])
 
@@ -464,8 +465,9 @@ def _golden_values() -> dict[str, str]:
         for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs)):
             for field in ("value", "numerator", "denominator"):
                 out[f"{name}/{est.variant}.{field}"] = getattr(est, field).hex()
-        for fn in (kish_neff, relvariance, design_effect):
-            out[f"{name}/{fn.__name__}"] = fn(weights).hex()
+        out[f"{name}/kish_neff"] = kish_neff(weights).hex()
+        out[f"{name}/relvariance"] = _relvariance(check_reals("weight", weights, 0.0)).hex()
+        out[f"{name}/design_effect"] = design_effect(weights).hex()
     for name, values in pseudo_values.items():
         out[f"jackknife/{name}"] = jackknife_df(values).hex()
     for name, m in mi.items():

@@ -16,7 +16,6 @@ from effdof import (
     kish_neff,
     montecarlo,
     run_grid_detailed,
-    sample_component_variance,
     satterthwaite_df,
 )
 from effdof.cli import cells_csv_full_precision, render_cells
@@ -31,6 +30,7 @@ from effdof.montecarlo import (
     _BlockSums,
     _draw_weights,
     _mean_m2,
+    sample_component_variance,
 )
 
 
