@@ -9,14 +9,17 @@ welch       two-sample df, classic and corrected side by side
 mi          multiple-imputation total variance and df
 
 Exit codes: 0 success, 2 validation error or output failure (stdout closed,
-a broken pipe, a full device), 3 parse error (also a file that is
+a broken pipe, a full device; ``--help`` is output like any other, and so is
+a manifest written to stderr), 3 parse error (also a file that is
 not UTF-8, a leading byte-order mark aside, or not well-formed CSV, and a cell
 the library's :class:`~effdof.errors.FieldError` rejects, at its line and
 column), 4 degenerate input (no component with both a positive weight and a
 positive variance, two zero variances for ``welch`` or ``mi``, or identical
 pseudo-values) or an arithmetic error (a floating-point overflow, underflow or
 cancellation while evaluating an estimator, e.g. from weights near 1e200 or
-1e-200, or in a simulation grid, e.g. at nu 1e308 or 0.005).
+1e-200, or in a simulation grid, e.g. at nu 1e308 or 0.005). A stderr that
+is closed or cannot be written loses the error message, never the exit code,
+and nothing goes to stdout in its place.
 All simulation randomness flows from ``--seed``; without the flag a seed is
 drawn from system entropy and recorded in the run manifest. Simulation tables
 go to stdout and are byte-identical across reruns and thread counts for a
@@ -355,7 +358,7 @@ def _cmd_simulate(args) -> str:
             with open(os.path.join(out, name), "w", encoding="utf-8") as f:
                 f.write(text)
     else:
-        sys.stderr.write(manifest_text)
+        _write("stderr", manifest_text)  # output like the table: a failure exits 2
     return table
 
 
@@ -458,41 +461,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand. Its stdout text is written only once it is complete,
-    so a failed run leaves stdout empty, and after any files it writes."""
-    args = build_parser().parse_args(argv)
+def _write(name: str, text: str) -> None:
+    """Write ``text`` to ``sys.stdout`` or ``sys.stderr``, by ``name``, and flush it.
+
+    Any failure raises ``OSError``. Python starts with no such stream when its fd
+    is closed. A broken pipe or a full device keeps the text in the stream's
+    buffer, so the fd is then pointed at devnull: the interpreter's flush at exit
+    does not fail again (the Python docs' "Note on SIGPIPE").
+    """
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(f"{name} is closed")
     try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
+def _warn(text: str) -> None:
+    """Write ``text`` to stderr. A stderr that cannot take it loses the text,
+    never the exit code, and nothing goes to stdout instead."""
+    with contextlib.suppress(OSError):
+        _write("stderr", text)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand. Its stdout text, ``--help`` included, is written only
+    once it is complete, so a failed run leaves stdout empty, and after any files
+    it writes."""
+    help_text, usage_error = io.StringIO(), io.StringIO()
+    try:
+        # argparse prints --help and usage errors itself: capture them, so that
+        # they reach stdout and stderr through the same writers as the rest
+        with contextlib.redirect_stdout(help_text), contextlib.redirect_stderr(usage_error):
+            args = build_parser().parse_args(argv)
         text = args.func(args)
+    except SystemExit as exc:
+        if exc.code:  # a usage error keeps argparse's exit code and message
+            _warn(usage_error.getvalue())
+            raise
+        text = help_text.getvalue()
     except ParseError as exc:
-        print(f"effdof: parse error: {exc}", file=sys.stderr)
+        _warn(f"effdof: parse error: {exc}\n")
         return 3
     except DegenerateComponents as exc:
-        print(f"effdof: degenerate input: {exc}", file=sys.stderr)
+        _warn(f"effdof: degenerate input: {exc}\n")
         return 4
     except ArithmeticError as exc:
-        print(f"effdof: arithmetic error: {exc}", file=sys.stderr)
+        _warn(f"effdof: arithmetic error: {exc}\n")
         return 4
     except (ValueError, OSError) as exc:
-        print(f"effdof: {exc}", file=sys.stderr)
+        _warn(f"effdof: {exc}\n")
         return 2
-    stdout = sys.stdout
     try:
-        if stdout is None:  # Python starts with no sys.stdout when fd 1 is closed
-            raise OSError("stdout is closed")
-        # flushed here: the interpreter's own flush at exit would fail outside main
-        stdout.write(text)
-        stdout.flush()
+        _write("stdout", text)
     except OSError as exc:
-        if stdout is not None:
-            # a broken pipe or a full device keeps the text in stdout's buffer:
-            # point fd 1 at devnull so the flush at exit does not fail again
-            # (the Python docs' "Note on SIGPIPE")
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
-        print(f"effdof: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        _warn(f"effdof: cannot write output: {exc.strerror or exc}\n")
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

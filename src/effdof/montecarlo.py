@@ -271,10 +271,10 @@ def _block_sizes(cfg: SimConfig) -> list[int]:
 
 
 def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
-                n: int) -> list[list[_BlockSums]]:
+                n: int) -> list[tuple[tuple[int, float], _BlockSums]]:
     """Block ``block_index`` (``n`` replicates) of the nu columns ``columns``
-    (indices into ``cfg.nu_values``): per column, the partial sums of each K's
-    cell, in ``cfg.k_values`` order, drawn as the module docstring describes.
+    (indices into ``cfg.nu_values``): the partial sums of each cell it computed,
+    as ``((K, nu), sums)`` pairs, drawn as the module docstring describes.
 
     A replicate is a column of the ``(segment, n)`` arrays. Each count of
     redraws covers the cell's first K components. An overflow, an invalid
@@ -285,7 +285,7 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
     equal = cfg.weight_mode == "equal"
     a_sums = [(np.zeros(n), np.zeros(n)) for _ in columns]
     w_sum, w_sq = np.zeros(n), np.zeros(n)
-    rejections, done, sums = 0, 0, [[] for _ in columns]
+    rejections, done, cells = 0, 0, []
     with np.errstate(over="raise", invalid="raise"):
         rngs = [_block_rng(cfg.seed, column, block_index) for column in columns]
         weight_rng = _block_rng(cfg.seed, block_index)
@@ -299,8 +299,9 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
                 w_sum += w.sum(axis=0)
                 w_sq += np.einsum("ij,ij->j", w, w)
                 kish = float((w_sum * w_sum / w_sq).sum())
-            for column, rng, (a_sum, a_sq), out in zip(columns, rngs, a_sums, sums):
-                a = sample_component_variance(cfg.nu_values[column], rng, size=shape)
+            for column, rng, (a_sum, a_sq) in zip(columns, rngs, a_sums):
+                nu = cfg.nu_values[column]
+                a = sample_component_variance(nu, rng, size=shape)
                 if not equal:
                     a *= w  # the weighted variances, without a third array
                 a_sum += a.sum(axis=0)
@@ -308,9 +309,10 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
                 del a  # before the next column draws its own segment
                 if not a_sq.all():
                     raise FloatingPointError("a replicate's weighted variances underflow to zero")
-                out.append(_BlockSums(n, *_mean_m2(a_sum * a_sum / a_sq), kish, rejections))
+                sums = _BlockSums(n, *_mean_m2(a_sum * a_sum / a_sq), kish, rejections)
+                cells.append(((k, nu), sums))
             done = k
-    return sums
+    return cells
 
 
 def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell:
@@ -362,28 +364,20 @@ def run_grid_detailed(cfg: SimConfig, *, threads: int = 1) -> GridResult:
     """
     if check_int("threads", threads, 1) > _MAX_THREADS:
         raise FieldError("threads", f"threads must be between 1 and {_MAX_THREADS}, got {threads}")
-    nus = cfg.nu_values
-    sizes = _block_sizes(cfg)
+    columns = range(len(cfg.nu_values))
     # random weights are drawn once per block and shared by every nu column;
     # equal weights have nothing to share, so each column is a task of its own
-    if cfg.weight_mode == "random":
-        groups = [tuple(range(len(nus)))]
-    else:
-        groups = [(vi,) for vi in range(len(nus))]
-    tasks = [(group, bi, n) for group in groups for bi, n in enumerate(sizes)]
+    groups = [tuple(columns)] if cfg.weight_mode == "random" else [(c,) for c in columns]
+    tasks = [(group, bi, n) for group in groups for bi, n in enumerate(_block_sizes(cfg))]
 
-    def work(task: tuple[tuple[int, ...], int, int]) -> list[list[_BlockSums]]:
+    def work(task: tuple[tuple[int, ...], int, int]):
         return _block_sums(cfg, *task)
 
+    # each cell's block partials, keyed (K, nu): the dict keeps cfg.grid's order
+    parts: dict[tuple[int, float], list[_BlockSums]] = {cell: [] for cell in cfg.grid}
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(work, tasks))  # map keeps task order
-
-    # the grid is K-major: cell (k_values[ki], nu_values[vi]) takes entry ki
-    # of each block of column vi
-    parts: list[list[_BlockSums]] = [[] for _ in cfg.grid]
-    for (group, _, _), sums in zip(tasks, results):
-        for vi, column_sums in zip(group, sums):
-            for ki, block in enumerate(column_sums):
-                parts[ki * len(nus) + vi].append(block)
-    cells = [_assemble_cell(k, nu, part) for (k, nu), part in zip(cfg.grid, parts)]
-    return GridResult(cells, tuple(sum(p.rejections for p in part) for part in parts))
+        for block in pool.map(work, tasks):  # map keeps task order
+            for cell, sums in block:
+                parts[cell].append(sums)
+    cells = [_assemble_cell(k, nu, part) for (k, nu), part in parts.items()]
+    return GridResult(cells, tuple(sum(p.rejections for p in part) for part in parts.values()))

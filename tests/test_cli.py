@@ -719,31 +719,43 @@ class TestSimulateCommand:
         assert not any((tmp_path / "run").iterdir())
 
 
+def run_effdof(argv, unbuffered, stdout, shell_redirect=""):
+    """``python -m effdof *argv`` with ``PYTHONUNBUFFERED`` set or unset; ``sh``
+    applies ``shell_redirect`` to the child alone. stderr is piped back unless
+    the redirect takes fd 2."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(effdof.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(["sh", "-c", f'exec "$@" {shell_redirect}', "sh", sys.executable,
+                           "-m", "effdof", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
+
 @pytest.mark.skipif(os.name != "posix", reason="closes fd 1 through sh")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["estimate", "simulate", "jackknife", "welch", "mi"])
+@pytest.mark.parametrize("command", ["estimate", "simulate", "jackknife", "welch", "mi",
+                                     "help", "welch-help"])
 class TestOutputFailures:
-    """A stdout that cannot take the output exits 2 with one line on stderr, never
-    a traceback: with or without PYTHONUNBUFFERED, where Python's own flush at
-    exit would otherwise meet the failure after main has returned."""
+    """A stdout that cannot take the output, --help included, exits 2 with one
+    line on stderr, never a traceback: with or without PYTHONUNBUFFERED, where
+    Python's own flush at exit would otherwise meet the failure after main has
+    returned."""
 
     def run(self, tmp_path, command, unbuffered, stdout, shell_redirect=""):
         argv = {
-            "estimate": ["--input", write(tmp_path, "c.csv", TWO_COMPONENTS)],
-            "simulate": ["--k", "2", "--nu", "1", "--replicates", "50", "--seed", "1"],
-            "jackknife": ["--input", write(tmp_path, "pv.txt", "0\n1\n3\n")],
-            "welch": ["--n1", "10", "--n2", "12", "--s1sq", "1", "--s2sq", "2"],
-            "mi": ["--var-sampling", "1", "--nu-sampling", "100", "--var-imputation", "0.2",
-                   "--m", "5"],
+            "estimate": ["estimate", "--input", write(tmp_path, "c.csv", TWO_COMPONENTS)],
+            "simulate": ["simulate", "--k", "2", "--nu", "1", "--replicates", "50",
+                         "--seed", "1"],
+            "jackknife": ["jackknife", "--input", write(tmp_path, "pv.txt", "0\n1\n3\n")],
+            "welch": ["welch", "--n1", "10", "--n2", "12", "--s1sq", "1", "--s2sq", "2"],
+            "mi": ["mi", "--var-sampling", "1", "--nu-sampling", "100",
+                   "--var-imputation", "0.2", "--m", "5"],
+            "help": ["--help"],
+            "welch-help": ["welch", "--help"],
         }[command]
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        src = str(Path(effdof.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(["sh", "-c", f'exec "$@" {shell_redirect}', "sh", sys.executable,
-                               "-m", "effdof", command, *argv],
-                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+        proc = run_effdof(argv, unbuffered, stdout, shell_redirect)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
         return proc
@@ -768,6 +780,57 @@ class TestOutputFailures:
         with open("/dev/full", "wb") as full:
             proc = self.run(tmp_path, command, unbuffered, full)
         assert proc.stderr.endswith("effdof: cannot write output: No space left on device\n")
+
+
+def stderr_failure(tmp_path, failure):
+    """argv and documented exit code of a run that reports on stderr."""
+    return {
+        "validation": (["welch", "--n1", "1", "--n2", "10", "--s1sq", "1", "--s2sq", "1"], 2),
+        "parse": (["estimate", "--input",
+                   write(tmp_path, "x.csv", "weight,variance,dof\nx,1,3\n")], 3),
+        "degenerate": (["estimate", "--input",
+                        write(tmp_path, "z.csv", "weight,variance,dof\n1,0,3\n")], 4),
+        # without --out the manifest is output on stderr: losing it fails the run
+        "manifest": (["simulate", "--k", "2", "--nu", "1", "--replicates", "10",
+                      "--seed", "1"], 2),
+    }[failure]
+
+
+FAILURES = ["validation", "parse", "degenerate", "manifest"]
+
+
+class TestStderrFailures:
+    """A stderr that cannot take the report keeps the documented exit code, and
+    nothing reaches stdout in its place."""
+
+    @pytest.mark.skipif(os.name != "posix", reason="redirects fd 2 through sh")
+    @pytest.mark.parametrize("failure", FAILURES)
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("redirect", [
+        "2>&-",
+        pytest.param("2>/dev/full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ])
+    def test_failing_stderr(self, tmp_path, failure, redirect, unbuffered):
+        argv, code = stderr_failure(tmp_path, failure)
+        proc = run_effdof(argv, unbuffered, subprocess.PIPE, redirect)
+        # a traceback exits 1 and an unflushable stream 120, so the code tells them apart
+        assert (proc.returncode, proc.stdout) == (code, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_usage_error_to_full_stderr(self):
+        # argparse's message stays in stderr's buffer unless main writes it
+        proc = run_effdof(["welch", "--n1", "x"], False, subprocess.PIPE, "2>/dev/full")
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_no_stderr_in_process(self, capsys, monkeypatch, tmp_path, failure):
+        # Python starts with sys.stderr None when fd 2 is closed, and print(file=None)
+        # would write to stdout
+        argv, code = stderr_failure(tmp_path, failure)
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
 
 
 # json is watched too, so the probe itself must not import it: runs come in as

@@ -227,9 +227,10 @@ class TestBatchAgainstScalar:
 
     def test_df_estimates_match_scalar_path(self):
         cfg = make_cfg(**self.CFG)
-        (sums,) = _block_sums(cfg, (0,), 0, 40)
+        pairs = _block_sums(cfg, (0,), 0, 40)
         weights, s2, redraws = segment_draws(cfg, 0, 0, 40)
-        for k, block, count in zip(cfg.k_values, sums, redraws, strict=True):
+        for k, ((cell_k, nu), block), count in zip(cfg.k_values, pairs, redraws, strict=True):
+            assert (cell_k, nu) == (k, 3.5)
             columns = [(weights[:k, j], s2[:k, j]) for j in range(40)]
             # at nu = 1 the classic df is the ratio R itself
             ratio = [satterthwaite_df(ComponentSet.from_arrays(w, v, [1.0] * k)).value
@@ -250,11 +251,23 @@ class TestBatchAgainstScalar:
 
     def test_kish_matches_scalar_path(self):
         cfg = make_cfg(**self.CFG)
-        (sums,) = _block_sums(cfg, (0,), 0, 40)
+        pairs = _block_sums(cfg, (0,), 0, 40)
         weights, _, _ = segment_draws(cfg, 0, 0, 40)
-        for k, block in zip(cfg.k_values, sums, strict=True):
+        for k, ((cell_k, _), block) in zip(cfg.k_values, pairs, strict=True):
+            assert cell_k == k
             scalar = math.fsum(kish_neff(weights[:k, j]) for j in range(40))
             assert block.kish == pytest.approx(scalar, rel=1e-12)
+
+    def test_random_block_yields_each_cell_once(self):
+        # one task draws every nu column of a block: each (K, nu) cell comes
+        # once, and a column's sums are those it gets when drawn alone
+        cfg = make_cfg(k_values=(2, 5), nu_values=(1.0, 3.5), replicates=40,
+                       weight_mode="random")
+        pairs = _block_sums(cfg, (0, 1), 0, 40)
+        assert sorted(cell for cell, _ in pairs) == cfg.grid
+        for column, nu in enumerate(cfg.nu_values):
+            alone = _block_sums(cfg, (column,), 0, 40)
+            assert alone == [pair for pair in pairs if pair[0][1] == nu]
 
     def test_all_zero_replicate_is_a_hard_error(self, monkeypatch):
         # replicate 1 draws zeros in the first segment only: cell K=2 has an
