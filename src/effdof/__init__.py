@@ -3,7 +3,7 @@
 Public API re-exported from the submodules, each of which lists its public
 names in ``__all__``:
 
-* :mod:`effdof.errors` -- the exception types the estimators raise.
+* :mod:`effdof.errors` -- the exception raised on degenerate input.
 * :mod:`effdof.estimators` -- the df estimators, Kish effective sample size
   and the design effect beside it.
 * :mod:`effdof.applications` -- jackknife, multiple-imputation and two-sample

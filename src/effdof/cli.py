@@ -49,7 +49,7 @@ from .applications import (
     welch_corrected_df,
     welch_satterthwaite_df,
 )
-from .errors import DegenerateComponents, FieldError, ParseError
+from .errors import DegenerateComponents, FieldError
 from .estimators import (
     ComponentSet,
     _kish_neff,
@@ -89,6 +89,18 @@ PRESETS: dict[str, dict] = {
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+class ParseError(ValueError):
+    """An input file could not be parsed; carries 1-based line/column when known."""
+
+    def __init__(self, message: str, *, line: int | None = None,
+                 column: int | None = None):
+        self.line = line
+        self.column = column
+        where = ", ".join(f"{name} {n}" for name, n in (("line", line), ("column", column))
+                          if n is not None)
+        super().__init__(f"{where}: {message}" if where else message)
+
 
 def _read_text(path: str | os.PathLike[str]) -> str:
     """The file's text, without a leading UTF-8 byte-order mark (spreadsheets
@@ -329,7 +341,9 @@ def _cmd_simulate(args) -> str:
     cfg = _simulate_config(args)
     out = args.out
     made = []  # the levels of out that os.makedirs creates, deepest first
-    if out:  # before the grid, so an unusable directory fails at once
+    if not out:  # a closed stderr, where the manifest goes, fails before the grid
+        _write("stderr", "")
+    else:  # before the grid, so an unusable directory fails at once
         level = out
         while level and not os.path.exists(level):
             made.append(level)

@@ -1,18 +1,24 @@
 """Exception types shared across the package, and the field checks that raise them.
 
+A library call fails in one of three ways, each with one type: a bad argument
+raises ``ValueError``, or :class:`FieldError` when one entry is at fault; input
+on which the quantity is undefined raises :class:`DegenerateComponents`; and a
+result beyond the float range raises an ``ArithmeticError``.
+
 :func:`check_real`, :func:`check_reals` and :func:`check_int` are the one
 place where a numeric input field is validated, so a field is accepted or
 rejected the same way wherever it enters. A rejected value raises
 :class:`FieldError`, which carries the field and the entry's index, so a caller
 such as the CLI can report the position in its own terms (a line and a column).
 
-:func:`check_reals` is the one sequence check. A sequence of plain ``float``,
-``int`` or numpy ``float64`` entries that passes takes a bulk path of C-level
-loops (a count of float entries, then the type set and the conversion only
-when some entry is not a float, a finite sum, the minimum); anything else, and
-every sequence holding a bad entry, goes through :func:`check_real` entry by
-entry, which alone builds the :class:`FieldError` for a bad entry. Both paths
-accept and return the same values.
+:func:`check_reals` is the one sequence check. A sequence of ``int`` and
+``float`` entries (float subclasses such as numpy's ``float64`` included) that
+passes takes a bulk path of C-level loops (a count of float entries, then the
+type set and the conversion only when some entry is not a float, a finite sum,
+the minimum); anything else, and every sequence holding a bad entry, goes
+through :func:`check_real` entry by entry, which alone builds the
+:class:`FieldError` for a bad entry. Both paths accept and return the same
+values.
 
 :class:`_Record` is the immutable base of the value classes the estimators
 take and return.
@@ -20,24 +26,16 @@ take and return.
 
 import math
 import numbers
-import sys
 from collections.abc import Iterable
 from itertools import count, repeat
 
-__all__ = ["AllZeroWeights", "DegenerateComponents", "LengthMismatch", "ParseError"]
+__all__ = ["DegenerateComponents"]
 
 
 class DegenerateComponents(ValueError):
-    """No component has both a positive weight and a positive variance, or the
-    jackknife pseudo-values are all identical, so the df estimate is undefined."""
-
-
-class AllZeroWeights(ValueError):
-    """A weight vector sums to zero, so weighted summaries are undefined."""
-
-
-class LengthMismatch(ValueError):
-    """Paired per-component sequences have different lengths."""
+    """The quantity asked for is undefined on this input: no component has both
+    a positive weight and a positive variance, every weight is zero, or the
+    jackknife pseudo-values are all identical."""
 
 
 class FieldError(ValueError):
@@ -52,18 +50,6 @@ class FieldError(ValueError):
         self.index = index
         self.reason = reason
         super().__init__(reason if index is None else f"{label} {index}: {reason}")
-
-
-class ParseError(ValueError):
-    """An input file could not be parsed; carries 1-based line/column when known."""
-
-    def __init__(self, message: str, *, line: int | None = None,
-                 column: int | None = None):
-        self.line = line
-        self.column = column
-        where = ", ".join(f"{name} {n}" for name, n in (("line", line), ("column", column))
-                          if n is not None)
-        super().__init__(f"{where}: {message}" if where else message)
 
 
 class _DataclassFields:
@@ -164,25 +150,21 @@ def check_real(name: str, x, low: float | None = None, strict: bool = False,
     return x
 
 
-_PLAIN_TYPES = frozenset((float, int))
-
-
 def _plain_floats(xs: tuple, low: float | None, strict: bool) -> tuple[float, ...] | None:
-    """``xs`` as floats if every entry is a plain ``float`` or ``int`` (or a
-    numpy ``float64``) that :func:`check_real` would accept, else None; C-level
-    loops throughout."""
+    """``xs`` as floats if every entry is an ``int`` or a ``float`` (a float
+    subclass, such as numpy's ``float64``, included) that :func:`check_real`
+    would accept, else None; C-level loops throughout."""
     # counting one type is cheaper than building the set of types, and the
     # usual all-float sequence needs nothing more
     if list(map(type, xs)).count(float) != len(xs):
-        types = set(map(type, xs))
-        if not types <= _PLAIN_TYPES:
-            # a numpy float exists only once numpy is loaded; float() of one is exact
-            numpy = sys.modules.get("numpy")
-            if numpy is None or not types <= {float, int, numpy.float64}:
-                return None
+        # int subclasses, bool among them, go entry by entry
+        if not all(t is int or issubclass(t, float) for t in set(map(type, xs))):
+            return None
         try:
             xs = tuple(map(float, xs))
-        except OverflowError:
+        except Exception:
+            # an int too large for a float, or a float subclass whose __float__
+            # fails: the per-entry path raises for the first bad entry
             return None
     # a nan or inf entry makes the sum non-finite; so may an overflow of finite
     # entries, which then simply take the per-entry path
@@ -199,8 +181,8 @@ def check_reals(name: str, xs: Iterable, low: float | None = None, *,
                 strict: bool = False, label: str = "index") -> tuple[float, ...]:
     """Every entry of ``xs`` as :func:`check_real` checks it, as a tuple of floats.
 
-    ``xs`` is read once, into a tuple. A sequence of plain floats and ints
-    that passes is checked and converted in bulk; any other sequence, and any
+    ``xs`` is read once, into a tuple. A sequence of floats and ints that
+    passes is checked and converted in bulk; any other sequence, and any
     sequence with a bad entry, goes through :func:`check_real` entry by entry,
     so the first bad entry raises the same :class:`FieldError` either way.
     """

@@ -42,7 +42,7 @@ import operator
 from collections.abc import Iterable, Sequence
 from itertools import compress, count, repeat
 
-from .errors import AllZeroWeights, DegenerateComponents, LengthMismatch, _Record, check_reals
+from .errors import DegenerateComponents, _Record, check_reals
 
 __all__ = [
     "ComponentSet",
@@ -71,7 +71,7 @@ class ComponentSet(_Record):
     0.0`` for example. Components with a zero weight or variance are
     permitted and drop out of the sums, but at least one must have both
     positive, else :class:`DegenerateComponents` (the one degenerate-set
-    check). Sequences of different lengths raise :class:`LengthMismatch`.
+    check). Sequences of different lengths raise a ``ValueError``.
 
     A set forms its ratio's numerator and both denominators, the classic one
     over nu_k and the corrected one over nu_k + 2, when it is built, and is
@@ -91,8 +91,8 @@ class ComponentSet(_Record):
     def __init__(self, weights: Sequence[float], variances: Sequence[float],
                  dofs: Sequence[float]):
         if not (len(weights) == len(variances) == len(dofs)):
-            raise LengthMismatch(f"weights ({len(weights)}), variances ({len(variances)}) "
-                                 f"and dofs ({len(dofs)}) must have equal lengths")
+            raise ValueError(f"weights ({len(weights)}), variances ({len(variances)}) "
+                             f"and dofs ({len(dofs)}) must have equal lengths")
         weights = check_reals("weight", weights, 0.0, label="component")
         variances = check_reals("variance", variances, 0.0, label="component")
         dofs = check_reals("dof", dofs, 0.0, strict=True, label="component")
@@ -113,15 +113,9 @@ class ComponentSet(_Record):
                      _fsum(map(operator.truediv, squares, map(operator.add, dofs, repeat(2.0)))),
                      only if second is None else None)
 
-    @classmethod
-    def from_arrays(
-        cls,
-        weights: Sequence[float],
-        variances: Sequence[float],
-        dofs: Sequence[float],
-    ) -> "ComponentSet":
-        """The constructor under another name; the class docstring lists its checks."""
-        return cls(weights, variances, dofs)
+
+# the constructor under another name, which perfbench's library workload calls
+ComponentSet.from_arrays = ComponentSet
 
 
 class DfEstimate(_Record):
@@ -167,7 +161,7 @@ def _require_positive_weight(ws: tuple[float, ...]) -> None:
     if not ws:
         raise ValueError("a weight vector needs at least one weight")
     if _all_equal(ws, 0.0):
-        raise AllZeroWeights("all weights are zero")
+        raise DegenerateComponents("all weights are zero")
 
 
 def _unit_scaled(xs: Sequence[float]) -> list[float]:
@@ -287,7 +281,7 @@ def kish_neff(weights) -> float:
     would change no bit, so it is skipped.
 
     Raises:
-        AllZeroWeights: if every weight is zero.
+        DegenerateComponents: if every weight is zero.
     """
     return _kish_neff(check_reals("weight", weights, 0.0))
 
@@ -321,6 +315,6 @@ def design_effect(weights) -> float:
     len(w)`` up to floating tolerance. Scaled like :func:`kish_neff`.
 
     Raises:
-        AllZeroWeights: if every weight is zero.
+        DegenerateComponents: if every weight is zero.
     """
     return 1.0 + _relvariance(check_reals("weight", weights, 0.0))

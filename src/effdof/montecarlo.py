@@ -308,7 +308,8 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
                 a_sq += np.einsum("ij,ij->j", a, a)
                 del a  # before the next column draws its own segment
                 if not a_sq.all():
-                    raise FloatingPointError("a replicate's weighted variances underflow to zero")
+                    raise FloatingPointError("a replicate's weighted variances underflow to zero "
+                                             f"in cell K={k}, nu={nu:g} (block {block_index})")
                 sums = _BlockSums(n, *_mean_m2(a_sum * a_sum / a_sq), kish, rejections)
                 cells.append(((k, nu), sums))
             done = k

@@ -7,12 +7,12 @@ import pickle
 import pytest
 
 import effdof
-from effdof import applications, errors, estimators, montecarlo
+from effdof import applications, cli, errors, estimators, montecarlo
 
 PUBLIC = {
     "__version__",
     # errors
-    "AllZeroWeights", "DegenerateComponents", "LengthMismatch", "ParseError",
+    "DegenerateComponents",
     # estimators
     "ComponentSet", "DfEstimate", "boardman_df", "corrected_df",
     "design_effect", "kish_neff", "satterthwaite_df",
@@ -25,8 +25,19 @@ PUBLIC = {
 
 
 def test_public_names_are_exactly_the_paper_and_cli_surface():
-    assert len(effdof.__all__) == len(set(effdof.__all__)) == 23
+    assert len(effdof.__all__) == len(set(effdof.__all__)) == 20
     assert set(effdof.__all__) == PUBLIC
+
+
+def test_one_exception_type_per_failure_kind():
+    # degenerate input has the one public type; a bad entry's FieldError stays
+    # in effdof.errors, unexported, and the CLI's parse error is the CLI's own
+    assert errors.__all__ == ["DegenerateComponents"]
+    assert "FieldError" not in effdof.__all__
+    assert issubclass(cli.ParseError, ValueError)
+    assert not hasattr(errors, "ParseError")
+    with pytest.raises(AttributeError):
+        effdof.ParseError  # noqa: B018
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

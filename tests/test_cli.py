@@ -144,6 +144,13 @@ class TestEstimate:
         assert code == 3
         assert "line 2" in err and "column 2" in err
 
+    def test_parsers_raise_the_clis_own_parse_error(self, tmp_path):
+        with pytest.raises(cli.ParseError, match="^line 2, column 2: could not parse") as exc:
+            parse_components_file(write(tmp_path, "bad.csv", "weight,variance,dof\n1,oops,4\n"))
+        assert (exc.value.line, exc.value.column) == (2, 2)
+        with pytest.raises(cli.ParseError, match="^line 1: need at least 2 values"):
+            cli.parse_values_file(write(tmp_path, "one.txt", "1\n"))
+
     def test_header_mismatch(self, capsys, tmp_path):
         path = write(tmp_path, "head.csv", "w,v,d\n1,1,4\n")
         code, _, err = run_cli(capsys, "estimate", "--input", path)
@@ -709,6 +716,13 @@ class TestSimulateCommand:
                            "K=2, nu=1e+308\n")
             assert not any(tmp_path.iterdir()), out
 
+    def test_underflowing_grid_names_its_cell(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--k", "2", "4", "--nu", "1", "0.005",
+                                 "--replicates", "2000", "--seed", "1")
+        assert (code, out) == (4, "")
+        assert err == ("effdof: arithmetic error: a replicate's weighted variances underflow "
+                       "to zero in cell K=2, nu=0.005 (block 0)\n")
+
     def test_failing_grid_keeps_an_existing_out_dir(self, capsys, tmp_path):
         (tmp_path / "run").mkdir()
         code, out, _ = run_cli(capsys, "simulate", "--k", "2", "--nu", "1e308",
@@ -830,6 +844,18 @@ class TestStderrFailures:
         argv, code = stderr_failure(tmp_path, failure)
         monkeypatch.setattr(sys, "stderr", None)
         assert main(argv) == code
+        assert capsys.readouterr().out == ""
+
+    def test_no_stderr_fails_simulate_before_the_grid(self, capsys, monkeypatch, tmp_path):
+        # without --out the manifest goes to stderr, so a closed one is refused
+        # before any replicate is drawn
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        argv, code = stderr_failure(tmp_path, "manifest")
+        monkeypatch.setattr(cli, "run_grid_detailed", no_grid)
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(argv) == code == 2
         assert capsys.readouterr().out == ""
 
 

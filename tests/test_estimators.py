@@ -19,12 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effdof import estimators
+from effdof import errors, estimators
 from effdof import (
-    AllZeroWeights,
     ComponentSet,
     DegenerateComponents,
-    LengthMismatch,
     MiVariance,
     TwoSampleSummary,
     boardman_df,
@@ -281,7 +279,7 @@ class TestKishNeff:
         assert mean_neff == pytest.approx(14.74, abs=0.05)
 
     def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroWeights):
+        with pytest.raises(DegenerateComponents, match="^all weights are zero$"):
             kish_neff([0.0, 0.0])
 
     @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200])
@@ -376,8 +374,14 @@ class TestValidation:
             ComponentSet.from_arrays([], [], [])
 
     def test_from_arrays_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError) as exc:
             ComponentSet.from_arrays([1, 2], [1], [4, 4])
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == ("weights (2), variances (1) and dofs (2) "
+                                  "must have equal lengths")
+
+    def test_from_arrays_is_the_constructor(self):
+        assert ComponentSet.from_arrays is ComponentSet
 
     @pytest.mark.parametrize(
         "weights,variances,dofs,culprit",
@@ -406,6 +410,29 @@ class TestValidation:
         assert all(type(x) is float for x in cs.weights + cs.variances + cs.dofs)
         assert corrected_df(cs).value == 8.8
 
+    def test_float_subclass_entries_take_the_bulk_path(self, monkeypatch):
+        class Weight(float):
+            pass
+
+        def per_entry(*args):
+            raise AssertionError("an entry went through check_real")
+
+        monkeypatch.setattr(errors, "check_real", per_entry)
+        ys = check_reals("weight", [Weight(1.5), 2, np.float64(0.25), Weight(0.0)], 0.0)
+        assert ys == (1.5, 2.0, 0.25, 0.0)
+        assert all(type(y) is float for y in ys)
+        cs = cset([Weight(1), Weight(1)], [1.0, 2], [Weight(4), 4.0])
+        assert corrected_df(cs).value == 8.8
+
+    def test_float_subclass_that_cannot_convert_keeps_the_entry_order(self):
+        class Broken(float):
+            def __float__(self):
+                raise TypeError("no float")
+
+        # the bad entry before it is reported, as the per-entry check reports it
+        with pytest.raises(FieldError, match="^index 0: weight must be finite, got nan$"):
+            check_reals("weight", [math.nan, Broken(1.0)], 0.0)
+
     def test_weight_vector_invariants(self):
         with pytest.raises(ValueError, match="at least one weight"):
             kish_neff([])
@@ -416,8 +443,11 @@ class TestValidation:
             assert (exc.value.field, exc.value.index) == ("weight", 1)
         with pytest.raises(ValueError, match="finite"):
             kish_neff([1, float("nan")])
-        with pytest.raises(AllZeroWeights):
-            kish_neff([0, 0, 0])
+        for summary in (kish_neff, design_effect):
+            with pytest.raises(DegenerateComponents, match="^all weights are zero$"):
+                summary([0, 0, 0])
+            with pytest.raises(DegenerateComponents, match="^all weights are zero$"):
+                summary([0.0, 0.0])
 
     def test_int_too_large_for_a_float_is_a_field_error(self):
         reason = "weight must be finite, got an int too large for a float"

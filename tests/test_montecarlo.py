@@ -280,7 +280,8 @@ class TestBatchAgainstScalar:
 
         monkeypatch.setattr(montecarlo, "sample_component_variance", zeros_in_one_replicate)
         with pytest.raises(FloatingPointError,
-                           match="^a replicate's weighted variances underflow to zero$"):
+                           match=r"^a replicate's weighted variances underflow to zero "
+                                 r"in cell K=2, nu=1 \(block 0\)$"):
             run_grid_detailed(make_cfg(k_values=(2, 3), replicates=3))
 
 
