@@ -285,7 +285,8 @@ def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> d
         # JSON writes the tuples as lists; SimConfig(**manifest["config"]) rebuilds the config
         "config": asdict(cfg),
         "library_version": __version__,
-        # random-mode bytes rest on numpy's normal and gamma samplers
+        # the bytes rest on numpy's normal, uniform and gamma samplers, in
+        # equal mode too (df 1, df 2-8 and other df); random mode adds the weights
         "numpy_version": numpy.__version__,
         "python_version": platform.python_version(),
         "rng": RNG_DESCRIPTION,

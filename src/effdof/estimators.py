@@ -60,8 +60,9 @@ class ComponentSet(_Record):
 
     ``weights[k]``, ``variances[k]`` and ``dofs[k]`` belong to component k:
     ``variances[k]`` is the estimate S_k^2 (or a known sigma_k^2) with
-    ``dofs[k]`` degrees of freedom behind it. Construction checks the three
-    equal-length sequences and stores them as tuples of floats. Every weight
+    ``dofs[k]`` degrees of freedom behind it. Construction reads each of the
+    three sequences or iterators once, checks that they have equal lengths and
+    stores them as tuples of floats. Every weight
     and variance must be a finite real number >= 0 and every dof a finite
     real number > 0 (``bool`` and strings are refused). The weights are
     checked first, then the variances, then the dofs; the first bad entry
@@ -88,8 +89,10 @@ class ComponentSet(_Record):
     variances: tuple[float, ...]
     dofs: tuple[float, ...]
 
-    def __init__(self, weights: Sequence[float], variances: Sequence[float],
-                 dofs: Sequence[float]):
+    def __init__(self, weights: Iterable[float], variances: Iterable[float],
+                 dofs: Iterable[float]):
+        # each argument is read once, so an iterator is as good as a sequence
+        weights, variances, dofs = tuple(weights), tuple(variances), tuple(dofs)
         if not (len(weights) == len(variances) == len(dofs)):
             raise ValueError(f"weights ({len(weights)}), variances ({len(variances)}) "
                              f"and dofs ({len(dofs)}) must have equal lengths")

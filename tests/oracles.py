@@ -2,7 +2,15 @@
 
 import math
 
+import numpy as np
+
 from effdof import ComponentSet, DegenerateComponents
+
+# E[mean_satt] of the ideal-case cell K = 2 in closed form, keyed by nu. With
+# two components of df nu, p = a_1 / (a_1 + a_2) ~ Beta(nu/2, nu/2) and the
+# classic df is nu / (p^2 + (1 - p)^2), so its mean is
+# nu * E[1 / (p^2 + (1 - p)^2)]; for nu = 2 (p uniform) that is pi
+K2_MEAN_SATT = {2.0: math.pi, 4.0: 6.0 * math.pi - 12.0, 8.0: 70.0 * math.pi - 616.0 / 3.0}
 
 
 def satterthwaite_df_harmonic(cs: ComponentSet) -> float:
@@ -26,3 +34,18 @@ def satterthwaite_df_harmonic(cs: ComponentSet) -> float:
     mean_wv = math.fsum(a) / k
     q = [d * (mean_wv / x) ** 2 for x, d in zip(a, cs.dofs)]
     return k * (k / math.fsum(1.0 / qk for qk in q))
+
+
+def k2_mean_satt_quadrature(nu: float, nodes: int = 400) -> float:
+    """E[mean_satt] of the ideal-case cell K = 2 by Gauss-Legendre quadrature
+    over p ~ Beta(nu/2, nu/2), a cross-check of :data:`K2_MEAN_SATT`.
+
+    For a whole shape nu/2 >= 1 the Beta density is a polynomial, so the rule
+    converges fast; other shapes have endpoint singularities it resolves poorly.
+    """
+    c = nu / 2.0
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    p = (x + 1.0) / 2.0
+    log_beta = 2.0 * math.lgamma(c) - math.lgamma(2.0 * c)
+    density = np.exp((c - 1.0) * np.log(p * (1.0 - p)) - log_beta)
+    return nu * float(np.sum(w / 2.0 * density / (p * p + (1.0 - p) ** 2)))

@@ -380,6 +380,16 @@ class TestValidation:
         assert str(exc.value) == ("weights (2), variances (1) and dofs (2) "
                                   "must have equal lengths")
 
+    def test_iterators_build_the_same_set_as_lists(self):
+        built = ComponentSet(iter([1, 1]), iter([1, 2]), (d for d in [4, 4]))
+        assert built == ComponentSet([1, 1], [1, 2], [4, 4])
+        assert satterthwaite_df(built) == satterthwaite_df(ComponentSet([1, 1], [1, 2], [4, 4]))
+        with pytest.raises(ValueError) as exc:
+            ComponentSet(iter([1, 2]), iter([1]), iter([4, 4]))
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == ("weights (2), variances (1) and dofs (2) "
+                                  "must have equal lengths")
+
     def test_from_arrays_is_the_constructor(self):
         assert ComponentSet.from_arrays is ComponentSet
 

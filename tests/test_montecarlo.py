@@ -32,6 +32,7 @@ from effdof.montecarlo import (
     _mean_m2,
     sample_component_variance,
 )
+from oracles import K2_MEAN_SATT, k2_mean_satt_quadrature
 
 
 def make_cfg(**kwargs):
@@ -198,10 +199,56 @@ class TestSampler:
         assert isinstance(value, float) and value == draws[0, 0]
 
     def test_gamma_scale_is_two_over_nu(self):
-        draws = sample_component_variance(4.0, np.random.Generator(np.random.Philox(6)),
+        # nu = 5 (shape 2.5) is not a whole shape, so it keeps numpy's gamma
+        draws = sample_component_variance(5.0, np.random.Generator(np.random.Philox(6)),
                                           size=8)
-        gamma = np.random.Generator(np.random.Philox(6)).gamma(2.0, 0.5, 8)
+        gamma = np.random.Generator(np.random.Philox(6)).gamma(2.5, 0.4, 8)
         assert np.array_equal(draws, gamma)
+
+    @pytest.mark.parametrize("nu", [2.0, 4.0, 8.0])
+    def test_whole_shapes_are_minus_log_of_a_product_of_uniforms(self, nu):
+        # shape a = nu/2: each value takes its a uniforms consecutively, and
+        # the product runs left to right over them
+        a = int(nu) // 2
+        draws = sample_component_variance(nu, np.random.Generator(np.random.SFC64(7)),
+                                          size=(3, 50))
+        u = np.random.Generator(np.random.SFC64(7)).random((150, a))
+        product = math.prod(1.0 - u[:, j] for j in range(a))
+        assert np.array_equal(draws, (-(2.0 / nu) * np.log(product)).reshape(3, 50))
+
+    @pytest.mark.parametrize("nu", [2.0, 4.0, 6.0, 8.0])
+    def test_whole_shape_scalar_draw_is_the_first_array_entry(self, nu):
+        value = sample_component_variance(nu, np.random.Generator(np.random.SFC64(8)))
+        draws = sample_component_variance(nu, np.random.Generator(np.random.SFC64(8)), size=4)
+        assert isinstance(value, float) and value == draws[0]
+
+    @pytest.mark.parametrize("nu", [2.0, 4.0, 8.0])
+    def test_whole_shape_draw_does_not_depend_on_the_chunking(self, monkeypatch, nu):
+        # 2 full chunks and a partial one, as a (rows, cols) segment, against
+        # one flat draw in a single chunk and one in chunks of 7
+        shape = (5, (2 * montecarlo._ERLANG_CHUNK + 123) // 5)
+        size = shape[0] * shape[1]
+        assert size % montecarlo._ERLANG_CHUNK
+        draws = sample_component_variance(nu, np.random.Generator(np.random.SFC64(9)),
+                                          size=shape)
+        for chunk in (size, 7):
+            monkeypatch.setattr(montecarlo, "_ERLANG_CHUNK", chunk)
+            flat = sample_component_variance(nu, np.random.Generator(np.random.SFC64(9)),
+                                             size=size)
+            assert np.array_equal(draws.reshape(-1), flat)
+
+    @pytest.mark.parametrize("nu", [2.0, 4.0, 8.0])
+    def test_whole_shape_cdf(self, nu):
+        # nu/2 * S^2 ~ Gamma(a) with a = nu/2 whole: the Erlang CDF
+        # P(G <= x) = 1 - e^-x sum_{j<a} x^j / j!
+        a = int(nu) // 2
+        rng = np.random.Generator(np.random.Philox(3))
+        draws = sample_component_variance(nu, rng, size=200_000) * (nu / 2.0)
+        for x in (0.25 * a, 0.5 * a, a, 2.0 * a, 3.0 * a):
+            p = 1.0 - math.exp(-x) * math.fsum(x**j / math.factorial(j) for j in range(a))
+            emp = float((draws <= x).mean())
+            tol = 5 * math.sqrt(p * (1 - p) / draws.size)
+            assert emp == pytest.approx(p, abs=tol), x
 
     def test_invalid_parameters(self):
         rng = np.random.Generator(np.random.Philox(4))
@@ -218,6 +265,22 @@ class TestSampler:
             sample_component_variance(nu, rng, size=3)
         # the smallest nu with a finite scale still draws
         assert sample_component_variance(2.0 / 1.7e308, rng) >= 0.0
+
+
+class TestExactK2Cells:
+    def test_closed_forms_match_the_quadrature(self):
+        for nu, exact in K2_MEAN_SATT.items():
+            assert k2_mean_satt_quadrature(nu) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_whole_shape_cells_agree_with_the_closed_forms(self):
+        # the three K = 2 cells take the -log product path, SE = sd_satt / sqrt(R);
+        # |z| <= 4 on 3 cells is a family-wise false-alarm rate of at most
+        # 3 x 6.3e-5 (Bonferroni, which assumes no independence between cells)
+        replicates = 200_000
+        cfg = make_cfg(nu_values=tuple(K2_MEAN_SATT), seed=29, replicates=replicates)
+        for cell in run_grid_detailed(cfg).cells:
+            z = (cell.mean_satt - K2_MEAN_SATT[cell.nu_bar]) / (cell.sd_satt / math.sqrt(replicates))
+            assert abs(z) <= 4.0, (cell.nu_bar, z)
 
 
 class TestBatchAgainstScalar:
