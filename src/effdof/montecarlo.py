@@ -210,30 +210,25 @@ class GridResult:
         return self.cell_weight_rejections[-1]
 
 
-def sample_component_variance(nu, rng: np.random.Generator, size=None):
+def sample_component_variance(nu, rng: np.random.Generator, size):
     """Draw component variance estimates S^2 with nu * S^2 ~ chi^2(nu).
 
-    The true variance is 1: returns ``X / nu`` for a chi-square(nu) variate
-    X, so ``E[S^2] = 1`` and ``Var[S^2] = 2 / nu``. For nu == 1, X is a
-    squared standard normal. For nu in 2, 4, 6 and 8, S^2 is
-    ``-(2 / nu) * log(prod(1 - U))`` over a = nu/2 uniforms U that each value
-    takes consecutively from ``rng.random``, so the draws do not depend on the
-    chunking and a ``size=None`` draw equals the first entry of an array
-    draw. Otherwise S^2 is one gamma draw of shape nu/2 and scale ``2 / nu``.
-    ``size=None`` gives one float; an int or shape tuple gives an array, built
-    in place without a second array of its size. A nu so small that
-    ``2 / nu`` overflows raises ``FloatingPointError``.
+    The true variance is 1: returns an array of ``size`` (an int or shape
+    tuple) of ``X / nu`` for chi-square(nu) variates X, so ``E[S^2] = 1`` and
+    ``Var[S^2] = 2 / nu``, built in place without a second array of its size.
+    For nu == 1, X is a squared standard normal. For nu in 2, 4, 6 and 8, S^2
+    is ``-(2 / nu) * log(prod(1 - U))`` over a = nu/2 uniforms U that each
+    value takes consecutively from ``rng.random``, so the draws do not depend
+    on the chunking. Otherwise S^2 is one gamma draw of shape nu/2 and scale
+    ``2 / nu``. ``nu`` is not checked here: ``SimConfig`` has checked it, and
+    ``_block_sums`` checks that ``2 / nu`` is finite.
     """
-    nu = check_real("nu", nu, 0.0, strict=True)
     if nu == 1:
         x = rng.standard_normal(size)
         x *= x
         return x
     if nu in _ERLANG_DFS:
-        x = _erlang_draw(int(nu) // 2, 2.0 / nu, rng, 1 if size is None else size)
-        return float(x[0]) if size is None else x
-    if not math.isfinite(2.0 / nu):  # numpy's gamma gives NaN at an infinite scale
-        raise FloatingPointError(f"overflow: the gamma scale 2 / nu is infinite at nu={nu!r}")
+        return _erlang_draw(int(nu) // 2, 2.0 / nu, rng, size)
     return rng.gamma(nu / 2.0, 2.0 / nu, size)
 
 
@@ -328,9 +323,10 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
 
     A replicate is a column of the ``(segment, n)`` arrays. Each count of
     redraws covers the cell's first K components. An overflow, an invalid
-    operation (say inf - inf) or a replicate whose weighted variances all
-    underflow to zero raises ``FloatingPointError``; numpy's error state is
-    per thread, so it is set here, in the worker.
+    operation (say inf - inf), a gamma scale ``2 / nu`` beyond the float range
+    or a replicate whose weighted variances all underflow to zero raises
+    ``FloatingPointError``, the last two naming the cell; numpy's error state
+    is per thread, so it is set here, in the worker.
     """
     equal = cfg.weight_mode == "equal"
     a_sums = [(np.zeros(n), np.zeros(n)) for _ in columns]
@@ -351,6 +347,9 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
                 kish = float((w_sum * w_sum / w_sq).sum())
             for column, rng, (a_sum, a_sq) in zip(columns, rngs, a_sums):
                 nu = cfg.nu_values[column]
+                if not math.isfinite(2.0 / nu):  # numpy's gamma draws NaN at an infinite scale
+                    raise FloatingPointError("overflow: the gamma scale 2 / nu is infinite "
+                                             f"in cell K={k}, nu={nu:g} (block {block_index})")
                 a = sample_component_variance(nu, rng, size=shape)
                 if not equal:
                     a *= w  # the weighted variances, without a third array

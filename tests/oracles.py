@@ -9,8 +9,10 @@ from effdof import ComponentSet, DegenerateComponents
 # E[mean_satt] of the ideal-case cell K = 2 in closed form, keyed by nu. With
 # two components of df nu, p = a_1 / (a_1 + a_2) ~ Beta(nu/2, nu/2) and the
 # classic df is nu / (p^2 + (1 - p)^2), so its mean is
-# nu * E[1 / (p^2 + (1 - p)^2)]; for nu = 2 (p uniform) that is pi
-K2_MEAN_SATT = {2.0: math.pi, 4.0: 6.0 * math.pi - 12.0, 8.0: 70.0 * math.pi - 616.0 / 3.0}
+# nu * E[1 / (p^2 + (1 - p)^2)]; for nu = 2 (p uniform) that is pi, and for
+# nu = 1 (p arcsine distributed) sqrt(2)
+K2_MEAN_SATT = {1.0: math.sqrt(2.0), 2.0: math.pi, 4.0: 6.0 * math.pi - 12.0,
+                8.0: 70.0 * math.pi - 616.0 / 3.0}
 
 
 def satterthwaite_df_harmonic(cs: ComponentSet) -> float:
@@ -41,11 +43,19 @@ def k2_mean_satt_quadrature(nu: float, nodes: int = 400) -> float:
     over p ~ Beta(nu/2, nu/2), a cross-check of :data:`K2_MEAN_SATT`.
 
     For a whole shape nu/2 >= 1 the Beta density is a polynomial, so the rule
-    converges fast; other shapes have endpoint singularities it resolves poorly.
+    converges fast. Below shape c = nu/2 = 1 the density is singular at 0 and
+    1, so the rule runs over (0, 1/2), doubled as the integrand is symmetric
+    about 1/2, in s with p = s^(1/c) / 2 (that is s^(2/nu) / 2), which turns
+    p^(c - 1) dp into the constant 2^-c / c ds. Other shapes keep endpoint
+    terms that the rule resolves poorly.
     """
     c = nu / 2.0
     x, w = np.polynomial.legendre.leggauss(nodes)
-    p = (x + 1.0) / 2.0
     log_beta = 2.0 * math.lgamma(c) - math.lgamma(2.0 * c)
-    density = np.exp((c - 1.0) * np.log(p * (1.0 - p)) - log_beta)
+    if c < 1.0:
+        p = ((x + 1.0) / 2.0) ** (1.0 / c) / 2.0
+        density = np.exp((c - 1.0) * np.log1p(-p) - log_beta) * 2.0 ** -c / c * 2.0
+    else:
+        p = (x + 1.0) / 2.0
+        density = np.exp((c - 1.0) * np.log(p * (1.0 - p)) - log_beta)
     return nu * float(np.sum(w / 2.0 * density / (p * p + (1.0 - p) ** 2)))

@@ -95,16 +95,27 @@ class TestEstimate:
                        "| design_effect | 1.000 |  |  |\n")
 
     def test_json_format_carries_intermediates(self, capsys, tmp_path):
+        def strict(constant):
+            raise AssertionError(f"not strict JSON: {constant}")
+
         path = write(tmp_path, "two.csv", TWO_COMPONENTS)
         code, out, _ = run_cli(capsys, "estimate", "--input", path,
                                "--format", "json")
         assert code == 0
-        payload = json.loads(out)
+        payload = json.loads(out, parse_constant=strict)
         by_variant = {e["variant"]: e for e in payload["estimators"]}
         assert by_variant["satterthwaite"]["numerator"] == 9.0
         assert by_variant["satterthwaite"]["denominator"] == 1.25
         assert by_variant["corrected"]["value"] == 8.8
         assert payload["weights"]["kish_neff"] == 2.0
+        # one component's dfs are exact although its square overflows; JSON has
+        # no Infinity, so the sums are null
+        path = write(tmp_path, "single.csv", "weight,variance,dof\n1e200,1,4\n")
+        code, out, _ = run_cli(capsys, "estimate", "--input", path, "--format", "json")
+        assert code == 0
+        assert [(e["value"], e["numerator"], e["denominator"])
+                for e in json.loads(out, parse_constant=strict)["estimators"]] == [
+            (4.0, None, None), (4.0, None, None), (6.0, None, None)]
 
     def test_estimator_names_are_the_strings_the_cli_prints(self, capsys, tmp_path):
         path = write(tmp_path, "two.csv", TWO_COMPONENTS)
@@ -459,6 +470,12 @@ class TestMiCommand:
                                "--nu-sampling", "10", "--var-imputation", "0",
                                "--m", "2")
         assert (code, out.splitlines()[-1]) == (0, "total_df,10.000")
+
+        # the classic denominator of this set overflows; MI needs only the corrected one
+        code, out, _ = run_cli(capsys, "mi", "--var-sampling", "1.22e150",
+                               "--nu-sampling", "1e-8", "--var-imputation", "4.7e153",
+                               "--m", "2")
+        assert (code, out.splitlines()[-1]) == (0, "total_df,1.001")
 
     def test_both_variances_zero_is_degenerate(self, capsys):
         code, out, err = run_cli(capsys, "mi", "--var-sampling", "0", "--nu-sampling", "5",
