@@ -13,12 +13,13 @@ such as the CLI can report the position in its own terms (a line and a column).
 
 :func:`check_reals` is the one sequence check. A sequence of ``int`` and
 ``float`` entries (float subclasses such as numpy's ``float64`` included) that
-passes takes a bulk path of C-level loops (a count of float entries, then the
-type set and the conversion only when some entry is not a float, a finite sum,
-the minimum); anything else, and every sequence holding a bad entry, goes
-through :func:`check_real` entry by entry, which alone builds the
-:class:`FieldError` for a bad entry. Both paths accept and return the same
-values.
+passes takes a bulk path of C-level loops (a count of float entries, then a
+count of int entries and the conversion only when some entry is not a float,
+the type set only when some entry is neither, a finite sum, the minimum), so
+the usual all-float weights and all-int dofs never build the set. Anything
+else, and every sequence holding a bad entry, goes through :func:`check_real`
+entry by entry, which alone builds the :class:`FieldError` for a bad entry.
+Both paths accept and return the same values.
 
 :class:`_Record` is the immutable base of the value classes the estimators
 take and return.
@@ -93,10 +94,13 @@ class _Record:
         super().__init_subclass__(**kwargs)
         cls._fields = cls.__match_args__ = tuple(
             name for name in cls.__slots__ if not name.startswith("_"))
+        # each slot's member-descriptor setter, which skips the by-name lookup
+        # of object.__setattr__ and this class's refusing __setattr__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _freeze(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -150,33 +154,6 @@ def check_real(name: str, x, low: float | None = None, strict: bool = False,
     return x
 
 
-def _plain_floats(xs: tuple, low: float | None, strict: bool) -> tuple[float, ...] | None:
-    """``xs`` as floats if every entry is an ``int`` or a ``float`` (a float
-    subclass, such as numpy's ``float64``, included) that :func:`check_real`
-    would accept, else None; C-level loops throughout."""
-    # counting one type is cheaper than building the set of types, and the
-    # usual all-float sequence needs nothing more
-    if list(map(type, xs)).count(float) != len(xs):
-        # int subclasses, bool among them, go entry by entry
-        if not all(t is int or issubclass(t, float) for t in set(map(type, xs))):
-            return None
-        try:
-            xs = tuple(map(float, xs))
-        except Exception:
-            # an int too large for a float, or a float subclass whose __float__
-            # fails: the per-entry path raises for the first bad entry
-            return None
-    # a nan or inf entry makes the sum non-finite; so may an overflow of finite
-    # entries, which then simply take the per-entry path
-    if not math.isfinite(sum(xs)):
-        return None
-    if low is not None and xs:
-        least = min(xs)
-        if least < low or (strict and least == low):
-            return None
-    return xs
-
-
 def check_reals(name: str, xs: Iterable, low: float | None = None, *,
                 strict: bool = False, label: str = "index") -> tuple[float, ...]:
     """Every entry of ``xs`` as :func:`check_real` checks it, as a tuple of floats.
@@ -187,8 +164,27 @@ def check_reals(name: str, xs: Iterable, low: float | None = None, *,
     so the first bad entry raises the same :class:`FieldError` either way.
     """
     xs = tuple(xs)
-    ys = _plain_floats(xs, low, strict)
-    if ys is not None:
+    # counting types in one list is cheaper than building the set of types:
+    # the usual all-float weights and all-int dofs need nothing more
+    types = list(map(type, xs))
+    floats = types.count(float)
+    ys = None
+    if floats == len(xs):
+        ys = xs
+    elif (floats + types.count(int) == len(xs)
+          # float subclasses, such as numpy's float64, convert like ints; int
+          # subclasses, bool among them, go entry by entry
+          or all(t is int or issubclass(t, float) for t in set(types))):
+        try:
+            ys = tuple(map(float, xs))
+        except Exception:
+            # an int too large for a float, or a float subclass whose __float__
+            # fails: the per-entry path raises for the first bad entry
+            pass
+    # a nan or inf entry makes the sum non-finite; so may an overflow of finite
+    # entries, which then simply take the per-entry path
+    if ys is not None and math.isfinite(sum(ys)) and (
+            low is None or not ys or (least := min(ys)) > low or (least == low and not strict)):
         return ys
     # map with positional arguments costs less per entry than a generator
     return tuple(map(check_real, repeat(name), xs, repeat(low), repeat(strict), count(),

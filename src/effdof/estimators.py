@@ -102,19 +102,24 @@ class ComponentSet(_Record):
         if not weights:
             raise ValueError("a ComponentSet needs at least one component")
         products = tuple(map(operator.mul, weights, variances))
-        # the contributors: the positive products, or, where every product
-        # underflows, the positive (w, v) pairs; a set with none is degenerate
-        contributors = compress(count(), products if any(products)
-                                else map(min, weights, variances))
-        only, second = next(contributors, None), next(contributors, None)
-        if only is None:
-            raise DegenerateComponents("all weighted variances are zero; df estimators are undefined")
+        if len(products) > 1 and products[0] and products[1]:
+            only = None  # two positive products: no lone contributor
+        else:
+            # the contributors: the positive products, or, where every product
+            # underflows, the positive (w, v) pairs; a set with none is degenerate
+            contributors = compress(count(), products if any(products)
+                                    else map(min, weights, variances))
+            first, second = next(contributors, None), next(contributors, None)
+            if first is None:
+                raise DegenerateComponents("all weighted variances are zero; "
+                                           "df estimators are undefined")
+            only = first if second is None else None
         squares = tuple(map(operator.mul, products, products))
         self._freeze(weights, variances, dofs, _fsum(products, square=True),
                      # d + 0.0 == d for every dof d > 0, so the classic form skips the add
                      _fsum(map(operator.truediv, squares, dofs)),
                      _fsum(map(operator.truediv, squares, map(operator.add, dofs, repeat(2.0)))),
-                     only if second is None else None)
+                     only)
 
 
 # the constructor under another name, which perfbench's library workload calls
@@ -159,14 +164,6 @@ def _all_equal(xs: tuple[float, ...], value: float) -> bool:
     return xs[-1] == value and xs.count(value) == len(xs)
 
 
-def _require_positive_weight(ws: tuple[float, ...]) -> None:
-    """Raise unless the checked weights ``ws`` hold at least one positive entry."""
-    if not ws:
-        raise ValueError("a weight vector needs at least one weight")
-    if _all_equal(ws, 0.0):
-        raise DegenerateComponents("all weights are zero")
-
-
 def _unit_scaled(xs: Sequence[float]) -> list[float]:
     """``xs`` times the power of two that brings max|x| into [0.5, 1).
 
@@ -182,18 +179,28 @@ def _unit_scaled(xs: Sequence[float]) -> list[float]:
     return [x * factor for x in xs]
 
 
-def _scaled_if_needed(ws: tuple[float, ...]) -> Sequence[float]:
-    """The weights ``ws`` for the weight summaries: ``ws`` itself when every
-    weight lies in [2**-250, 2**250], else :func:`_unit_scaled` of them (a zero
-    weight is outside).
+def _summed_weights(ws: tuple[float, ...]) -> Sequence[float] | None:
+    """The prologue of the weight summaries on weights ``ws`` already through
+    ``check_reals``: None when every weight is equal (the summaries have a
+    closed form there), else the weights to sum.
 
-    Inside that range the squares lie in [2**-500, 2**500]. Unit-scaled, the
-    largest weight is in [0.5, 1) and none is below 2**-500 of it, so they lie
-    in [2**-501, 1) and their squares in [2**-1002, 1). Every sum, square and
-    quotient the summaries form is then a normal float with or without the
-    scaling, and there a correctly rounded operation (``fsum`` included)
-    commutes with a power of two: skipping the scaling changes no bit.
+    Raises ``ValueError`` for no weights and :class:`DegenerateComponents` when
+    every weight is zero. The weights to sum are ``ws`` itself when every
+    weight lies in [2**-250, 2**250], else :func:`_unit_scaled` of them (a zero
+    weight is outside). Inside that range the squares lie in [2**-500,
+    2**500]. Unit-scaled, the largest weight is in [0.5, 1) and none is below
+    2**-500 of it, so they lie in [2**-501, 1) and their squares in
+    [2**-1002, 1). Every sum, square and quotient the summaries form is then a
+    normal float with or without the scaling, and there a correctly rounded
+    operation (``fsum`` included) commutes with a power of two: skipping the
+    scaling changes no bit.
     """
+    if not ws:
+        raise ValueError("a weight vector needs at least one weight")
+    if _all_equal(ws, ws[0]):
+        if not ws[0]:
+            raise DegenerateComponents("all weights are zero")
+        return None
     if 2.0 ** -250 <= min(ws) and max(ws) <= 2.0 ** 250:
         return ws
     return _unit_scaled(ws)
@@ -228,10 +235,11 @@ def _ratio_estimate(cs: ComponentSet, variant: str, denominator: float, offset: 
         dof = cs.dofs[cs._only]
         return DfEstimate(variant, dof + (offset - shift), numerator,
                           numerator / (dof + offset))
-    for name, total in (("numerator", numerator), ("denominator", denominator)):
-        if not 0.0 < total < math.inf:
-            fault = "overflows a float" if total else "underflows to zero"
-            raise OverflowError(f"{variant} df {name} {fault}")
+    if not (0.0 < numerator < math.inf and 0.0 < denominator < math.inf):
+        for name, total in (("numerator", numerator), ("denominator", denominator)):
+            if not 0.0 < total < math.inf:
+                fault = "overflows a float" if total else "underflows to zero"
+                raise OverflowError(f"{variant} df {name} {fault}")
     return DfEstimate(variant, numerator / denominator - shift, numerator, denominator)
 
 
@@ -291,23 +299,22 @@ def kish_neff(weights) -> float:
 
 def _kish_neff(ws: tuple[float, ...]) -> float:
     """:func:`kish_neff` of weights already through ``check_reals``."""
-    _require_positive_weight(ws)
-    if _all_equal(ws, ws[0]):
+    terms = _summed_weights(ws)
+    if terms is None:
         return float(len(ws))
-    ws = _scaled_if_needed(ws)
-    total = math.fsum(ws)
-    return total * total / math.fsum(map(operator.mul, ws, ws))
+    total = math.fsum(terms)
+    return total * total / math.fsum(map(operator.mul, terms, terms))
 
 
 def _relvariance(ws: tuple[float, ...]) -> float:
     """Relative variance ``mean((w_k / wbar - 1)^2)`` of weights already through
     ``check_reals``: exactly 0.0 when all are equal, positive otherwise."""
-    _require_positive_weight(ws)
-    if _all_equal(ws, ws[0]):
+    terms = _summed_weights(ws)
+    if terms is None:
         return 0.0
-    ws = _scaled_if_needed(ws)
-    mean = math.fsum(ws) / len(ws)
-    return math.fsum((w / mean - 1.0) ** 2 for w in ws) / len(ws)
+    mean = math.fsum(terms) / len(ws)
+    # a list comprehension, not a generator: no frame resumed per weight
+    return math.fsum([(w / mean - 1.0) ** 2 for w in terms]) / len(ws)
 
 
 def design_effect(weights) -> float:

@@ -94,6 +94,13 @@ class TestEstimate:
                        "| kish_neff | 2.000 |  |  |\n"
                        "| design_effect | 1.000 |  |  |\n")
 
+    def test_design_effect_of_unequal_weights(self, capsys, tmp_path):
+        # weights 1 and 3: relvariance ((1/2 - 1)^2 + (3/2 - 1)^2) / 2 = 0.25
+        path = write(tmp_path, "unequal.csv", "weight,variance,dof\n1,1,4\n3,2,5\n")
+        code, out, _ = run_cli(capsys, "estimate", "--input", path)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["kish_neff,1.600,,", "design_effect,1.250,,"]
+
     def test_json_format_carries_intermediates(self, capsys, tmp_path):
         def strict(constant):
             raise AssertionError(f"not strict JSON: {constant}")
@@ -946,6 +953,11 @@ class TestModuleEntryPoint:
         assert (exc.value.code, captured.out) == (2, "")
         assert captured.err.endswith(
             "argument --precision: precision must be an integer between 0 and 12\n")
+
+    def test_precision_zero_is_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "welch", "--n1", "10", "--n2", "20", "--s1sq", "1",
+                                 "--s2sq", "2", "--precision", "0")
+        assert (code, out, err) == (0, "satterthwaite_df,24\ncorrected_df,27\n", "")
 
     def test_python_dash_m_runs_and_is_deterministic(self):
         cmd = [sys.executable, "-m", "effdof", "simulate", "--k", "2", "--nu", "1",

@@ -6,6 +6,7 @@ independent direct-formula script before being asserted here.
 
 import copy
 import dataclasses
+import enum
 import importlib.util
 import itertools
 import math
@@ -40,6 +41,14 @@ from effdof.estimators import _relvariance
 from oracles import satterthwaite_df_harmonic
 
 REL = 1e-12
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Dof(float):
+    pass
 
 
 def cset(weights, variances, dofs):
@@ -165,6 +174,84 @@ class TestDfEstimators:
 
 
 DF_ESTIMATORS = (satterthwaite_df, corrected_df, boardman_df)
+TINY = 1e-200  # TINY * TINY underflows to 0.0
+
+
+def _reference_only(weights, variances):
+    """The index of a set's lone contributor, None for several, "degenerate"
+    for none: the contributors are the positive products or, where every
+    product underflows, the positive (w, v) pairs."""
+    products = [w * v for w, v in zip(weights, variances)]
+    keys = products if any(products) else [min(w, v) for w, v in zip(weights, variances)]
+    positive = [k for k, key in enumerate(keys) if key > 0]
+    if not positive:
+        return "degenerate"
+    return positive[0] if len(positive) == 1 else None
+
+
+def _outcomes(cs):
+    """Each estimator's (value, numerator, denominator), or its error type and message."""
+    results = []
+    for fn in DF_ESTIMATORS:
+        try:
+            est = fn(cs)
+        except ArithmeticError as exc:
+            results.append((type(exc), str(exc)))
+        else:
+            results.append((est.value, est.numerator, est.denominator))
+    return results
+
+
+class TestContributors:
+    """Which components contribute when the first or second product is zero or
+    underflows, and at K = 1."""
+
+    @pytest.mark.parametrize("weights,variances,dofs", [
+        ([1, 2], [3, 4], [4, 5]),
+        ([0, 1, 2], [1, 1, 3], [4, 5, 6]),
+        ([1, 0, 2], [1, 1, 3], [4, 5, 6]),
+        ([0, 2], [1, 3], [4, 5]),
+        ([2, 1], [3, 0], [4, 5]),
+        ([TINY, 1, 2], [TINY, 1, 3], [4, 5, 6]),
+        ([1, TINY, 2], [1, TINY, 3], [4, 5, 6]),
+        ([1, TINY], [1, TINY], [4, 5]),
+        ([TINY, 1], [TINY, 2], [4, 5]),
+        ([1, 0, 0, 0], [1, 1, 1, 0], [3, 4, 5, 6]),
+        ([TINY, 0], [TINY, 1], [4, 5]),
+        ([0, TINY, 3], [2, TINY, 0], [4, 5, 6]),
+        ([TINY, TINY], [TINY, TINY], [4, 5]),
+        ([2], [3], [7]),
+        ([TINY], [TINY], [7]),
+        ([0], [3], [7]),
+        ([0, 1, 0], [1, 0, 5], [4, 5, 6]),
+    ], ids=["two-positive", "first-zero", "second-zero", "first-zero-lone", "second-zero-lone",
+            "first-underflows", "second-underflows", "second-underflows-lone",
+            "first-underflows-lone", "first-positive-rest-zero", "underflow-one-pair",
+            "underflow-later-pair", "underflow-two-pairs", "k1", "k1-underflows", "k1-zero",
+            "all-zero"])
+    def test_lone_contributor_values_and_errors(self, weights, variances, dofs):
+        only = _reference_only(weights, variances)
+        if only == "degenerate":
+            with pytest.raises(DegenerateComponents, match="^all weighted variances are zero; "
+                                                           "df estimators are undefined$"):
+                cset(weights, variances, dofs)
+            return
+        cs = cset(weights, variances, dofs)
+        assert cs._only == only
+        outcomes = _outcomes(cs)
+        if only is not None:
+            assert [value for value, *_ in outcomes] == [dofs[only], dofs[only], dofs[only] + 2]
+            return
+        # zero products add nothing to any sum: the set keeps the bits of its
+        # positive-product components alone, or, with none, the numerator underflows
+        kept = [k for k, (w, v) in enumerate(zip(weights, variances)) if w * v > 0]
+        if kept:
+            assert outcomes == _outcomes(cset(*([column[k] for k in kept]
+                                                for column in (weights, variances, dofs))))
+        else:
+            assert outcomes == [(OverflowError, f"{fn.__name__.removesuffix('_df')} df "
+                                                "numerator underflows to zero")
+                                for fn in DF_ESTIMATORS]
 
 
 def _hexes(cs, order=DF_ESTIMATORS):
@@ -442,6 +529,44 @@ class TestValidation:
         # the bad entry before it is reported, as the per-entry check reports it
         with pytest.raises(FieldError, match="^index 0: weight must be finite, got nan$"):
             check_reals("weight", [math.nan, Broken(1.0)], 0.0)
+
+    def test_int_entries_take_the_bulk_path(self, monkeypatch):
+        def per_entry(*args):
+            raise AssertionError("an entry went through check_real")
+
+        monkeypatch.setattr(errors, "check_real", per_entry)
+        ys = check_reals("dof", [4, 1, 500, 2**53 + 1], 0.0, strict=True, label="component")
+        assert ys == (4.0, 1.0, 500.0, 2.0**53)
+        assert all(type(y) is float for y in ys)
+
+    @pytest.mark.parametrize("xs", [
+        [4, 1, 500],
+        [4, 0, 2],
+        [4, True, 2],
+        [4, _Level.HIGH, 2],
+        [np.int64(4), 3, np.float64(2.5)],
+        [np.int64(0), 3],
+        [1, 10**400, 2],
+        [10**400, True],
+        [3, _Dof(1.5), 0, _Dof(2.0)],
+        [3, _Dof(-1.5)],
+        [2, 1e308, 10**308],
+    ], ids=["ints", "int-zero", "bool", "int-enum", "numpy", "numpy-zero", "huge-int",
+            "huge-int-then-bool", "float-subclass", "negative-float-subclass", "overflowing-sum"])
+    @pytest.mark.parametrize("low,strict", [(None, False), (0.0, False), (0.0, True)])
+    def test_int_entries_match_the_per_entry_check(self, xs, low, strict):
+        def outcome(check):
+            try:
+                ys = check()
+            except FieldError as exc:
+                return exc.field, exc.index, str(exc)
+            assert all(type(y) is float for y in ys)
+            return ys
+
+        per_entry = outcome(lambda: tuple(
+            errors.check_real("dof", x, low, strict, i, "component") for i, x in enumerate(xs)))
+        assert outcome(lambda: check_reals("dof", xs, low, strict=strict,
+                                           label="component")) == per_entry
 
     def test_weight_vector_invariants(self):
         with pytest.raises(ValueError, match="at least one weight"):

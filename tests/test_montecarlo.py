@@ -399,6 +399,11 @@ class TestDeterminism:
         assert run_grid_detailed(cfg).cells[0] == cell
         assert cell.sd_satt == 0.0 and cell.sd_corr == 0.0
 
+    def test_two_replicate_cell_has_a_spread(self):
+        # the smallest R with a sample SD: R - 1 = 1 in its denominator
+        cell = run_grid_detailed(make_cfg(replicates=2)).cells[0]
+        assert cell.sd_satt > 0.0 and cell.sd_corr == 3.0 * cell.sd_satt
+
     def test_different_seeds_differ(self):
         a = run_grid_detailed(make_cfg()).cells[0]
         b = run_grid_detailed(make_cfg(seed=43)).cells[0]
