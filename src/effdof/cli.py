@@ -279,15 +279,16 @@ def build_manifest(cfg: SimConfig, weight_rejections: int, duration: float) -> d
 
     import numpy
 
-    from .montecarlo import RNG_DESCRIPTION
+    from .montecarlo import RNG_DESCRIPTION, _log_dispatch_target
 
     return {
         # JSON writes the tuples as lists; SimConfig(**manifest["config"]) rebuilds the config
         "config": asdict(cfg),
         "library_version": __version__,
-        # the bytes rest on numpy's normal, uniform and gamma samplers, in
-        # equal mode too (df 1, df 2-8 and other df); random mode adds the weights
+        # the bytes rest on numpy's normal, uniform and gamma samplers (df 1, df 2-8
+        # and other df; random mode adds the weights) and df 2-8 on its log's CPU path
         "numpy_version": numpy.__version__,
+        "numpy_log_target": _log_dispatch_target(),
         "python_version": platform.python_version(),
         "rng": RNG_DESCRIPTION,
         "weight_rejections": weight_rejections,

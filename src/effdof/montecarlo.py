@@ -256,6 +256,17 @@ def _erlang_draw(a: int, scale: float, rng: np.random.Generator, size) -> np.nda
     return out
 
 
+def _log_dispatch_target() -> str | None:
+    """The CPU target of numpy's float64 ``log`` (e.g. ``"X86_V4"``), which the
+    df 2-8 draws' last bits rest on; None before numpy 2.0's ``introspect``."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    loops = opt_func_info(func_name="^log$", signature="float64").get("log", {})
+    return next((loop["current"] for loop in loops.values()), None)
+
+
 # ---------------------------------------------------------------------------
 # block execution
 # ---------------------------------------------------------------------------

@@ -100,6 +100,19 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, "estimate", "--input", path)
         assert code == 0
         assert out.splitlines()[-2:] == ["kish_neff,1.600,,", "design_effect,1.250,,"]
+        _, out, _ = run_cli(capsys, "estimate", "--input", path, "--format", "json")
+        assert out == ('{\n  "estimators": [\n'
+                       '    {\n      "variant": "satterthwaite",\n'
+                       '      "value": 6.577181208053691,\n'
+                       '      "numerator": 49.0,\n      "denominator": 7.45\n    },\n'
+                       '    {\n      "variant": "corrected",\n'
+                       '      "value": 7.228699551569505,\n'
+                       '      "numerator": 49.0,\n      "denominator": 5.30952380952381\n    },\n'
+                       '    {\n      "variant": "boardman",\n'
+                       '      "value": 9.228699551569505,\n'
+                       '      "numerator": 49.0,\n      "denominator": 5.30952380952381\n    }\n'
+                       '  ],\n  "weights": {\n    "kish_neff": 1.6,\n'
+                       '    "design_effect": 1.25\n  }\n}\n')
 
     def test_json_format_carries_intermediates(self, capsys, tmp_path):
         def strict(constant):
@@ -168,17 +181,24 @@ class TestEstimate:
         assert (exc.value.line, exc.value.column) == (2, 2)
         with pytest.raises(cli.ParseError, match="^line 1: need at least 2 values"):
             cli.parse_values_file(write(tmp_path, "one.txt", "1\n"))
+        with pytest.raises(cli.ParseError, match="^line 1: need at least 2 values, got 0$"):
+            cli.parse_values_file(write(tmp_path, "none.txt", ""))
+        with pytest.raises(cli.ParseError, match="^line 1: file is empty; expected a "
+                                                 "weight,variance,dof header$"):
+            parse_components_file(write(tmp_path, "empty.csv", ""))
 
     def test_header_mismatch(self, capsys, tmp_path):
         path = write(tmp_path, "head.csv", "w,v,d\n1,1,4\n")
         code, _, err = run_cli(capsys, "estimate", "--input", path)
         assert code == 3
+        assert err == ("effdof: parse error: line 1: expected header 'weight,variance,dof', "
+                       "got 'w,v,d'\n")
 
     def test_empty_data_section(self, capsys, tmp_path):
         path = write(tmp_path, "empty.csv", "weight,variance,dof\n")
         code, _, err = run_cli(capsys, "estimate", "--input", path)
         assert code == 3
-        assert "no component rows" in err
+        assert err == "effdof: parse error: line 2: no component rows after the header\n"
 
     def test_invariant_violations_are_parse_errors(self, capsys, tmp_path):
         path = write(tmp_path, "neg.csv", "weight,variance,dof\n-1,1,4\n")
@@ -548,7 +568,9 @@ class TestSimulateCommand:
         # random-mode bytes rest on numpy's samplers; the thread count is only scheduling
         assert manifest["numpy_version"] == numpy.__version__
         assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_log_target"] == montecarlo._log_dispatch_target()
         assert manifest["threads"] == 1
+        assert manifest["duration_seconds"] >= 0.0
         # none of them enters the config, which rebuilds the run
         assert set(manifest["config"]) == {f.name for f in dataclasses.fields(effdof.SimConfig)}
 
@@ -570,14 +592,18 @@ class TestSimulateCommand:
         assert [m["threads"] for m in manifests] == [1, 2]
 
     def test_out_dir_and_manifest_round_trip(self, capsys, tmp_path):
-        out_dir = tmp_path / "run"
-        code, _, _ = run_cli(capsys, *self.BASE, "--out", str(out_dir))
-        assert code == 0
-        cells_text = (out_dir / "cells.csv").read_text(encoding="utf-8")
-        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-        # rebuilding the config from the manifest reproduces the output bitwise
-        cfg = effdof.SimConfig(**manifest["config"])
-        assert cells_csv_full_precision(run_grid_detailed(cfg).cells) == cells_text
+        random_grid = ("simulate", "--k", "3", "16", "--nu", "1", "5", "--weights", "random",
+                       "--replicates", "3000", "--block-size", "1000", "--seed", "7")
+        for name, argv in (("equal", self.BASE), ("random", random_grid)):
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(capsys, *argv, "--out", str(out_dir))
+            assert code == 0
+            cells_text = (out_dir / "cells.csv").read_text(encoding="utf-8")
+            manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+            # rebuilding the config from the manifest reproduces the output bitwise
+            cfg = effdof.SimConfig(**manifest["config"])
+            assert cfg.weight_mode == name
+            assert cells_csv_full_precision(run_grid_detailed(cfg).cells) == cells_text
         # a manifest from an earlier release carries keys SimConfig no longer has
         for key, value in (("weight_sd", 0.3), ("fix_weights", False)):
             with pytest.raises(TypeError, match=key):
@@ -741,11 +767,19 @@ class TestSimulateCommand:
             assert not any(tmp_path.iterdir()), out
 
     def test_underflowing_grid_names_its_cell(self, capsys):
-        code, out, err = run_cli(capsys, "simulate", "--k", "2", "4", "--nu", "1", "0.005",
-                                 "--replicates", "2000", "--seed", "1")
-        assert (code, out) == (4, "")
-        assert err == ("effdof: arithmetic error: a replicate's weighted variances underflow "
-                       "to zero in cell K=2, nu=0.005 (block 0)\n")
+        underflow = "a replicate's weighted variances underflow to zero in cell K=2"
+        # at nu = 1.5e-308, 2 / nu is finite and 3 / nu is not: the scale check
+        # passes and the draws underflow; at 1e-310 the scale itself is infinite
+        for ks, nus, replicates, detail in (
+            (["2", "4"], ["1", "0.005"], "2000", f"{underflow}, nu=0.005"),
+            (["2"], ["1.5e-308"], "200", f"{underflow}, nu=1.5e-308"),
+            (["2"], ["1e-310"], "200",
+             "overflow: the gamma scale 2 / nu is infinite in cell K=2, nu=1e-310"),
+        ):
+            code, out, err = run_cli(capsys, "simulate", "--k", *ks, "--nu", *nus,
+                                     "--replicates", replicates, "--seed", "1")
+            assert (code, out) == (4, "")
+            assert err == f"effdof: arithmetic error: {detail} (block 0)\n"
 
     def test_failing_grid_keeps_an_existing_out_dir(self, capsys, tmp_path):
         (tmp_path / "run").mkdir()

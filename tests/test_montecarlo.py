@@ -2,7 +2,9 @@
 
 import dataclasses
 import enum
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from effdof import (
     run_grid_detailed,
     satterthwaite_df,
 )
-from effdof.cli import cells_csv_full_precision, render_cells
+from effdof.cli import PRESETS, cells_csv_full_precision, render_cells
 from effdof.errors import FieldError
 from effdof.estimators import ComponentSet
 from effdof.montecarlo import (
@@ -198,7 +200,7 @@ class TestSampler:
         gamma = np.random.Generator(np.random.Philox(6)).gamma(2.5, 0.4, 8)
         assert np.array_equal(draws, gamma)
 
-    @pytest.mark.parametrize("nu", [2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("nu", [2.0, 4.0, 6.0, 8.0])
     def test_whole_shapes_are_minus_log_of_a_product_of_uniforms(self, nu):
         # shape a = nu/2: each value takes its a uniforms consecutively, and
         # the product runs left to right over them
@@ -209,7 +211,7 @@ class TestSampler:
         product = math.prod(1.0 - u[:, j] for j in range(a))
         assert np.array_equal(draws, (-(2.0 / nu) * np.log(product)).reshape(3, 50))
 
-    @pytest.mark.parametrize("nu", [2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("nu", [2.0, 4.0, 6.0, 8.0])
     def test_whole_shape_draw_does_not_depend_on_the_chunking(self, monkeypatch, nu):
         # 2 full chunks and a partial one, as a (rows, cols) segment, against
         # one flat draw in a single chunk and one in chunks of 7
@@ -385,6 +387,15 @@ class TestDeterminism:
         assert run_grid_detailed(cfg, threads=4).cells == base
         assert run_grid_detailed(cfg, threads=2).cells == base
 
+    def test_whole_shape_grid_does_not_depend_on_the_thread_count(self):
+        # df 2, 6 and 8 take the -log product path, and a block's 3,000 x 61
+        # segment crosses its chunks of 2**14 values
+        cfg = make_cfg(k_values=(3, 64), nu_values=(2.0, 6.0, 8.0), seed=7,
+                       replicates=5_000, block_size=3_000)
+        assert 3_000 * 61 > 2 * montecarlo._ERLANG_CHUNK
+        base = run_grid_detailed(cfg, threads=1).cells
+        assert run_grid_detailed(cfg, threads=2).cells == base
+
     def test_random_weight_modes_are_deterministic(self):
         cfg = make_cfg(weight_mode="random", replicates=22_000, block_size=5_000)
         a = run_grid_detailed(cfg, threads=1)
@@ -408,6 +419,36 @@ class TestDeterminism:
         a = run_grid_detailed(make_cfg()).cells[0]
         b = run_grid_detailed(make_cfg(seed=43)).cells[0]
         assert a.mean_satt != b.mean_satt
+
+
+# sha256 prefixes of each preset's cells.csv at seed 11, R 20,000 and block 5,000,
+# keyed by numpy's major.minor version and the CPU target of its float64 log,
+# on which the df 2-8 draws' last bits rest. A change to the draws moves them:
+# it updates them and says why in CHANGES.md
+GRID_DIGESTS = {
+    ("2.4", "X86_V4"): {
+        "tables123": "e2a5c267e8d8456a",
+        "tables45-random": "03a491b1d37db91a",
+        "tables45-equal": "c4b6c24b9d278979",
+    },
+}
+
+
+class TestGridBytes:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_cells_match_their_digest(self, preset, threads):
+        key = (".".join(np.__version__.split(".")[:2]), montecarlo._log_dispatch_target())
+        if key not in GRID_DIGESTS:
+            pytest.skip(f"no grid digests for numpy {key[0]} with float64 log on {key[1]}")
+        cfg = SimConfig(seed=11, replicates=20_000, block_size=5_000, **PRESETS[preset])
+        text = cells_csv_full_precision(run_grid_detailed(cfg, threads=threads).cells)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == GRID_DIGESTS[key][preset]
+
+    def test_log_target_is_none_without_numpy_introspect(self, monkeypatch):
+        # numpy 1.x has no numpy.lib.introspect
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        assert montecarlo._log_dispatch_target() is None
 
 
 class TestBlockRng:
