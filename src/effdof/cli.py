@@ -165,9 +165,7 @@ def parse_components_file(path: str | os.PathLike[str]) -> ComponentSet:
         if not row:  # tolerate blank lines
             continue
         if len(row) != 3:
-            raise ParseError(
-                f"expected 3 fields, got {len(row)}", line=i, column=len(row) or 1
-            )
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=i, column=len(row))
         for j, cell in enumerate(row):
             columns[j].append(_parse_field(cell, i, j + 1))
         lines.append(i)
@@ -342,24 +340,16 @@ def _cmd_simulate(args) -> str:
 
     cfg = _simulate_config(args)
     out = args.out
-    made = []  # the levels of out that os.makedirs creates, deepest first
     if not out:  # a closed stderr, where the manifest goes, fails before the grid
         _write("stderr", "")
-    else:  # before the grid, so an unusable directory fails at once
+    else:  # read-only: nothing is made until the grid is done, so nothing is undone
         level = out
-        while level and not os.path.exists(level):
-            made.append(level)
-            level = os.path.dirname(level.rstrip(os.sep))
-        os.makedirs(out, exist_ok=True)
+        while not os.path.lexists(level):  # its nearest existing level, a link too
+            level = os.path.dirname(level.rstrip(os.sep)) or os.curdir
+        if not (os.path.isdir(level) and os.access(level, os.W_OK | os.X_OK)):
+            raise ValueError(f"{level} exists and is not a writable directory")
     start = time.perf_counter()
-    try:
-        result = run_grid_detailed(cfg, threads=args.threads)
-    except BaseException:
-        # only the levels this run made, bottom up, and only while empty
-        with contextlib.suppress(OSError):
-            for level in made:
-                os.rmdir(level)
-        raise
+    result = run_grid_detailed(cfg, threads=args.threads)
     duration = time.perf_counter() - start
 
     ratios = (args.preset or "").startswith("tables45") or cfg.weight_mode == "random"
@@ -369,6 +359,7 @@ def _cmd_simulate(args) -> str:
     manifest["threads"] = args.threads  # scheduling only: the cells do not depend on it
     manifest_text = json.dumps(manifest, indent=2) + "\n"
     if out:
+        os.makedirs(out, exist_ok=True)
         for name, text in (("cells.csv", cells_csv_full_precision(result.cells)),
                            ("manifest.json", manifest_text)):
             with open(os.path.join(out, name), "w", encoding="utf-8") as f:

@@ -235,12 +235,12 @@ def _ratio_estimate(cs: ComponentSet, variant: str, denominator: float, offset: 
         dof = cs.dofs[cs._only]
         return DfEstimate(variant, dof + (offset - shift), numerator,
                           numerator / (dof + offset))
-    if not (0.0 < numerator < math.inf and 0.0 < denominator < math.inf):
-        for name, total in (("numerator", numerator), ("denominator", denominator)):
-            if not 0.0 < total < math.inf:
-                fault = "overflows a float" if total else "underflows to zero"
-                raise OverflowError(f"{variant} df {name} {fault}")
-    return DfEstimate(variant, numerator / denominator - shift, numerator, denominator)
+    if 0.0 < numerator < math.inf and 0.0 < denominator < math.inf:
+        return DfEstimate(variant, numerator / denominator - shift, numerator, denominator)
+    name, total = (("denominator", denominator) if 0.0 < numerator < math.inf
+                   else ("numerator", numerator))
+    fault = "overflows a float" if total else "underflows to zero"
+    raise OverflowError(f"{variant} df {name} {fault}")
 
 
 def satterthwaite_df(cs: ComponentSet) -> DfEstimate:

@@ -9,9 +9,11 @@ import json
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy
@@ -736,9 +738,61 @@ class TestSimulateCommand:
         grids = []
         monkeypatch.setattr(cli, "run_grid_detailed",
                             lambda *a, **kw: grids.append(a) or run_grid_detailed(*a, **kw))
-        code, out, err = run_cli(capsys, *self.BASE, "--out", write(tmp_path, "afile", ""))
-        assert (code, out, grids) == (2, "", [])
-        assert err.startswith("effdof: ") and "exists" in err
+        afile = write(tmp_path, "afile", "")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere")  # dangling: os.makedirs would refuse it
+        for level, out_dir in ((afile, afile), (afile, os.path.join(afile, "sub")),
+                               (link, link), (link, link / "sub")):
+            code, out, err = run_cli(capsys, *self.BASE, "--out", str(out_dir))
+            assert (code, out, grids) == (2, "", []), out_dir
+            assert err == f"effdof: {level} exists and is not a writable directory\n"
+            assert sorted(os.listdir(tmp_path)) == ["afile", "link"]
+
+    def test_unwritable_out_dir_fails_before_the_grid(self, capsys, monkeypatch, tmp_path):
+        # as root every directory is writable, so os.access stands in for the mode bits
+        checked = []
+        monkeypatch.setattr(cli, "run_grid_detailed",
+                            lambda *a, **kw: pytest.fail("the grid started"))
+        monkeypatch.setattr(os, "access",
+                            lambda path, mode: checked.append((path, mode)) or False)
+        code, out, err = run_cli(capsys, *self.BASE, "--out", str(tmp_path / "a" / "b"))
+        assert (code, out) == (2, "")
+        assert err == f"effdof: {tmp_path} exists and is not a writable directory\n"
+        assert checked == [(str(tmp_path), os.W_OK | os.X_OK)]
+        assert not any(tmp_path.iterdir())
+
+    def test_out_that_cannot_be_made_fails_after_the_grid(self, capsys, monkeypatch,
+                                                          tmp_path):
+        # the check passes a name too long to make; os.makedirs refuses it once
+        # the grid is done, and the run still exits 2 with stdout empty
+        grids = []
+        monkeypatch.setattr(cli, "run_grid_detailed",
+                            lambda *a, **kw: grids.append(a) or run_grid_detailed(*a, **kw))
+        code, out, err = run_cli(capsys, *self.BASE, "--out", str(tmp_path / ("x" * 300)))
+        assert (code, out, len(grids)) == (2, "", 1)
+        assert err.startswith("effdof: [Errno ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.skipif(os.name != "posix", reason="stops the child with SIGTERM")
+    def test_stopped_run_leaves_no_out_dir(self, tmp_path):
+        # --out is made only once the grid is done, so a run stopped mid-grid
+        # leaves no level of it behind
+        src = str(Path(effdof.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "effdof", "simulate", "--preset", "tables123",
+             "--replicates", "4000000", "--seed", "1", "--out", str(tmp_path / "a" / "b")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+        try:
+            time.sleep(1.0)
+            proc.send_signal(signal.SIGTERM)
+            # still running at the signal: it neither finished nor failed before it
+            assert proc.wait(timeout=60) == -signal.SIGTERM
+            assert not (tmp_path / "a").exists()
+        finally:
+            proc.kill()
+            proc.wait()
 
     def test_unwritable_cells_file_leaves_stdout_empty(self, capsys, tmp_path):
         (tmp_path / "run" / "cells.csv").mkdir(parents=True)
@@ -756,7 +810,7 @@ class TestSimulateCommand:
             assert f"unrecognized arguments: {flag[0]}" in captured.err
 
     def test_overflowing_grid_is_an_arithmetic_error(self, capsys, tmp_path):
-        # every level of --out that the run made goes, a missing parent too
+        # a failing grid makes no level of --out, a missing parent neither
         for out in ("run", os.path.join("missing", "run") + os.sep):
             code, stdout, err = run_cli(capsys, "simulate", "--k", "2", "--nu", "1e308",
                                         "--replicates", "5", "--seed", "1",
