@@ -19,7 +19,10 @@ the type set only when some entry is neither, a finite sum, the minimum), so
 the usual all-float weights and all-int dofs never build the set. Anything
 else, and every sequence holding a bad entry, goes through :func:`check_real`
 entry by entry, which alone builds the :class:`FieldError` for a bad entry.
-Both paths accept and return the same values.
+Both paths accept and return the same values. Its private core
+:func:`_check_reals` also hands back the minimum the bulk path compares with
+the lower bound (None after the per-entry path), which the weight summaries
+take as their scaling gate instead of scanning the weights again.
 
 :class:`_Record` is the immutable base of the value classes the estimators
 take and return.
@@ -162,13 +165,23 @@ def check_reals(name: str, xs: Iterable, low: float | None = None, *,
     passes is checked and converted in bulk; any other sequence, and any
     sequence with a bad entry, goes through :func:`check_real` entry by entry,
     so the first bad entry raises the same :class:`FieldError` either way.
+    Its core :func:`_check_reals` also hands back the minimum the bulk check
+    found, for the weight summaries' scaling gate.
     """
+    return _check_reals(name, xs, low, strict, label)[0]
+
+
+def _check_reals(name: str, xs: Iterable, low: float | None = None, strict: bool = False,
+                 label: str = "index") -> tuple[tuple[float, ...], float | None]:
+    """:func:`check_reals` of ``xs`` and the least value: the minimum the bulk
+    path compared with ``low``, or None where it made no comparison (no
+    ``low``, no entries) or the per-entry path ran."""
     xs = tuple(xs)
     # counting types in one list is cheaper than building the set of types:
     # the usual all-float weights and all-int dofs need nothing more
     types = list(map(type, xs))
     floats = types.count(float)
-    ys = None
+    ys = least = None
     if floats == len(xs):
         ys = xs
     elif (floats + types.count(int) == len(xs)
@@ -185,10 +198,10 @@ def check_reals(name: str, xs: Iterable, low: float | None = None, *,
     # entries, which then simply take the per-entry path
     if ys is not None and math.isfinite(sum(ys)) and (
             low is None or not ys or (least := min(ys)) > low or (least == low and not strict)):
-        return ys
+        return ys, least
     # map with positional arguments costs less per entry than a generator
     return tuple(map(check_real, repeat(name), xs, repeat(low), repeat(strict), count(),
-                     repeat(label)))
+                     repeat(label))), None
 
 
 def check_int(name: str, x, low: int) -> int:

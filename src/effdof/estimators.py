@@ -28,11 +28,14 @@ and only an estimator that needs a sum that over- or underflows raises.
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
 use. The weight summaries scale the weights by a power of two only when
-some weight lies outside [2**-250, 2**250] (or is zero): inside that range
-every sum, square and quotient they form is a normal float, where scaling by
-a power of two changes no bit, and outside it the scaling keeps them in
-range. Degrees of freedom are real-valued throughout; nothing requires
-integrality.
+the least weight, which the field check hands back, lies below 2**-250 (or
+is zero), or the weights' ``fsum``, which the summaries need anyway, exceeds
+2**250 or overflows. Nonnegative weights are at most their sum, so a vector
+that passes lies in [2**-250, 2**250]: there every sum, square and quotient
+the summaries form is a normal float, where scaling by a power of two
+changes no bit (so a vector inside the range whose sum exceeds 2**250 gets
+the same bits scaled), and outside it the scaling keeps them in range.
+Degrees of freedom are real-valued throughout; nothing requires integrality.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Sequence
-from itertools import compress, count, repeat
+from itertools import compress, count
 
-from .errors import DegenerateComponents, _Record, check_reals
+from .errors import DegenerateComponents, _Record, _check_reals, check_reals
 
 __all__ = [
     "ComponentSet",
@@ -114,11 +117,11 @@ class ComponentSet(_Record):
                 raise DegenerateComponents("all weighted variances are zero; "
                                            "df estimators are undefined")
             only = first if second is None else None
-        squares = tuple(map(operator.mul, products, products))
+        squares = [p * p for p in products]
         self._freeze(weights, variances, dofs, _fsum(products, square=True),
                      # d + 0.0 == d for every dof d > 0, so the classic form skips the add
                      _fsum(map(operator.truediv, squares, dofs)),
-                     _fsum(map(operator.truediv, squares, map(operator.add, dofs, repeat(2.0)))),
+                     _fsum([s / (d + 2.0) for s, d in zip(squares, dofs)]),
                      only)
 
 
@@ -179,21 +182,26 @@ def _unit_scaled(xs: Sequence[float]) -> list[float]:
     return [x * factor for x in xs]
 
 
-def _summed_weights(ws: tuple[float, ...]) -> Sequence[float] | None:
+def _summed_weights(ws: tuple[float, ...],
+                    least: float | None = None) -> tuple[Sequence[float], float] | None:
     """The prologue of the weight summaries on weights ``ws`` already through
-    ``check_reals``: None when every weight is equal (the summaries have a
-    closed form there), else the weights to sum.
+    ``check_reals``, ``least`` being their minimum if known: None when every
+    weight is equal (the summaries have a closed form there), else the weights
+    to sum and their ``fsum``.
 
     Raises ``ValueError`` for no weights and :class:`DegenerateComponents` when
-    every weight is zero. The weights to sum are ``ws`` itself when every
-    weight lies in [2**-250, 2**250], else :func:`_unit_scaled` of them (a zero
-    weight is outside). Inside that range the squares lie in [2**-500,
-    2**500]. Unit-scaled, the largest weight is in [0.5, 1) and none is below
-    2**-500 of it, so they lie in [2**-501, 1) and their squares in
-    [2**-1002, 1). Every sum, square and quotient the summaries form is then a
-    normal float with or without the scaling, and there a correctly rounded
-    operation (``fsum`` included) commutes with a power of two: skipping the
-    scaling changes no bit.
+    every weight is zero. The weights to sum are ``ws`` itself when the least
+    weight is at least 2**-250 and their ``fsum`` at most 2**250, else
+    :func:`_unit_scaled` of them (a zero weight, or a sum that overflows, takes
+    the scaling). The maximum of nonnegative weights is at most their correctly
+    rounded sum, so the gate passes only weights inside [2**-250, 2**250], and
+    there the squares lie in [2**-500, 2**500]. Unit-scaled, the largest weight
+    is in [0.5, 1) and none is below 2**-500 of it, so they lie in [2**-501,
+    1) and their squares in [2**-1002, 1). Every sum, square and quotient the
+    summaries form is then a normal float with or without the scaling, and
+    there a correctly rounded operation (``fsum`` included) commutes with a
+    power of two: skipping the scaling changes no bit, and neither does taking
+    it for weights inside the range whose sum exceeds 2**250.
     """
     if not ws:
         raise ValueError("a weight vector needs at least one weight")
@@ -201,9 +209,12 @@ def _summed_weights(ws: tuple[float, ...]) -> Sequence[float] | None:
         if not ws[0]:
             raise DegenerateComponents("all weights are zero")
         return None
-    if 2.0 ** -250 <= min(ws) and max(ws) <= 2.0 ** 250:
-        return ws
-    return _unit_scaled(ws)
+    if 2.0 ** -250 <= (min(ws) if least is None else least):
+        total = _fsum(ws)
+        if total <= 2.0 ** 250:
+            return ws, total
+    terms = _unit_scaled(ws)
+    return terms, math.fsum(terms)
 
 
 def _fsum(xs: Iterable[float], square: bool = False) -> float:
@@ -287,32 +298,37 @@ def kish_neff(weights) -> float:
     Equals the number of observations for uniform positive weights (returned
     exactly in that case) and is bounded by 1 below and by the count of
     strictly positive weights above. Any finite magnitude gives the same
-    value: when a weight lies outside [2**-250, 2**250] (or is zero), the
-    weights are scaled by a power of two first; inside that range the scaling
-    would change no bit, so it is skipped.
+    value: when the least weight is below 2**-250 (or zero) or their sum
+    exceeds 2**250, the weights are scaled by a power of two first. The gate
+    reuses the minimum the field check found and the sum the ratio needs, so
+    it scans no weight of its own; where it skips the scaling, every weight
+    lies in [2**-250, 2**250], and there the scaling would change no bit.
 
     Raises:
         DegenerateComponents: if every weight is zero.
     """
-    return _kish_neff(check_reals("weight", weights, 0.0))
+    return _kish_neff(*_check_reals("weight", weights, 0.0))
 
 
-def _kish_neff(ws: tuple[float, ...]) -> float:
-    """:func:`kish_neff` of weights already through ``check_reals``."""
-    terms = _summed_weights(ws)
-    if terms is None:
+def _kish_neff(ws: tuple[float, ...], least: float | None = None) -> float:
+    """:func:`kish_neff` of weights already through ``check_reals``, whose
+    minimum is ``least`` if known."""
+    summed = _summed_weights(ws, least)
+    if summed is None:
         return float(len(ws))
-    total = math.fsum(terms)
+    terms, total = summed
     return total * total / math.fsum(map(operator.mul, terms, terms))
 
 
-def _relvariance(ws: tuple[float, ...]) -> float:
+def _relvariance(ws: tuple[float, ...], least: float | None = None) -> float:
     """Relative variance ``mean((w_k / wbar - 1)^2)`` of weights already through
-    ``check_reals``: exactly 0.0 when all are equal, positive otherwise."""
-    terms = _summed_weights(ws)
-    if terms is None:
+    ``check_reals``, whose minimum is ``least`` if known: exactly 0.0 when all
+    are equal, positive otherwise."""
+    summed = _summed_weights(ws, least)
+    if summed is None:
         return 0.0
-    mean = math.fsum(terms) / len(ws)
+    terms, total = summed
+    mean = total / len(ws)
     # a list comprehension, not a generator: no frame resumed per weight
     return math.fsum([(w / mean - 1.0) ** 2 for w in terms]) / len(ws)
 
@@ -322,9 +338,10 @@ def design_effect(weights) -> float:
     relvariance being ``mean((w_k / wbar - 1)^2)`` (Kish, 1965).
 
     Exactly 1.0 for equal weights; ``design_effect(w) * kish_neff(w) ==
-    len(w)`` up to floating tolerance. Scaled like :func:`kish_neff`.
+    len(w)`` up to floating tolerance. Scaled like :func:`kish_neff`, with the
+    same gate and the same reasons it changes no bit.
 
     Raises:
         DegenerateComponents: if every weight is zero.
     """
-    return 1.0 + _relvariance(check_reals("weight", weights, 0.0))
+    return 1.0 + _relvariance(*_check_reals("weight", weights, 0.0))

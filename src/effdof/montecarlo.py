@@ -345,7 +345,7 @@ def _block_sums(cfg: SimConfig, columns: tuple[int, ...], block_index: int,
     rejections, done, cells = 0, 0, []
     with np.errstate(over="raise", invalid="raise"):
         rngs = [_block_rng(cfg.seed, column, block_index) for column in columns]
-        weight_rng = _block_rng(cfg.seed, block_index)
+        weight_rng = None if equal else _block_rng(cfg.seed, block_index)
         for k in cfg.k_values:
             shape = (k - done, n)
             if equal:

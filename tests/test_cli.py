@@ -414,6 +414,7 @@ class TestCheckedOnce:
 
         spy(errors, "check_real", size=False)
         spy(estimators, "check_reals", size=True)
+        spy(estimators, "_check_reals", size=True)
         spy(applications, "check_reals", size=True)
         return calls
 
@@ -426,6 +427,11 @@ class TestCheckedOnce:
                              write(tmp_path, "two.csv", TWO_COMPONENTS))
         assert code == 0
         assert sorted(checked) == [("dof", 2), ("variance", 2), ("weight", 2)]
+
+    def test_weight_summaries_check_each_weight_once(self, checked):
+        effdof.kish_neff([1, 2.5])
+        effdof.design_effect([1, 2.5])
+        assert checked == [("weight", 2), ("weight", 2)]
 
     def test_each_pseudo_value_is_checked_once(self, checked, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "jackknife", "--input",

@@ -7,10 +7,12 @@ independent direct-formula script before being asserted here.
 import copy
 import dataclasses
 import enum
+import hashlib
 import importlib.util
 import itertools
 import math
 import pickle
+import platform
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -369,13 +371,35 @@ class TestKishNeff:
         with pytest.raises(DegenerateComponents, match="^all weights are zero$"):
             kish_neff([0.0, 0.0])
 
-    @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200])
+    @pytest.mark.parametrize("scale", [5e-324, 1e-200, 1e200, 6e307])
     def test_extreme_magnitudes(self, scale):
         # (1 + 2)^2 / (1 + 4) at any scale; unscaled, the squares of 1e200
-        # overflow (NaN) and those of 1e-200 underflow (ZeroDivisionError)
+        # overflow (NaN) and those of 1e-200 underflow (ZeroDivisionError),
+        # and at 6e307 the sum itself overflows a float
         w = [scale, 2.0 * scale]
         assert kish_neff(w) == pytest.approx(1.8, rel=REL)
         assert design_effect(w) * kish_neff(w) == pytest.approx(2.0, rel=REL)
+
+    @pytest.mark.parametrize("w", [
+        [2.0 ** 250, 2.0 ** 249, 3.0],
+        [math.ldexp(0.75, 250), math.ldexp(0.6, 249), 2.0 ** -250, 1.0],
+        [math.ldexp(0.5 + i / 16, 248) for i in range(8)],
+    ])
+    def test_weights_in_range_with_a_sum_above_the_gate_keep_their_bits(self, monkeypatch, w):
+        # every weight lies in [2**-250, 2**250] but their sum exceeds 2**250,
+        # so the summaries scale; the scaling must change no bit of the
+        # unscaled formula
+        assert 2.0 ** -250 <= min(w) and max(w) <= 2.0 ** 250 < math.fsum(w)
+        scaled = []
+        unit_scaled = estimators._unit_scaled
+        monkeypatch.setattr(estimators, "_unit_scaled",
+                            lambda xs: scaled.append(xs) or unit_scaled(xs))
+        total = math.fsum(w)
+        mean = total / len(w)
+        assert kish_neff(w).hex() == (total * total / math.fsum([x * x for x in w])).hex()
+        assert design_effect(w).hex() == (
+            1.0 + math.fsum([(x / mean - 1.0) ** 2 for x in w]) / len(w)).hex()
+        assert len(scaled) == 2
 
     @pytest.mark.parametrize("exponent", [-664, 664])  # 2**664 ~ 1e200
     def test_power_of_two_scaling_is_exact(self, exponent):
@@ -583,6 +607,22 @@ class TestValidation:
                 summary([0, 0, 0])
             with pytest.raises(DegenerateComponents, match="^all weights are zero$"):
                 summary([0.0, 0.0])
+
+    @pytest.mark.parametrize("xs,least", [
+        ([2.5, 0.5, 4.0], 0.5),
+        ([3, 0.5, 2], 0.5),
+        ([3, 1, 2], 1.0),
+        ([np.float64(2.5), np.float64(0.25), 1.0], 0.25),
+        ([Fraction(1, 2), 3.0], None),
+    ], ids=["floats", "ints-and-floats", "ints", "numpy-float64", "per-entry"])
+    def test_check_hands_back_the_minimum_it_found(self, xs, least):
+        # the bulk tiers hand back the minimum they compared with low; after
+        # the per-entry path the weight summaries take min(values) themselves
+        ys, got = errors._check_reals("weight", xs, 0.0)
+        assert ys == check_reals("weight", xs, 0.0)
+        assert got == least and (got is None or (type(got) is float and got == min(ys)))
+        assert kish_neff(xs) == estimators._kish_neff(ys, min(ys))
+        assert errors._check_reals("weight", xs)[1] is None
 
     def test_int_too_large_for_a_float_is_a_field_error(self):
         reason = "weight must be finite, got an int too large for a float"
@@ -831,3 +871,64 @@ class TestExactOracleCensus:
             assert counts["satterthwaite", "within 4 ulp"] == _CENSUS_SETS
             assert counts["boardman", "within 4 ulp"] == _CENSUS_SETS
             assert not any(outcome.startswith("refused") for _, outcome in counts)
+
+
+# the sweep's regimes: the census's, and weights whose every entry lies in
+# [2**-250, 2**250] while their sum mostly exceeds 2**250 (the edge of the
+# weight summaries' gate)
+_SWEEP_REGIMES = {**_CENSUS_REGIMES, "gate-edge": ((244, 249), (-2, 7))}
+
+
+def _scalar_sweep_digest(seed: int = 35, sets: int = 500) -> str:
+    """The first 16 hex digits of the sha256 of every scalar result's repr on a
+    seeded sweep: in each regime of ``_SWEEP_REGIMES``, ``sets`` times, the
+    three :class:`DfEstimate`s of a set of K uniform in 2-8 components,
+    ``kish_neff`` and ``design_effect`` of its weights, ``jackknife_df`` of K
+    signed pseudo-values, one ``mi_total_df`` and both Welch dfs. Every input
+    is 2**e x U(0.5, 1) built exactly by ldexp, so it is the same on every
+    platform; a refusal is recorded by its exception type."""
+    rng, digest = random.Random(seed), hashlib.sha256()
+
+    def record(fn, *args):
+        try:
+            text = repr(fn(*args))
+        except (ArithmeticError, DegenerateComponents) as exc:
+            text = type(exc).__name__
+        digest.update(text.encode() + b"\n")
+
+    for regime in sorted(_SWEEP_REGIMES):
+        (lo, hi), (dof_lo, dof_hi) = _SWEEP_REGIMES[regime]
+
+        def draw(low, high):
+            return math.ldexp(rng.uniform(0.5, 1.0), rng.randint(low, high))
+
+        for _ in range(sets):
+            k = rng.randint(2, 8)
+            w, v = [draw(lo, hi) for _ in range(k)], [draw(lo, hi) for _ in range(k)]
+            cs = ComponentSet(w, v, [draw(dof_lo, dof_hi) for _ in range(k)])
+            for estimator in (satterthwaite_df, corrected_df, boardman_df):
+                record(estimator, cs)
+            record(kish_neff, w)
+            record(design_effect, w)
+            record(jackknife_df, [rng.choice((-1.0, 1.0)) * draw(lo, hi) for _ in range(k)])
+            record(mi_total_df, MiVariance(draw(lo, hi), draw(dof_lo, dof_hi), draw(lo, hi),
+                                           rng.randint(2, 100)))
+            ts = TwoSampleSummary(rng.randint(2, 1000), rng.randint(2, 1000), draw(lo, hi),
+                                  draw(lo, hi))
+            record(welch_satterthwaite_df, ts)
+            record(welch_corrected_df, ts)
+    return digest.hexdigest()[:16]
+
+
+# _scalar_sweep_digest() by the C library, whose pow the estimators' ** 2 calls;
+# a change to the scalar path that moves a bit of any result moves the digest
+SCALAR_DIGESTS = {
+    ("glibc", "2.36"): "f66501f89c97dc73",
+}
+
+
+def test_scalar_results_match_their_digest():
+    key = platform.libc_ver()
+    if key not in SCALAR_DIGESTS:
+        pytest.skip(f"no scalar digest for C library {key[0] or 'unknown'} {key[1]}".rstrip())
+    assert _scalar_sweep_digest() == SCALAR_DIGESTS[key]
