@@ -55,7 +55,9 @@ def jackknife_df(pv: Iterable[float]) -> float:
 
     Always at least 1, since ``sum d^4 <= (sum d^2)^2``. The pseudo-values
     are rescaled by a power of two first, so any finite magnitude gives the
-    same value.
+    same value. The deviations are taken in two passes: d_k = T_k - mean(T),
+    then d_k minus their own mean, which removes the rounding of mean(T), so a
+    large common offset in the T_k costs no digits.
     """
     ts = check_reals("pseudo-value", pv)
     if len(ts) < 2:
@@ -63,8 +65,14 @@ def jackknife_df(pv: Iterable[float]) -> float:
     if _all_equal(ts, ts[0]):  # a constant statistic leaves the df as 0/0
         raise DegenerateComponents("all pseudo-values are identical; jackknife df is undefined")
     ts = _unit_scaled(ts)
-    mean = math.fsum(ts) / len(ts)
-    d2 = [(t - mean) ** 2 for t in ts]
+    n = len(ts)
+    mean = math.fsum(ts) / n
+    # the corrected two-pass form (Chan, Golub & LeVeque, 1983): t - mean is
+    # exact when t is within a factor 2 of the mean (Sterbenz), so the
+    # deviations share the mean's rounding error, and their own mean removes it
+    ds = [t - mean for t in ts]
+    shift = math.fsum(ds) / n
+    d2 = [(d := e - shift) * d for e in ds]
     sum_d2 = math.fsum(d2)
     # > 0: the values are not all equal, and scaled so no deviation underflows
     sum_d4 = math.fsum(map(operator.mul, d2, d2))

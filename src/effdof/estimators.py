@@ -27,14 +27,19 @@ and only an estimator that needs a sum that over- or underflows raises.
 
 All estimators are scale invariant in the weights, invariant under component
 reordering (sums use ``math.fsum``), and pure functions safe for concurrent
-use. The weight summaries scale the weights by a power of two only when
-the least weight, which the field check hands back, lies below 2**-250 (or
-is zero), or the weights' ``fsum``, which the summaries need anyway, exceeds
-2**250 or overflows. Nonnegative weights are at most their sum, so a vector
-that passes lies in [2**-250, 2**250]: there every sum, square and quotient
-the summaries form is a normal float, where scaling by a power of two
-changes no bit (so a vector inside the range whose sum exceeds 2**250 gets
-the same bits scaled), and outside it the scaling keeps them in range.
+use. Every operation they apply is correctly rounded by IEEE 754: ``+ - * /``
+and ``fsum``, with squares taken as products, never by ``**`` (the C
+library's ``pow``). In the normal range a correctly rounded operation commutes
+with a power of two, so scaling the weights by one moves no bit of a result
+whose intermediates stay normal, on any platform. The weight summaries scale
+the weights by a power of two only when the least weight, which the field
+check hands back, lies below 2**-250 (or is zero), or the weights' ``fsum``,
+which the summaries need anyway, exceeds 2**250 or overflows. Nonnegative
+weights are at most their sum, so a vector that passes lies in [2**-250,
+2**250]: there every sum, square and quotient the summaries form is a normal
+float, where scaling by a power of two changes no bit (so a vector inside the
+range whose sum exceeds 2**250 gets the same bits scaled), and outside it the
+scaling keeps them in range.
 Degrees of freedom are real-valued throughout; nothing requires integrality.
 """
 
@@ -118,7 +123,9 @@ class ComponentSet(_Record):
                                            "df estimators are undefined")
             only = first if second is None else None
         squares = [p * p for p in products]
-        self._freeze(weights, variances, dofs, _fsum(products, square=True),
+        total = _fsum(products)
+        # a finite total beyond sqrt(max float) squares to inf, as an overflowing fsum reads
+        self._freeze(weights, variances, dofs, total * total,
                      # d + 0.0 == d for every dof d > 0, so the classic form skips the add
                      _fsum(map(operator.truediv, squares, dofs)),
                      _fsum([s / (d + 2.0) for s, d in zip(squares, dofs)]),
@@ -199,9 +206,10 @@ def _summed_weights(ws: tuple[float, ...],
     is in [0.5, 1) and none is below 2**-500 of it, so they lie in [2**-501,
     1) and their squares in [2**-1002, 1). Every sum, square and quotient the
     summaries form is then a normal float with or without the scaling, and
-    there a correctly rounded operation (``fsum`` included) commutes with a
-    power of two: skipping the scaling changes no bit, and neither does taking
-    it for weights inside the range whose sum exceeds 2**250.
+    there a correctly rounded operation (``fsum`` and every square, a product,
+    included) commutes with a power of two: skipping the scaling changes no
+    bit, and neither does taking it for weights inside the range whose sum
+    exceeds 2**250.
     """
     if not ws:
         raise ValueError("a weight vector needs at least one weight")
@@ -217,12 +225,10 @@ def _summed_weights(ws: tuple[float, ...],
     return terms, math.fsum(terms)
 
 
-def _fsum(xs: Iterable[float], square: bool = False) -> float:
-    """``math.fsum(xs)``, squared if ``square``; ``inf`` where that overflows."""
+def _fsum(xs: Iterable[float]) -> float:
+    """``math.fsum(xs)``, or ``inf`` where that overflows (``fsum`` raises)."""
     try:
-        total = math.fsum(xs)
-        # ** 2, not *: * moves the last bit of some typical estimates (ROADMAP, Settled)
-        return total ** 2 if square else total
+        return math.fsum(xs)
     except OverflowError:
         return math.inf
 
@@ -330,7 +336,7 @@ def _relvariance(ws: tuple[float, ...], least: float | None = None) -> float:
     terms, total = summed
     mean = total / len(ws)
     # a list comprehension, not a generator: no frame resumed per weight
-    return math.fsum([(w / mean - 1.0) ** 2 for w in terms]) / len(ws)
+    return math.fsum([(d := w / mean - 1.0) * d for w in terms]) / len(ws)
 
 
 def design_effect(weights) -> float:

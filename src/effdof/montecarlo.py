@@ -394,7 +394,7 @@ def _assemble_cell(k: int, nu_bar: float, partials: list[_BlockSums]) -> SimCell
     sd = 0.0
     if r > 1:
         m2 = math.fsum([*(p.m2 for p in partials),
-                        *(p.n * (p.mean - mean) ** 2 for p in partials)])
+                        *(p.n * ((d := p.mean - mean) * d) for p in partials)])
         sd = math.sqrt(m2 / (r - 1))
     mean_satt, sd_satt = nu_bar * mean, nu_bar * sd
     mean_corr, sd_corr = (nu_bar + 2.0) * mean - 2.0, (nu_bar + 2.0) * sd

@@ -51,6 +51,15 @@ class TestJackknife:
                 corrected_df(induced).value, rel=REL
             )
 
+    @pytest.mark.parametrize("values", [
+        [1e15 + 1, 1e15 + 2, 1e15 + 4],
+        [1, 1 + 2**-40, 1 + 3 * 2**-40],
+    ])
+    def test_common_offset_costs_no_digits(self, values):
+        # deviations (-4/3, -1/3, 5/3) in units of the spread, as for (0, 1, 3):
+        # the rounded mean's error must not leak into them
+        assert jackknife_df(values) == 4.0
+
     def test_shift_scale_permutation_invariance(self):
         t = [1.0, 4.0, 2.5, -3.0, 0.5]
         base = jackknife_df(t)

@@ -209,7 +209,7 @@ def _always_scaled_relvariance(ws):
         return 0.0
     ws = _unit_scaled(ws)
     mean = math.fsum(ws) / len(ws)
-    return math.fsum((w / mean - 1.0) ** 2 for w in ws) / len(ws)
+    return math.fsum((d := w / mean - 1.0) * d for w in ws) / len(ws)
 
 
 @st.composite
