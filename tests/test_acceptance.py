@@ -11,7 +11,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from effdof import (
     ComponentSet,
@@ -20,9 +19,7 @@ from effdof import (
     TwoSampleSummary,
     boardman_df,
     corrected_df,
-    design_effect,
     jackknife_df,
-    kish_neff,
     mi_total_df,
     run_grid_detailed,
     satterthwaite_df,
@@ -30,7 +27,6 @@ from effdof import (
     welch_satterthwaite_df,
 )
 from effdof.montecarlo import sample_component_variance
-from oracles import satterthwaite_df_harmonic
 
 SEED = 42
 REL = 1e-12
@@ -117,55 +113,29 @@ def test_criterion_4_equal_unit_weight_ratios():
 
 
 def test_criterion_5_exact_algebraic_suite():
+    # scale invariance in the weights; the paper's other exact identities (the
+    # K = 1 fixed point, Boardman = corrected + 2, the Kish reductions, the
+    # design-effect identity and the harmonic form) each have one property in
+    # tests/test_properties.py. Sets of K 1-9 as numpy arrays, weights zero or
+    # log-uniform in 1e-3..1e3
     rng = np.random.default_rng(SEED)
     cases = 1_200
     worst = 0.0
-
-    def check(a, b):
-        nonlocal worst
-        err = abs(a - b) / max(abs(a), abs(b))
-        worst = max(worst, err)
-        return err <= REL
-
-    ok = True
     for _ in range(cases):
-        k = int(rng.integers(2, 10))
-        w = rng.uniform(0.01, 10, k)
-        v = rng.uniform(0.01, 10, k)
-        d = rng.uniform(0.1, 200, k)
-        cs = ComponentSet.from_arrays(w, v, d)
-        base = {f: f(cs).value for f in (satterthwaite_df, corrected_df, boardman_df)}
-
-        # scale invariance under w -> c w
-        for c in (1e-6, 0.5, 3.0, 1e6):
-            scaled = ComponentSet.from_arrays(c * w, v, d)
+        k = int(rng.integers(1, 10))
+        w = np.where(rng.random(k) < 0.2, 0.0, 10.0 ** rng.uniform(-3, 3, k))
+        if not w.any():
+            w[rng.integers(k)] = 1.0
+        v = 10.0 ** rng.uniform(-3, 3, k)
+        d = rng.uniform(0.05, 500, k)
+        cs = ComponentSet(w, v, d)
+        for c in (1e-6, 0.5, 3.0, 1e6, 10.0 ** rng.uniform(-6, 6)):
+            scaled = ComponentSet(c * w, v, d)
             for f in (satterthwaite_df, corrected_df, boardman_df):
-                ok &= check(f(scaled).value, base[f])
+                worst = max(worst, rel_err(f(scaled).value, f(cs).value))
 
-        # harmonic-mean identity
-        ok &= check(satterthwaite_df_harmonic(cs), base[satterthwaite_df])
-
-        # K=1 fixed point (exact)
-        single = ComponentSet.from_arrays(w[:1], v[:1], d[:1])
-        ok &= satterthwaite_df(single).value == d[0]
-        ok &= corrected_df(single).value == d[0]
-
-        # identical-variance identities against the Kish size
-        nu0 = float(rng.uniform(0.5, 100))
-        s0 = float(rng.uniform(0.01, 10))
-        equal = ComponentSet.from_arrays(w, [s0] * k, [nu0] * k)
-        neff = kish_neff(w)
-        ok &= check(satterthwaite_df(equal).value, nu0 * neff)
-        ok &= check(corrected_df(equal).value, (nu0 + 2) * neff - 2)
-
-        # design effect identity
-        ok &= check(design_effect(w) * neff, float(k))
-
-        # shift relation between the unshifted and corrected forms
-        ok &= check(base[boardman_df], base[corrected_df] + 2.0)
-
-    report(5, f"exact algebraic identity suite ({cases} randomized cases)",
-           ok, f"max relative deviation {worst:.2e} (tolerance {REL:.0e})")
+    report(5, f"scale invariance in the weights ({cases} randomized cases)",
+           worst <= REL, f"max relative deviation {worst:.2e} (tolerance {REL:.0e})")
 
 
 def test_criterion_6_lower_bound_sweep():
@@ -177,7 +147,7 @@ def test_criterion_6_lower_bound_sweep():
         w = rng.uniform(0.001, 100, k)
         v = rng.uniform(0.001, 100, k)
         d = rng.uniform(1.0, 100.0, k)
-        cs = ComponentSet.from_arrays(w, v, d)
+        cs = ComponentSet(w, v, d)
         floor = d.min()
         if satterthwaite_df(cs).value < floor or corrected_df(cs).value < floor:
             violations += 1
@@ -208,53 +178,18 @@ def test_criterion_7_sampler_moment_checks():
 
 
 def test_criterion_8_application_delegation():
-    rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
-    ok = True
-
-    def check(a, b, tol):
-        nonlocal worst, ok
-        err = abs(a - b) / max(abs(a), abs(b))
-        worst = max(worst, err)
-        ok &= err <= tol
-
-    for _ in range(2_000):
-        # jackknife vs corrected_df on (1, d_k^2, 1)
-        t = rng.normal(0, 2, rng.integers(2, 10))
-        mean = math.fsum(map(float, t)) / len(t)
-        d_sq = [(x - mean) ** 2 for x in map(float, t)]
-        if any(d_sq):
-            induced = ComponentSet.from_arrays([1.0] * len(t), d_sq, [1.0] * len(t))
-            check(jackknife_df(t), corrected_df(induced).value, REL)
-
-        # multiple imputation vs corrected_df on its two components
-        mi = MiVariance(float(rng.uniform(0.01, 5)), float(rng.uniform(1, 300)),
-                        float(rng.uniform(0.01, 5)), int(rng.integers(2, 40)))
-        w2 = (mi.num_imputations + 1) / mi.num_imputations
-        induced = ComponentSet.from_arrays(
-            [1.0, w2], [mi.sampling_variance, mi.imputation_variance],
-            [mi.sampling_dof, mi.num_imputations - 1])
-        check(mi_total_df(mi), corrected_df(induced).value, REL)
-
-        # two-sample wrapper vs corrected_df on its two components
-        ts = TwoSampleSummary(int(rng.integers(2, 400)), int(rng.integers(2, 400)),
-                              float(rng.uniform(0.01, 9)), float(rng.uniform(0.01, 9)))
-        induced = ComponentSet.from_arrays([1 / ts.n1, 1 / ts.n2],
-                                           [ts.s1_sq, ts.s2_sq],
-                                           [ts.n1 - 1, ts.n2 - 1])
-        check(welch_corrected_df(ts), corrected_df(induced).value, REL)
-
-    # worked values against independent direct-formula oracles
-    check(jackknife_df([0, 0, 2, 2]), 10.0, 1e-9)
+    # each wrapper's equality with corrected_df on its induced components is
+    # checked once, in tests/test_applications.py; here each wrapper meets a
+    # worked value from an independent direct formula
     ts = TwoSampleSummary(10, 10, 1.0, 1.0)
-    check(welch_corrected_df(ts), 20.0, 1e-9)
-    check(welch_satterthwaite_df(ts), 18.0, 1e-9)
     mi_oracle = 1.24**2 / (1 / 102 + 1.44 * 0.04 / 6) - 2  # = 77.2417...
-    check(mi_total_df(MiVariance(1.0, 100.0, 0.2, 5)), mi_oracle, 1e-9)
-
-    report(8, "application wrappers delegate to the corrected estimator",
-           ok, f"max relative deviation {worst:.2e} over 2000 randomized cases "
-               f"+ worked values (jackknife 10.0, welch 20.0/18.0, mi ~77.242)")
+    worst = max(rel_err(jackknife_df([0, 0, 2, 2]), 10.0),
+                rel_err(welch_corrected_df(ts), 20.0),
+                rel_err(welch_satterthwaite_df(ts), 18.0),
+                rel_err(mi_total_df(MiVariance(1.0, 100.0, 0.2, 5)), mi_oracle))
+    report(8, "application wrappers meet their direct-formula worked values",
+           worst <= 1e-9, f"max relative deviation {worst:.2e} "
+                          f"(jackknife 10.0, welch 20.0/18.0, mi ~77.242)")
 
 
 def test_criterion_9_cli_determinism():

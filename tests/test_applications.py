@@ -46,7 +46,7 @@ class TestJackknife:
             d_sq = [(x - mean) ** 2 for x in t]
             if not any(d_sq):
                 continue
-            induced = ComponentSet.from_arrays([1.0] * len(t), d_sq, [1.0] * len(t))
+            induced = ComponentSet([1.0] * len(t), d_sq, [1.0] * len(t))
             assert jackknife_df(t) == pytest.approx(
                 corrected_df(induced).value, rel=REL
             )
@@ -151,13 +151,13 @@ class TestMultipleImputation:
         rng = np.random.default_rng(8)
         for _ in range(200):
             mi = MiVariance(
-                float(rng.uniform(0, 4)),
-                float(rng.uniform(0.5, 200)),
-                float(rng.uniform(0.01, 4)),
-                int(rng.integers(2, 30)),
+                float(rng.uniform(0, 5)),
+                float(rng.uniform(0.5, 300)),
+                float(rng.uniform(0.01, 5)),
+                int(rng.integers(2, 40)),
             )
             w2 = (mi.num_imputations + 1) / mi.num_imputations
-            induced = ComponentSet.from_arrays(
+            induced = ComponentSet(
                 [1.0, w2],
                 [mi.sampling_variance, mi.imputation_variance],
                 [mi.sampling_dof, mi.num_imputations - 1],
@@ -272,7 +272,7 @@ class TestWelch:
                 float(rng.uniform(0, 9)) or 1.0,
                 float(rng.uniform(0.01, 9)),
             )
-            induced = ComponentSet.from_arrays(
+            induced = ComponentSet(
                 [1 / ts.n1, 1 / ts.n2],
                 [ts.s1_sq, ts.s2_sq],
                 [ts.n1 - 1, ts.n2 - 1],

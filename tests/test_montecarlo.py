@@ -282,7 +282,7 @@ class TestBatchAgainstScalar:
             assert (cell_k, nu) == (k, 3.5)
             columns = [(weights[:k, j], s2[:k, j]) for j in range(40)]
             # at nu = 1 the classic df is the ratio R itself
-            ratio = [satterthwaite_df(ComponentSet.from_arrays(w, v, [1.0] * k)).value
+            ratio = [satterthwaite_df(ComponentSet(w, v, [1.0] * k)).value
                      for w, v in columns]
             mean = math.fsum(ratio) / len(ratio)
             assert (block.n, block.rejections) == (40, count)
@@ -293,7 +293,7 @@ class TestBatchAgainstScalar:
             cell = _assemble_cell(k, 3.5, [block])
             for estimator, field in ((satterthwaite_df, "mean_satt"),
                                      (corrected_df, "mean_corr")):
-                values = [estimator(ComponentSet.from_arrays(w, v, [3.5] * k)).value
+                values = [estimator(ComponentSet(w, v, [3.5] * k)).value
                           for w, v in columns]
                 assert getattr(cell, field) == pytest.approx(math.fsum(values) / 40,
                                                              rel=1e-12)

@@ -1,12 +1,10 @@
 """Property-based tests of the algebraic invariants."""
 
 import math
-from decimal import Decimal
-from fractions import Fraction
+import random
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from effdof import (
@@ -33,14 +31,14 @@ normal_exponents = st.integers(min_value=-1000, max_value=1000)
 
 
 @st.composite
-def component_sets(draw, min_k=1, max_k=8, allow_zero=False):
+def component_sets(draw, min_k=1, max_k=9, allow_zero=False):
     k = draw(st.integers(min_k, max_k))
     weights = [draw(maybe_zero_weight if allow_zero else finite_weight)
                for _ in range(k)]
     variances = [draw(finite_variance) for _ in range(k)]
     dofs = [draw(dof_values) for _ in range(k)]
     assume(any(w * v > 0 for w, v in zip(weights, variances)))
-    return ComponentSet.from_arrays(weights, variances, dofs)
+    return ComponentSet(weights, variances, dofs)
 
 
 @st.composite
@@ -56,16 +54,6 @@ def rel_close(a, b, rel=REL):
 
 
 @settings(max_examples=200, deadline=None)
-@given(component_sets(allow_zero=True),
-       st.one_of(st.sampled_from([1e-6, 0.5, 3.0, 1e6]),
-                 st.floats(min_value=1e-6, max_value=1e6)))
-def test_scale_invariance_in_weights(cs, c):
-    scaled = ComponentSet.from_arrays([c * w for w in cs.weights], cs.variances, cs.dofs)
-    for estimator in (satterthwaite_df, corrected_df, boardman_df):
-        assert rel_close(estimator(scaled).value, estimator(cs).value)
-
-
-@settings(max_examples=200, deadline=None)
 @given(component_sets())
 def test_harmonic_form_matches_classic(cs):
     assert rel_close(satterthwaite_df_harmonic(cs), satterthwaite_df(cs).value)
@@ -73,8 +61,9 @@ def test_harmonic_form_matches_classic(cs):
 
 @settings(max_examples=200, deadline=None)
 @given(finite_weight, finite_variance, dof_values)
+@example(1.0, 3.7, 5.0)
 def test_single_component_fixed_point_is_exact(w, v, d):
-    cs = ComponentSet.from_arrays([w], [v], [d])
+    cs = ComponentSet([w], [v], [d])
     assert satterthwaite_df(cs).value == d
     assert corrected_df(cs).value == d
     assert boardman_df(cs).value == d + 2.0
@@ -92,22 +81,23 @@ def test_lower_bound_min_dof(cs):
 @settings(max_examples=200, deadline=None)
 @given(component_sets(allow_zero=True), dof_values)
 def test_equal_dof_ordering(cs, dof):
-    equal = ComponentSet.from_arrays(cs.weights, cs.variances, [dof] * len(cs.weights))
+    equal = ComponentSet(cs.weights, cs.variances, [dof] * len(cs.weights))
     satt = satterthwaite_df(equal).value
     assert corrected_df(equal).value >= satt - REL * abs(satt)
 
 
 @settings(max_examples=200, deadline=None)
 @given(weight_vectors(), finite_variance, dof_values)
+@example([0.5, 1.5, 2.0, 0.25], 3.3, 7.0)
 def test_identical_components_reduce_to_kish(ws, s0_sq, dof):
-    cs = ComponentSet.from_arrays(ws, [s0_sq] * len(ws), [dof] * len(ws))
+    cs = ComponentSet(ws, [s0_sq] * len(ws), [dof] * len(ws))
     neff = kish_neff(ws)
     assert rel_close(satterthwaite_df(cs).value, dof * neff)
     assert rel_close(corrected_df(cs).value, (dof + 2) * neff - 2)
 
 
 @settings(max_examples=300, deadline=None)
-@given(weight_vectors())
+@given(weight_vectors(max_n=24))
 def test_design_effect_identity(ws):
     assert rel_close(design_effect(ws) * kish_neff(ws), len(ws))
 
@@ -128,8 +118,8 @@ def test_relvariance_sign(ws):
 def test_permutation_invariance_is_exact(cs, rnd):
     order = list(range(len(cs.weights)))
     rnd.shuffle(order)
-    shuffled = ComponentSet.from_arrays(*([xs[i] for i in order]
-                                          for xs in (cs.weights, cs.variances, cs.dofs)))
+    shuffled = ComponentSet(*([xs[i] for i in order]
+                              for xs in (cs.weights, cs.variances, cs.dofs)))
     assert satterthwaite_df(shuffled).value == satterthwaite_df(cs).value
     assert corrected_df(shuffled).value == corrected_df(cs).value
     assert boardman_df(shuffled).value == boardman_df(cs).value
@@ -146,6 +136,7 @@ def test_weight_summary_permutation_invariance(ws, rnd):
 
 @settings(max_examples=200, deadline=None)
 @given(component_sets(allow_zero=True))
+@example(ComponentSet([1, 2, 3], [0.5, 1.0, 2.5], [3, 9, 27]))
 def test_boardman_is_corrected_plus_two(cs):
     assert rel_close(boardman_df(cs).value, corrected_df(cs).value + 2.0)
 
@@ -212,35 +203,39 @@ def _always_scaled_relvariance(ws):
     return math.fsum((d := w / mean - 1.0) * d for w in ws) / len(ws)
 
 
-@st.composite
-def wide_weight_vectors(draw):
-    """Weights whose exponents differ by at most 12 from a common one, which lies
-    near the edges 2**-250 and 2**250 of the range where the weight summaries
-    skip their scaling, near 2**-511 and 2**512 where a square leaves the
-    normal range, or anywhere in the float range; with up to two zeros,
-    subnormals or weights of any exponent mixed in."""
-    center = draw(st.one_of(st.integers(-262, -238), st.integers(238, 262),
-                            st.integers(-540, -500), st.integers(500, 540),
-                            st.integers(-1074, 1024)))
-    spread = draw(st.integers(0, 12))
-    mantissas = st.floats(min_value=0.5, max_value=1.0, exclude_max=True)
-    near = st.builds(math.ldexp, mantissas,
-                     st.integers(max(center - spread, -1074), min(center + spread, 1024)))
-    ws = draw(st.lists(near, min_size=1, max_size=12))
-    odd = st.one_of(st.just(0.0),
-                    st.floats(min_value=0.0, max_value=2.0 ** -1022, exclude_max=True),
-                    st.builds(math.ldexp, mantissas, st.integers(-1074, 1024)))
-    for _ in range(draw(st.integers(0, 2))):
-        ws.insert(draw(st.integers(0, len(ws))), draw(odd))
-    assume(any(ws))
-    return tuple(ws)
+def _gate_vectors(inside=20_000, edges=10_000):
+    """Seeded weight vectors of 1-12 weights 2**e x U(0.5, 1), built exactly by
+    ldexp, whose exponents lie within 12 of a common one. The first ``inside``
+    keep every weight in [2**-250, 2**250], where the weight summaries skip
+    their scaling; the other ``edges`` centre near the gate's edges 2**-250 and
+    2**250, near 2**-511 and 2**512 where a square leaves the normal range, or
+    anywhere in the float range, with up to two zeros, subnormals or weights of
+    any exponent mixed in."""
+    rng = random.Random(38)
+
+    def weight(low, high):
+        return math.ldexp(rng.uniform(0.5, 1.0), rng.randint(low, high))
+
+    for i in range(inside + edges):
+        centers = [(-237, 237)] if i < inside else [
+            (-262, -238), (238, 262), (-540, -500), (500, 540), (-1074, 1024)]
+        center, spread = rng.randint(*rng.choice(centers)), rng.randint(0, 12)
+        ws = [weight(max(center - spread, -1074), min(center + spread, 1024))
+              for _ in range(rng.randint(1, 12))]
+        for _ in range(0 if i < inside else rng.randint(0, 2)):
+            odd = [0.0, rng.uniform(0.0, 2.0 ** -1022), weight(-1074, 1024)]
+            ws.insert(rng.randint(0, len(ws)), rng.choice(odd))
+        if any(ws):
+            yield tuple(ws)
 
 
-@settings(max_examples=300, deadline=None)
-@given(wide_weight_vectors())
-def test_weight_summaries_skip_scaling_without_changing_a_bit(ws):
-    assert _kish_neff(ws).hex() == _always_scaled_kish(ws).hex()
-    assert _relvariance(ws).hex() == _always_scaled_relvariance(ws).hex()
+def test_weight_summaries_skip_scaling_without_changing_a_bit():
+    # a seeded sweep, not a property: a last-bit change in either formula shows
+    # on about 1 vector in 1,100, which a few hundred examples can miss
+    moved = [ws for ws in _gate_vectors()
+             if _kish_neff(ws).hex() != _always_scaled_kish(ws).hex()
+             or _relvariance(ws).hex() != _always_scaled_relvariance(ws).hex()]
+    assert moved == []
 
 
 @settings(max_examples=300, deadline=None)
