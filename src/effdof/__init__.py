@@ -10,35 +10,44 @@ names in ``__all__``:
   wrappers around the corrected estimator.
 * :mod:`effdof.montecarlo` -- the reproducible chi-square simulation harness.
 
-The first three load with the package. ``montecarlo`` and its names load on
-first use, so the closed-form estimators start without numpy or the thread
+Only ``errors`` loads with the package. The other three, and their names, load
+on first use: ``effdof simulate`` compiles neither the estimators nor the
+wrappers, and the closed-form estimators start without numpy or the thread
 pool behind the simulation.
 """
 
 __version__ = "0.1.0"
 
-from . import applications, errors, estimators
-from .applications import *  # noqa: F403
+from . import errors
 from .errors import *  # noqa: F403
-from .estimators import *  # noqa: F403
 
-# montecarlo.__all__, spelled out so listing the names does not load the module
-_MONTECARLO_NAMES = ("SimConfig", "SimCell", "GridResult", "run_grid_detailed")
+# each name that loads on first use, and each such submodule's own name, mapped
+# to that submodule; its __all__ is spelled out so listing the names loads nothing
+_LAZY = {name: module for module, names in (
+    ("estimators", ("ComponentSet", "DfEstimate", "satterthwaite_df", "corrected_df",
+                    "boardman_df", "kish_neff", "design_effect")),
+    ("applications", ("MiVariance", "TwoSampleSummary", "jackknife_df", "mi_total_variance",
+                      "mi_total_df", "welch_corrected_df", "welch_satterthwaite_df")),
+    ("montecarlo", ("SimConfig", "SimCell", "GridResult", "run_grid_detailed")),
+) for name in (module, *names)}
 
-__all__ = ["__version__", *errors.__all__, *estimators.__all__, *applications.__all__,
-           *_MONTECARLO_NAMES]
+__all__ = ["__version__", *errors.__all__,
+           *(name for name, module in _LAZY.items() if name != module)]
 
 
 def __getattr__(name: str):
-    if name == "montecarlo" or name in _MONTECARLO_NAMES:
-        import importlib
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        # not ``from . import montecarlo``: that looks the name up on this
-        # package first, which calls this function again without end
-        montecarlo = importlib.import_module(".montecarlo", __name__)
-        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not ``from . import estimators``: that looks the name up on this package
+    # first, which calls this function again without end
+    value = importlib.import_module("." + _LAZY[name], __name__)
+    if name != _LAZY[name]:
+        value = getattr(value, name)
+    globals()[name] = value  # a plain attribute from now on: later lookups skip this
+    return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, "montecarlo"})
+    return sorted({*globals(), *_LAZY})

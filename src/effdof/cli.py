@@ -39,31 +39,28 @@ import sys
 import time
 from collections.abc import Sequence
 
-from . import __version__
-from .applications import (
-    MiVariance,
-    TwoSampleSummary,
-    jackknife_df,
-    mi_total_df,
-    mi_total_variance,
-    welch_corrected_df,
-    welch_satterthwaite_df,
-)
+from . import _LAZY, __version__
 from .errors import DegenerateComponents, FieldError
-from .estimators import (
-    ComponentSet,
-    _kish_neff,
-    _relvariance,
-    boardman_df,
-    corrected_df,
-    satterthwaite_df,
-)
 
-# effdof.montecarlo (and with it dataclasses and concurrent.futures) loads only
-# when ``simulate`` runs; the other subcommands never need it
+# The subcommands look library names up on this module when they run
+# (``_this.corrected_df``), so each can be replaced here; the first lookup of one
+# comes to __getattr__ below. So effdof.estimators loads only for ``estimate``,
+# effdof.applications for ``jackknife``, ``welch`` and ``mi``, and
+# effdof.montecarlo (with numpy, dataclasses and concurrent.futures) for ``simulate``.
+_this = sys.modules[__name__]
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from .estimators import ComponentSet
     from .montecarlo import GridResult, SimCell, SimConfig
+
+
+def __getattr__(name: str):
+    """A library name from the package, which loads its submodule on first use."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 COMPONENTS_HEADER = ("weight", "variance", "dof")
 
@@ -171,7 +168,7 @@ def parse_components_file(path: str | os.PathLike[str]) -> ComponentSet:
         lines.append(i)
     if not lines:
         raise ParseError("no component rows after the header", line=2)
-    return _located(ComponentSet, columns, lines, COMPONENTS_HEADER)
+    return _located(_this.ComponentSet, columns, lines, COMPONENTS_HEADER)
 
 
 def parse_values_file(path: str | os.PathLike[str]) -> tuple[list[float], list[int]]:
@@ -211,12 +208,12 @@ def render_estimate(cs: ComponentSet, fmt: str, precision: int) -> str:
     estimators = [
         {"variant": est.variant, "value": est.value,
          "numerator": est.numerator, "denominator": est.denominator}
-        for est in (satterthwaite_df(cs), corrected_df(cs), boardman_df(cs))
+        for est in (_this.satterthwaite_df(cs), _this.corrected_df(cs), _this.boardman_df(cs))
     ]
     weights = {
         # cs.weights are checked: skip the public functions' second pass
-        "kish_neff": _kish_neff(cs.weights),
-        "design_effect": 1.0 + _relvariance(cs.weights),
+        "kish_neff": _this.estimators._kish_neff(cs.weights),
+        "design_effect": 1.0 + _this.estimators._relvariance(cs.weights),
     }
     if fmt == "json":
         import json
@@ -371,20 +368,20 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_jackknife(args) -> str:
     values, lines = parse_values_file(args.input)
-    df = _located(jackknife_df, (values,), lines, ("pseudo-value",))
+    df = _located(_this.jackknife_df, (values,), lines, ("pseudo-value",))
     return _fmt(df, args.precision) + "\n"
 
 
 def _cmd_welch(args) -> str:
-    ts = TwoSampleSummary(args.n1, args.n2, args.s1sq, args.s2sq)
-    return (f"satterthwaite_df,{_fmt(welch_satterthwaite_df(ts), args.precision)}\n"
-            f"corrected_df,{_fmt(welch_corrected_df(ts), args.precision)}\n")
+    ts = _this.TwoSampleSummary(args.n1, args.n2, args.s1sq, args.s2sq)
+    return (f"satterthwaite_df,{_fmt(_this.welch_satterthwaite_df(ts), args.precision)}\n"
+            f"corrected_df,{_fmt(_this.welch_corrected_df(ts), args.precision)}\n")
 
 
 def _cmd_mi(args) -> str:
-    mi = MiVariance(args.var_sampling, args.nu_sampling, args.var_imputation, args.m)
-    return (f"total_variance,{_fmt(mi_total_variance(mi), args.precision)}\n"
-            f"total_df,{_fmt(mi_total_df(mi), args.precision)}\n")
+    mi = _this.MiVariance(args.var_sampling, args.nu_sampling, args.var_imputation, args.m)
+    return (f"total_variance,{_fmt(_this.mi_total_variance(mi), args.precision)}\n"
+            f"total_df,{_fmt(_this.mi_total_df(mi), args.precision)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,11 @@ import numpy as np
 
 from effdof import (
     ComponentSet,
-    MiVariance,
     SimConfig,
-    TwoSampleSummary,
     boardman_df,
     corrected_df,
-    jackknife_df,
-    mi_total_df,
     run_grid_detailed,
     satterthwaite_df,
-    welch_corrected_df,
-    welch_satterthwaite_df,
 )
 from effdof.montecarlo import sample_component_variance
 
@@ -175,21 +169,6 @@ def test_criterion_7_sampler_moment_checks():
             f"|4th-moment err|={m4_err:.2e}<= {m4_tol:.2e}"
         )
     report(7, "sampler moment checks (1e6 draws each)", ok, "; ".join(details))
-
-
-def test_criterion_8_application_delegation():
-    # each wrapper's equality with corrected_df on its induced components is
-    # checked once, in tests/test_applications.py; here each wrapper meets a
-    # worked value from an independent direct formula
-    ts = TwoSampleSummary(10, 10, 1.0, 1.0)
-    mi_oracle = 1.24**2 / (1 / 102 + 1.44 * 0.04 / 6) - 2  # = 77.2417...
-    worst = max(rel_err(jackknife_df([0, 0, 2, 2]), 10.0),
-                rel_err(welch_corrected_df(ts), 20.0),
-                rel_err(welch_satterthwaite_df(ts), 18.0),
-                rel_err(mi_total_df(MiVariance(1.0, 100.0, 0.2, 5)), mi_oracle))
-    report(8, "application wrappers meet their direct-formula worked values",
-           worst <= 1e-9, f"max relative deviation {worst:.2e} "
-                          f"(jackknife 10.0, welch 20.0/18.0, mi ~77.242)")
 
 
 def test_criterion_9_cli_determinism():

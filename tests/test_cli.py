@@ -982,8 +982,8 @@ class TestStderrFailures:
 _IMPORT_PROBE = """
 import sys
 
-WATCHED = ("concurrent.futures", "dataclasses", "effdof.montecarlo", "json", "numpy",
-           "pathlib", "secrets")
+WATCHED = ("concurrent.futures", "dataclasses", "effdof.applications", "effdof.estimators",
+           "effdof.montecarlo", "json", "numpy", "pathlib", "secrets")
 # a .pth file may load some of them at startup: count only the ones effdof adds
 PRELOADED = set(sys.modules)
 
@@ -998,34 +998,41 @@ for run in sys.argv[1:]:
     argv = run.split("\\t")
     assert main(argv) == 0, argv
     seen[argv[0]] = loaded()
-assert main(["simulate", "--k", "2", "--nu", "1", "--replicates", "10"]) == 0
-seen["simulate"] = loaded()
 print(repr(seen))
 """
 
 
 class TestModuleEntryPoint:
     def test_only_simulate_imports_numpy(self, tmp_path):
-        # this process has all of them loaded already, so probe a fresh interpreter
-        runs = [
-            ["welch", "--n1", "10", "--n2", "12", "--s1sq", "1", "--s2sq", "2"],
-            ["mi", "--var-sampling", "1", "--nu-sampling", "100",
-             "--var-imputation", "0.2", "--m", "5"],
-            ["jackknife", "--input", write(tmp_path, "pv.txt", "0\n1\n3\n")],
-            ["estimate", "--input", write(tmp_path, "c.csv", TWO_COMPONENTS)],
-        ]
+        # this process has all of them loaded already, so probe fresh interpreters
         src = str(Path(effdof.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, *("\t".join(run) for run in runs)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        seen = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
-        assert seen == {
+
+        def probe(*runs):
+            proc = subprocess.run(
+                [sys.executable, "-c", _IMPORT_PROBE, *("\t".join(run) for run in runs)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+        one_shots = [
+            ["estimate", "--input", write(tmp_path, "c.csv", TWO_COMPONENTS)],
+            ["jackknife", "--input", write(tmp_path, "pv.txt", "0\n1\n3\n")],
+            ["welch", "--n1", "10", "--n2", "12", "--s1sq", "1", "--s2sq", "2"],
+            ["mi", "--var-sampling", "1", "--nu-sampling", "100",
+             "--var-imputation", "0.2", "--m", "5"],
+        ]
+        # the one-shot commands load no simulation module, and estimate no wrapper
+        app = ["effdof.applications", "effdof.estimators"]
+        assert probe(*one_shots) == {
             "import effdof": [], "import effdof.cli": [],
-            "welch": [], "mi": [], "jackknife": [], "estimate": [],
-            # json writes the run manifest; secrets draws the seed
+            "estimate": ["effdof.estimators"], "jackknife": app, "welch": app, "mi": app,
+        }
+        # simulate loads neither the estimators nor the wrappers; json writes the
+        # run manifest and secrets draws the seed
+        assert probe(["simulate", "--k", "2", "--nu", "1", "--replicates", "10"]) == {
+            "import effdof": [], "import effdof.cli": [],
             "simulate": ["concurrent.futures", "dataclasses", "effdof.montecarlo", "json",
                          "numpy", "secrets"],
         }

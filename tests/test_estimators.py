@@ -152,13 +152,18 @@ class TestDfEstimators:
         variant = fn.__name__.removesuffix("_df")
         for cs, fault in (
             # (sum w_k S_k^2)^2 overflows when squared
-            (ComponentSet([1e200, 1e200], [1, 2], [4, 4]), "overflows a float"),
+            (ComponentSet([1e200, 1e200], [1, 2], [4, 4]), "numerator overflows a float"),
             # an infinite product w_k S_k^2 makes the sum itself infinite
-            (ComponentSet([1e200, 1], [1e200, 1], [3, 4]), "overflows a float"),
+            (ComponentSet([1e200, 1], [1e200, 1], [3, 4]), "numerator overflows a float"),
             # (sum w_k S_k^2)^2 of weights near 1e-200 underflows
-            (ComponentSet([1e-200, 1e-200], [1, 2], [3, 4]), "underflows to zero"),
+            (ComponentSet([1e-200, 1e-200], [1, 2], [3, 4]), "numerator underflows to zero"),
+            # the numerator, about 4e308, overflows while the denominator stays finite
+            (ComponentSet([1e154, 1e154], [1, 1], [1e10, 1e10]), "numerator overflows a float"),
+            # the denominator underflows under a positive numerator below 1
+            (ComponentSet([1e-100, 1e-100], [1, 1], [1e300, 1e300]),
+             "denominator underflows to zero"),
         ):
-            with pytest.raises(OverflowError, match=f"^{variant} df numerator {fault}$"):
+            with pytest.raises(OverflowError, match=f"^{variant} df {fault}$"):
                 fn(cs)
         # a single component's df is exact although its square overflows
         single = fn(ComponentSet([1e200], [1], [4]))
